@@ -249,8 +249,5 @@ def main(argv=None) -> int:
         return 3
 
 
-cli_dispatch = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -73,8 +73,8 @@ class EconomyParams:
             raise DomainError(f"n_agents must be >= 2, got {self.n_agents}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.delta > 0.0:
-            raise DomainError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.delta < float("inf"):
+            raise DomainError(f"delta must be finite and > 0, got {self.delta}")
         if not 0.0 <= self.phi < 1.0:
             raise DomainError(f"phi must lie in [0, 1), got {self.phi}")
         if self.phi >= self.alpha or self.phi >= 1.0 - self.alpha:

@@ -17,8 +17,11 @@ where ``z = gamma / (1 + gamma)`` and average consumption satisfies
 (everything not bequeathed is consumed).  Substituting ``cbar`` out
 makes ``k_next = mean_j s_j`` the root of a piecewise-linear map whose
 slopes are all below one, so the root is unique.  It is found exactly
-by enumerating candidate active sets (which dynasties leave positive
-bequests) in income order; a bisection fallback covers degenerate ties.
+by scanning candidate active sets (the top-``a`` incomes) in vectorised
+blocks for the first consistent one; a bisection fallback covers
+degenerate ties.  Richer parents leave weakly richer heirs, so
+:func:`simulate` validates and sorts the initial vector once and then
+only checks that order, in O(N), each period.
 
 An economy run under a constant tilt settles, depending on whether the
 initial envy weight sits below or above the threshold ``gamma_star(nu)``,
@@ -112,25 +115,31 @@ def fixed_point_active_set(
                 / (N*(1+delta) - a*(delta*z - xi/nu_next))
 
     accepted iff it lies in (0, total), the poorest active dynasty
-    saves and the richest inactive one does not.  Returns None when no
-    candidate is consistent (degenerate ties); callers fall back to
-    bisection.
+    saves and the richest inactive one does not.  ``income`` may come in
+    any order (descending input skips the sort).  Candidates are scanned in
+    vectorised blocks of 16, 128, 1024, ... incomes, extending the running
+    sum block by block; the first consistent ``a`` wins.  Returns None when
+    no candidate is consistent (degenerate ties); callers fall back to bisection.
     """
-    n = income.size
-    inc = np.sort(income)[::-1]
-    csum = np.cumsum(inc)
-    for a in range(1, n + 1):
+    inc = income if (income[:-1] >= income[1:]).all() else np.sort(income)[::-1]
+    n = inc.size
+    run, lo, size = 0.0, 0, 16
+    while lo < n:
+        hi = min(lo + size, n)
+        # continue the running sum: a block-local cumsum plus offset rounds differently
+        csum = np.cumsum(np.concatenate(((run,), inc[lo:hi])))[1:]
+        a = np.arange(lo + 1.0, hi + 1.0)
         denom = n * (1.0 + delta) - a * (delta * z - xi_over_nu_next)
-        kappa = (delta * csum[a - 1] - a * delta * z * total) / denom
-        if not 0.0 < kappa < total:
-            continue
+        kappa = (delta * csum - a * delta * z * total) / denom
         # bequest numerator of dynasty j is delta*I_j - tail; positive iff saving
         tail = delta * z * (total - kappa) + xi_over_nu_next * kappa
-        if not delta * inc[a - 1] > tail:
-            continue
-        if a < n and delta * inc[a] > tail:
-            continue
-        return float(kappa)
+        heads = delta * inc[lo : hi + 1]
+        ok = (0.0 < kappa) & (kappa < total) & (heads[: hi - lo] > tail)
+        ok[: heads.size - 1] &= ~(heads[1:] > tail[: heads.size - 1])
+        first = int(ok.argmax())
+        if ok[first]:
+            return float(kappa[first])
+        run, lo, size = csum[-1], hi, 8 * size
     return None
 
 
@@ -190,10 +199,34 @@ def solve_temporary(
     z times average consumption) is guarded here regardless and raises
     :class:`EnvyTooStrong` when violated.
     """
+    if isinstance(state, _PathState):
+        return _solve_period(state.bequests, state.order, nu_t, nu_next, params, envy)
     beq = as_distribution(state.bequests, params.n_agents)
+    return _solve_period(beq, np.argsort(beq, kind="stable"), nu_t, nu_next, params, envy)
+
+
+@dataclass(frozen=True)
+class _PathState(WealthState):
+    """A period of :func:`simulate`, carrying the ascending order of ``bequests``."""
+
+    order: np.ndarray
+
+    def __post_init__(self):
+        pass  # simulate validated the start; later states come from the kernel
+
+
+def _solve_period(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
+    """:func:`solve_temporary` on a validated ``beq`` that ``order`` should sort
+    ascending.  The order is checked in O(N); a stale one is overwritten in place
+    by a stable argsort, so a caller carrying it from period to period stays valid.
+    """
+    asc = beq[order]
+    if not (asc[:-1] <= asc[1:]).all():
+        order[:] = np.argsort(beq, kind="stable")
+        asc = beq[order]
     k = float(beq.mean())
-    g = gini(beq)
-    gamma = float(envy.weight(beq))
+    g = gini(asc)
+    gamma = float(envy.weight(asc))
     z = gamma / (1.0 + gamma)
     prices = factor_prices(k, params)
     taxes = tax_rates(nu_t, params)
@@ -205,7 +238,7 @@ def solve_temporary(
     total = net_return * (params.xi / nu_t + 1.0) * k  # = (1-phi) * k**alpha
     xnn = params.xi / nu_next
 
-    kappa = fixed_point_active_set(income, z, total, params.delta, xnn)
+    kappa = fixed_point_active_set(income[order][::-1], z, total, params.delta, xnn)
     if kappa is None:
         kappa = fixed_point_bisection(income, z, total, params.delta, xnn)
 
@@ -218,7 +251,7 @@ def solve_temporary(
     avg_consumption = float(consumptions.mean())
 
     floor = z * avg_consumption
-    if not np.all(income > floor):
+    if not (income > floor).all():
         raise EnvyTooStrong(
             f"envy weight {gamma} leaves a dynasty with income "
             f"{income.min()} at or below the consumption floor {floor}"
@@ -303,13 +336,12 @@ def simulate(
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     nu_at = _nu_lookup(schedule, horizon)
     beq = as_distribution(initial, params.n_agents)
+    order = np.argsort(beq, kind="stable")
     records = []
     for t in range(horizon):
-        eq = solve_temporary(
-            WealthState(period=t, bequests=beq), nu_at(t), nu_at(t + 1), params, envy
-        )
-        records.append(eq)
-        beq = eq.bequests_next
+        state = _PathState(t, beq, order)
+        records.append(solve_temporary(state, nu_at(t), nu_at(t + 1), params, envy))
+        beq = records[-1].bequests_next
     return Trajectory(records=tuple(records))
 
 
@@ -435,32 +467,17 @@ def classify(
     beq = as_distribution(initial, params.n_agents)
     gamma0 = float(envy.weight(beq))
     threshold = gamma_star(nu, params)
-    if abs(gamma0 - threshold) < IDENTITY_TOL:
-        return Regime(
-            kind="boundary",
-            limit_k=None,
-            rich_count=None,
-            gamma0=gamma0,
-            gamma_threshold=threshold,
-        )
     n = params.n_agents
-    if gamma0 < threshold:
+    if abs(gamma0 - threshold) < IDENTITY_TOL:
+        kind, limit, top = "boundary", None, None
+    elif gamma0 < threshold:
+        kind, top = "egalitarian", None
         limit = steady_capital(gamma_uniform_top(envy, n, n), 1.0, nu, params)
-        return Regime(
-            kind="egalitarian",
-            limit_k=limit,
-            rich_count=None,
-            gamma0=gamma0,
-            gamma_threshold=threshold,
-        )
-    top = int(np.count_nonzero(beq == beq.max()))
-    limit = steady_capital(gamma_uniform_top(envy, top, n), top / n, nu, params)
+    else:
+        kind, top = "polarised", int(np.count_nonzero(beq == beq.max()))
+        limit = steady_capital(gamma_uniform_top(envy, top, n), top / n, nu, params)
     return Regime(
-        kind="polarised",
-        limit_k=limit,
-        rich_count=top,
-        gamma0=gamma0,
-        gamma_threshold=threshold,
+        kind=kind, limit_k=limit, rich_count=top, gamma0=gamma0, gamma_threshold=threshold
     )
 
 

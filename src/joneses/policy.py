@@ -42,7 +42,6 @@ class FiscalSchedule:
     phi: float
     segments: tuple[tuple[int, float], ...]  # (start_period, nu)
     segment_taxes: tuple[TaxRates, ...]
-    horizon_hint: int | None = None  # advisory run length; lookups stay total
 
     @property
     def starts(self) -> tuple[int, ...]:
@@ -63,7 +62,6 @@ def build_schedule(
     phi: float,
     segments: Sequence[tuple[int, float]],
     params: EconomyParams,
-    horizon_hint: int | None = None,
 ) -> FiscalSchedule:
     """Validate segment starts and tilts; cache the tax rates per segment."""
     if phi != params.phi:
@@ -81,9 +79,7 @@ def build_schedule(
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise NonMonotoneSegments(f"segment starts must strictly increase: {starts}")
     taxes = tuple(tax_rates(nu, params) for _, nu in segs)  # raises NuOutOfBounds
-    return FiscalSchedule(
-        phi=phi, segments=segs, segment_taxes=taxes, horizon_hint=horizon_hint
-    )
+    return FiscalSchedule(phi=phi, segments=segs, segment_taxes=taxes)
 
 
 def constant_schedule(nu: float, params: EconomyParams) -> FiscalSchedule:

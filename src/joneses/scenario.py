@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     ExistenceBoundViolated,
     InputError,
-    NuOutOfBounds,
     ParseError,
     ValidationError,
 )
@@ -188,8 +187,6 @@ def _parse_schedule(obj, params: EconomyParams) -> FiscalSchedule:
         segments.append((start, nu))
     try:
         return build_schedule(params.phi, segments, params)
-    except NuOutOfBounds as exc:
-        raise ValidationError("schedule.segments", str(exc)) from exc
     except InputError as exc:
         raise ValidationError("schedule.segments", str(exc)) from exc
 

@@ -136,11 +136,11 @@ class CellResult:
     index: int
     values: tuple[float, ...]
     regime: str  # "egalitarian" | "polarised" | "boundary" | "error"
-    rich_count: int | None
-    limit_k: float | None
-    k_final: float | None
-    gap: float | None
-    error: str | None
+    rich_count: int | None = None
+    limit_k: float | None = None
+    k_final: float | None = None
+    gap: float | None = None
+    error: str | None = None
 
 
 def _eval_cell(grid: SweepGrid, index: int, values: tuple[float, ...]) -> CellResult:
@@ -159,19 +159,10 @@ def _eval_cell(grid: SweepGrid, index: int, values: tuple[float, ...]) -> CellRe
             limit_k=regime.limit_k,
             k_final=k_final,
             gap=gap,
-            error=None,
         )
     except JonesesError as exc:
-        return CellResult(
-            index=index,
-            values=values,
-            regime="error",
-            rich_count=None,
-            limit_k=None,
-            k_final=None,
-            gap=None,
-            error=str(exc).replace(",", ";").replace("\n", " "),
-        )
+        error = str(exc).replace(",", ";").replace("\n", " ")
+        return CellResult(index=index, values=values, regime="error", error=error)
 
 
 def sweep_csv_lines(grid: SweepGrid, results) -> list[str]:

@@ -39,6 +39,30 @@ def gini_pairwise(values) -> float:
     return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * x.mean()))
 
 
+def active_set_oracle(income, z, total, delta, xi_over_nu_next):
+    """Scalar candidate loop over income-prefix active sets, the solver's oracle.
+
+    Tries a = 1..N in turn and returns the root of the first consistent
+    candidate, or None when none is; ``fixed_point_active_set`` must
+    agree with it exactly.
+    """
+    n = income.size
+    inc = np.sort(income)[::-1]
+    csum = np.cumsum(inc)
+    for a in range(1, n + 1):
+        denom = n * (1.0 + delta) - a * (delta * z - xi_over_nu_next)
+        kappa = (delta * csum[a - 1] - a * delta * z * total) / denom
+        if not 0.0 < kappa < total:
+            continue
+        tail = delta * z * (total - kappa) + xi_over_nu_next * kappa
+        if not delta * inc[a - 1] > tail:
+            continue
+        if a < n and delta * inc[a] > tail:
+            continue
+        return float(kappa)
+    return None
+
+
 def random_params(rng: np.random.Generator, max_agents: int = 16) -> EconomyParams:
     alpha = rng.uniform(0.2, 0.65)
     delta = rng.uniform(0.4, 3.0)

@@ -54,6 +54,14 @@ class TestSimulate:
         assert len(lines) == 121
         assert "final k=" in captured.err
 
+    def test_non_finite_delta_is_an_input_error(self, scenario_file, capsys):
+        path = scenario_file(
+            "inf.json",
+            params={"alpha": 1 / 3, "delta": float("inf"), "phi": 0.1, "n_agents": 4},
+        )
+        assert main(["simulate", path]) == 1
+        assert "delta" in capsys.readouterr().err
+
     def test_csv_to_file(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "run.csv"
         assert main(["simulate", scenario_file(), "--csv", str(out), "--per-agent"]) == 0

@@ -50,6 +50,8 @@ class TestValidateParams:
             dict(alpha=0.5, delta=1.0, phi=1.0, n_agents=4),
             dict(alpha=0.5, delta=1.0, phi=0.1, n_agents=1),
             dict(alpha=0.5, delta=1.0, phi=0.1, n_agents=4.0),
+            dict(alpha=0.5, delta=float("inf"), phi=0.1, n_agents=4),
+            dict(alpha=0.5, delta=float("nan"), phi=0.1, n_agents=4),
         ],
     )
     def test_domain_rejections(self, kwargs):

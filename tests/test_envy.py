@@ -77,6 +77,18 @@ class TestGini:
             gini([1.0, -0.1])
 
 
+    def test_sorted_input_matches_unsorted_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 64, 1000):
+            values = rng.lognormal(size=n)
+            values[rng.random(n) < 0.3] = 0.0
+            values[0] = 1.0
+            asc = np.sort(values)
+            reversed_view = asc[::-1].copy()[::-1]  # ascending, negative stride
+            assert gini(asc) == gini(values)
+            assert gini(reversed_view) == gini(values)
+
+
 class TestDistributionValidation:
     def test_length_checked(self):
         from joneses.errors import LengthMismatch
@@ -234,6 +246,16 @@ class TestGammaOf:
     def test_zero_homogeneous(self):
         spec = EnvySpec(0.0, 1.0)
         assert gamma_of(spec, np.array([0.4, 0, 0, 0]) * 1000) == 0.75
+
+
+class TestEnvySpecValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1])
+    @pytest.mark.parametrize("field", ["base", "scale"])
+    def test_non_finite_or_negative_rejected(self, field, bad):
+        from joneses.errors import DomainError
+
+        with pytest.raises(DomainError):
+            EnvySpec(**{field: bad})
 
 
 class TestValidateEnvy:

@@ -1,7 +1,11 @@
 """Period solver, path iteration, steady states and regime classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joneses import (
     EnvySpec,
@@ -12,13 +16,19 @@ from joneses import (
     egalitarian_steady,
     gamma_star,
     gamma_uniform_top,
+    gini,
     polarised_steady,
     savings_rate,
     simulate,
     solve_temporary,
     steady_capital,
+    validate_params,
 )
-from joneses.equilibrium import fixed_point_active_set, fixed_point_bisection
+from joneses.equilibrium import (
+    _solve_period,
+    fixed_point_active_set,
+    fixed_point_bisection,
+)
 from joneses.errors import (
     DomainError,
     EnvyTooStrong,
@@ -31,6 +41,7 @@ from support import (
     TOL_LIMIT,
     TOL_SOLVER,
     UNIT_ENVY,
+    active_set_oracle,
     check_path_invariants,
     grid_search_best_utility,
     random_envy,
@@ -155,6 +166,103 @@ class TestSolveTemporary:
             WealthState(0, [0.0, 0.0])
         state = WealthState(3, [0.1, 0.3])
         assert state.capital_intensity == pytest.approx(0.2)
+
+
+def _active_count(income, z, total, delta, xnn, kappa):
+    heads = delta * income - delta * z * (total - kappa) - xnn * kappa
+    return int(np.count_nonzero(heads > 0.0))
+
+
+@st.composite
+def fixed_point_instances(draw):
+    """Income vectors with ties, zeros and any order, plus solver coefficients."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(2, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    income = rng.lognormal(sigma=draw(st.floats(0.0, 3.0)), size=n)
+    levels = draw(st.integers(0, 6))
+    if levels:  # ties: snap the incomes onto a few values
+        income = np.sort(income)[rng.integers(0, n, size=levels)][rng.integers(0, levels, size=n)]
+    income[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+    order = draw(st.sampled_from(["unsorted", "ascending", "descending"]))
+    if order != "unsorted":
+        income = np.sort(income)
+        if order == "descending":
+            income = income[::-1]
+    total = float(income.mean()) * draw(st.sampled_from([1.0, 0.5, 1.5]))
+    z = draw(st.floats(0.0, 0.95))
+    delta = draw(st.floats(0.2, 3.0))
+    xnn = draw(st.floats(0.05, 4.0))
+    return income, z, total, delta, xnn
+
+
+@given(instance=fixed_point_instances())
+@settings(max_examples=300, deadline=None)
+def test_block_scan_equals_scalar_oracle(instance):
+    income, z, total, delta, xnn = instance
+    before = income.copy()
+    got = fixed_point_active_set(income, z, total, delta, xnn)
+    assert got == active_set_oracle(income, z, total, delta, xnn)
+    np.testing.assert_array_equal(income, before)
+
+
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 143, 144, 145, 1167, 1168, 1169])
+def test_block_scan_on_block_edges(m):
+    # m rich dynasties, the rest hold nothing: the root's active set is exactly m
+    rng = np.random.default_rng(m)
+    n = m + 7
+    income = np.zeros(n)
+    income[:m] = 1.0 + 0.2 * rng.random(m)
+    rng.shuffle(income)
+    args = (income.mean(), 1.0, 0.5)
+    for inc in (income, np.sort(income)[::-1], np.sort(income)):
+        got = fixed_point_active_set(inc, 0.5, *args)
+        assert got is not None
+        assert got == active_set_oracle(inc, 0.5, *args)
+        assert _active_count(inc, 0.5, *args, got) == m
+
+
+def _assert_same_records(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+        else:
+            assert x == y, field.name
+
+
+class TestCarriedOrder:
+    @pytest.mark.parametrize("stale", ["reversed", "random", "identity"])
+    def test_stale_order_is_repaired(self, stale):
+        rng = np.random.default_rng(61)
+        p = BASELINE
+        for _ in range(20):
+            beq = random_initial(rng, p)
+            fresh = solve_temporary(WealthState(0, beq), 1.0, 1.1, p, UNIT_ENVY)
+            order = {
+                "reversed": np.argsort(beq, kind="stable")[::-1].copy(),
+                "random": rng.permutation(p.n_agents),
+                "identity": np.arange(p.n_agents),
+            }[stale]
+            eq = _solve_period(beq, order, 1.0, 1.1, p, UNIT_ENVY)
+            _assert_same_records(eq, fresh)
+            assert np.all(np.diff(beq[order]) >= 0.0)
+
+    def test_simulate_equals_chain_of_public_solves(self):
+        rng = np.random.default_rng(67)
+        p = validate_params(alpha=0.3, delta=1.4, phi=0.08, n_agents=1024)
+        envy = random_envy(rng, p)
+        for initial in (random_initial(rng, p), rng.random(p.n_agents)):
+            nus = [random_nu(rng, p) for _ in range(31)]
+            traj = simulate(initial, nus, 30, p, envy)
+            beq = initial
+            for t, record in enumerate(traj.records):
+                eq = solve_temporary(WealthState(t, beq), nus[t], nus[t + 1], p, envy)
+                _assert_same_records(record, eq)
+                # means over agent order, Gini as for unsorted input: bit for bit
+                assert record.k == float(np.mean(record.bequests))
+                assert record.k_next == float(np.mean(record.bequests_next))
+                assert record.gini == gini(record.bequests)
+                beq = eq.bequests_next
 
 
 class TestSimulate:
