@@ -27,11 +27,9 @@ from .envy import (
     EnvySpec,
     as_distribution,
     dominates,
-    gamma_of,
     gamma_uniform_top,
     gini,
     lorenz_shares,
-    register_envy_functional,
     validate_envy,
 )
 from .equilibrium import (
@@ -79,10 +77,8 @@ __all__ = [
     "gini",
     "lorenz_shares",
     "dominates",
-    "gamma_of",
     "gamma_uniform_top",
     "validate_envy",
-    "register_envy_functional",
     "WealthState",
     "TemporaryEquilibrium",
     "Trajectory",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .envy import gamma_of
 from .equilibrium import (
     classify,
     detect_convergence,
@@ -71,7 +70,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="evaluate a scenario grid into <out>/sweep.csv")
     p.add_argument("grid")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--workers", type=int, default=1, metavar="W")
 
     p = sub.add_parser("plot-phase", help="SVG of the capital transition map")
     p.add_argument("scenario")
@@ -190,7 +188,7 @@ def _cmd_plan_reform(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = load_grid(args.grid)
-    results = run_sweep(grid, args.out, workers=args.workers)
+    results = run_sweep(grid, args.out)
     errors = sum(1 for r in results if r.error is not None)
     print(f"swept {len(results)} cells ({errors} errors) -> {args.out}/sweep.csv", file=sys.stderr)
     return 0
@@ -207,7 +205,7 @@ def _cmd_plot_phase(args) -> int:
 
 def _cmd_plot_savings(args) -> int:
     sc = load_scenario(args.scenario)
-    gamma0 = args.gamma0 if args.gamma0 is not None else gamma_of(sc.envy, sc.initial)
+    gamma0 = args.gamma0 if args.gamma0 is not None else sc.envy.weight(sc.initial)
     rich = int((sc.initial == sc.initial.max()).sum())
     result = render_savings_step_plot(gamma0, sc.params, sc.envy, rich, args.out)
     bp = "none" if result.breakpoint_nu is None else fmt(result.breakpoint_nu)

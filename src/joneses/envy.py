@@ -6,18 +6,18 @@ continuous, 0-homogeneous on nonzero nonnegative vectors, and strictly
 increasing when the distribution becomes more unequal in the
 cumulative-shares (Lorenz) sense implemented by :func:`dominates`.
 
-The default functional shipped here is affine in the Gini coefficient,
-``gamma(s) = base + scale * gini(s)``, which satisfies all of the above.
-Alternative indices can be registered under a name via
-:func:`register_envy_functional`; they are *not* automatically checked
-against the admissibility conditions (the property tests in the test
-suite can be pointed at them).
+The one functional shipped here, :class:`EnvySpec`, is affine in the
+Gini coefficient, ``gamma(s) = base + scale * gini(s)``, which satisfies
+all of the above.  Solvers accept any object with the two methods of
+:class:`EnvyFunctional`; such an object is *not* checked against the
+admissibility conditions (the property tests in the test suite can be
+pointed at it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -130,11 +130,6 @@ class EnvySpec:
         return self.base + self.scale * (n_agents - 1) / n_agents
 
 
-def gamma_of(spec: EnvyFunctional, values: ArrayLike) -> float:
-    """Envy weight of a wealth distribution under the given functional."""
-    return spec.weight(values)
-
-
 def gamma_uniform_top(spec: EnvyFunctional, n: int, n_agents: int) -> float:
     """Envy weight when n of n_agents dynasties split all wealth equally.
 
@@ -152,34 +147,19 @@ def gamma_uniform_top(spec: EnvyFunctional, n: int, n_agents: int) -> float:
     return spec.weight(values)
 
 
-def validate_envy(
-    spec: EnvyFunctional, params: EconomyParams, nu_upper: float | None = None
-) -> EnvyFunctional:
+def validate_envy(spec: EnvyFunctional, params: EconomyParams) -> EnvyFunctional:
     """Check the existence bound: worst-case envy weight < gamma_hat(nu_upper).
 
     gamma_hat is decreasing in nu, so its value at the top of the
     admissible segment is the binding ceiling over any constant policy.
     """
-    if nu_upper is None:
-        nu_upper = params.nu_upper
-    ceiling = gamma_hat(nu_upper, params)
+    ceiling = gamma_hat(params.nu_upper, params)
     worst = spec.max_weight(params.n_agents)
     if not worst < ceiling:
         raise ExistenceBoundViolated(
             f"worst-case envy weight {worst} must stay below the existence "
-            f"ceiling {ceiling} at nu={nu_upper}",
+            f"ceiling {ceiling} at nu={params.nu_upper}",
             margin=worst - ceiling,
         )
     return spec
 
-
-ENVY_FUNCTIONALS: dict[str, Callable[..., EnvyFunctional]] = {
-    "gini_linear": EnvySpec,
-}
-
-
-def register_envy_functional(name: str, factory: Callable[..., EnvyFunctional]) -> None:
-    """Register an alternative envy functional constructor under a config name."""
-    if name in ENVY_FUNCTIONALS:
-        raise ValueError(f"envy functional {name!r} already registered")
-    ENVY_FUNCTIONALS[name] = factory

@@ -149,7 +149,6 @@ def fixed_point_bisection(
     total: float,
     delta: float,
     xi_over_nu_next: float,
-    tol: float = 1e-12,
 ) -> float:
     """Bisection root of the bequest fixed point on (0, total).
 
@@ -171,7 +170,7 @@ def fixed_point_bisection(
             "exits the model domain"
         )
     lo, hi = 0.0, total
-    width_tol = tol * max(1.0, total)
+    width_tol = 1e-12 * max(1.0, total)
     for _ in range(200):
         if hi - lo < width_tol:
             break
@@ -283,11 +282,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.records)
-
-    @property
-    def k_path(self) -> np.ndarray:
-        """Capital intensities k_0 .. k_H (length horizon + 1)."""
-        return np.array([r.k for r in self.records] + [self.records[-1].k_next])
 
     @property
     def gamma_path(self) -> np.ndarray:

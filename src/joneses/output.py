@@ -230,7 +230,6 @@ def render_savings_step_plot(
     envy: EnvyFunctional,
     rich_count: int,
     path,
-    samples: int = 200,
 ) -> SavingsPlotResult:
     """Plot the long-run savings rate against the tilt nu for a given start.
 
@@ -265,10 +264,10 @@ def render_savings_step_plot(
 
     branches = []
     if egal_span:
-        xs = np.linspace(egal_span[0], egal_span[1], samples)
+        xs = np.linspace(egal_span[0], egal_span[1], 200)
         branches.append((xs, np.array([egal(v) for v in xs]), _PALETTE[0], "egalitarian branch"))
     if pol_span:
-        xs = np.linspace(pol_span[0], pol_span[1], samples)
+        xs = np.linspace(pol_span[0], pol_span[1], 200)
         branches.append((xs, np.array([pol(v) for v in xs]), _PALETTE[1], "polarised branch"))
     y_max = 1.2 * max(float(ys.max()) for _, ys, _, _ in branches) if branches else 1.0
     canvas = _Canvas(

@@ -4,7 +4,7 @@ Schema (all field names are part of the external contract)::
 
     {
       "params":   {"alpha": 0.333, "delta": 1.0, "phi": 0.1, "n_agents": 4},
-      "envy":     {"base": 0.0, "scale": 1.0},            # optional "kind"
+      "envy":     {"base": 0.0, "scale": 1.0},  # optional "kind": "gini_linear"
       "initial":  {"values": [0.1, 0.1, 0.1, 0.1]}
                   | {"generator": "top_share", "share": 0.97, "rich": 1, "total": 1.0}
                   | {"generator": "gini_target", "gini": 0.5, "total": 1.0}
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EconomyParams
-from .envy import ENVY_FUNCTIONALS, EnvyFunctional, as_distribution, validate_envy
+from .envy import EnvySpec, as_distribution, validate_envy
 from .errors import (
     AssumptionZeroViolated,
     DomainError,
@@ -41,7 +41,7 @@ DEFAULT_TOL = 1e-8
 @dataclass(frozen=True)
 class Scenario:
     params: EconomyParams
-    envy: EnvyFunctional
+    envy: EnvySpec
     initial: np.ndarray
     schedule: FiscalSchedule
     horizon: int
@@ -98,20 +98,16 @@ def _parse_params(obj) -> EconomyParams:
         raise ValidationError("params", str(exc)) from exc
 
 
-def _parse_envy(obj, params: EconomyParams) -> EnvyFunctional:
+def _parse_envy(obj, params: EconomyParams) -> EnvySpec:
     section = _require_map(obj, "envy")
     _reject_unknown(section, {"base", "scale", "kind"}, "envy")
     kind = section.get("kind", "gini_linear")
-    if kind not in ENVY_FUNCTIONALS:
-        raise ValidationError(
-            "envy.kind",
-            f"unknown functional {kind!r}; registered: {sorted(ENVY_FUNCTIONALS)}",
-        )
+    if kind != "gini_linear":
+        raise ValidationError("envy.kind", f"unknown functional {kind!r}; known: 'gini_linear'")
     base = _number(section, "base", "envy", default=0.0, required=False)
     scale = _number(section, "scale", "envy", default=1.0, required=False)
     try:
-        spec = ENVY_FUNCTIONALS[kind](base=base, scale=scale)
-        return validate_envy(spec, params)
+        return validate_envy(EnvySpec(base=base, scale=scale), params)
     except ExistenceBoundViolated as exc:
         raise ValidationError("envy.scale", str(exc)) from exc
     except DomainError as exc:
@@ -122,8 +118,8 @@ def _generate_initial(section: dict, params: EconomyParams, seed) -> np.ndarray:
     n = params.n_agents
     name = section["generator"]
     total = _number(section, "total", "initial", default=1.0, required=False)
-    if not total > 0.0:
-        raise ValidationError("initial.total", f"total wealth must be > 0, got {total}")
+    if not 0.0 < total < np.inf:
+        raise ValidationError("initial.total", f"total wealth must be finite and > 0, got {total}")
     if name == "top_share":
         _reject_unknown(section, {"generator", "share", "rich", "total"}, "initial")
         share = _number(section, "share", "initial")
@@ -206,8 +202,8 @@ def parse_scenario(obj, source: str = "<config>") -> Scenario:
     if horizon < 1:
         raise ValidationError("run.horizon", f"must be >= 1, got {horizon}")
     tol = _number(run, "tol", "run", default=DEFAULT_TOL, required=False)
-    if not tol > 0.0:
-        raise ValidationError("run.tol", f"must be > 0, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("run.tol", f"must be finite and > 0, got {tol}")
     seed = _integer(run, "seed", "run", default=None, required=False)
     initial = _parse_initial(root["initial"], params, seed)
     schedule = _parse_schedule(root["schedule"], params)

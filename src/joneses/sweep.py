@@ -1,19 +1,19 @@
 """Parameter sweep harness: regime maps over grids of scenario knobs.
 
 A grid is a scenario template plus named axes.  Every cell is an
-independent pure computation (classify + simulate), so cells may run in
-parallel; rows are always emitted in grid order, making the output CSV
-byte-identical regardless of worker count.  Per-cell failures are
-recorded in the row instead of aborting the sweep.
+independent pure computation (classify + simulate); cells run serially
+in grid order, so identical grids give byte-identical output CSVs.
+Per-cell failures are recorded in the row, with the exception message
+intact (csv quoting), instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import EconomyParams
@@ -32,7 +32,6 @@ AXIS_NAMES = ("nu", "alpha", "delta", "phi", "envy_base", "envy_scale", "gini0")
 class SweepGrid:
     template: dict
     axes: tuple[tuple[str, tuple[float, ...]], ...]
-    cap: int = DEFAULT_CELL_CAP
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,9 +75,9 @@ def parse_grid(obj, source: str = "<grid>") -> SweepGrid:
     cap = obj.get("cap", DEFAULT_CELL_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ValidationError("cap", f"expected a positive integer, got {cap!r}")
-    grid = SweepGrid(template=template, axes=tuple(axes), cap=cap)
-    if grid.n_cells > grid.cap:
-        raise ValidationError("axes", f"{grid.n_cells} cells exceed the cap of {grid.cap}")
+    grid = SweepGrid(template=template, axes=tuple(axes))
+    if grid.n_cells > cap:
+        raise ValidationError("axes", f"{grid.n_cells} cells exceed the cap of {cap}")
     return grid
 
 
@@ -161,41 +160,25 @@ def _eval_cell(grid: SweepGrid, index: int, values: tuple[float, ...]) -> CellRe
             gap=gap,
         )
     except JonesesError as exc:
-        error = str(exc).replace(",", ";").replace("\n", " ")
-        return CellResult(index=index, values=values, regime="error", error=error)
+        return CellResult(index=index, values=values, regime="error", error=str(exc))
 
 
-def sweep_csv_lines(grid: SweepGrid, results) -> list[str]:
-    header = ",".join(name for name, _ in grid.axes)
-    lines = [f"{header},regime,rich_count,limit_k,k_final,gap,error"]
-    for r in results:
-        cells = [fmt(v) for v in r.values]
-        cells.append(r.regime)
-        cells.append("" if r.rich_count is None else str(r.rich_count))
-        cells.append("" if r.limit_k is None else fmt(r.limit_k))
-        cells.append("" if r.k_final is None else fmt(r.k_final))
-        cells.append("" if r.gap is None else fmt(r.gap))
-        cells.append("" if r.error is None else r.error)
-        lines.append(",".join(cells))
-    return lines
+def sweep_csv_rows(grid: SweepGrid, results) -> list[list]:
+    header = [name for name, _ in grid.axes]
+    rows = [header + ["regime", "rich_count", "limit_k", "k_final", "gap", "error"]]
+    for r in results:  # csv writes None as an empty cell
+        nums = [None if x is None else fmt(x) for x in (r.limit_k, r.k_final, r.gap)]
+        rows.append([*(fmt(v) for v in r.values), r.regime, r.rich_count, *nums, r.error])
+    return rows
 
 
-def run_sweep(grid: SweepGrid, out_dir, workers: int = 1) -> list[CellResult]:
-    """Evaluate every cell and write <out_dir>/sweep.csv in grid order."""
-    cells = list(itertools.product(*(vals for _, vals in grid.axes)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda iv: _eval_cell(grid, iv[0], iv[1]), enumerate(cells))
-            )
-    else:
-        results = [_eval_cell(grid, i, v) for i, v in enumerate(cells)]
+def run_sweep(grid: SweepGrid, out_dir) -> list[CellResult]:
+    """Evaluate every cell serially and write <out_dir>/sweep.csv in grid order."""
+    cells = itertools.product(*(vals for _, vals in grid.axes))
+    results = [_eval_cell(grid, i, v) for i, v in enumerate(cells)]
     os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, "sweep.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in sweep_csv_lines(grid, results):
-            fh.write(line)
-            fh.write("\n")
+    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(sweep_csv_rows(grid, results))
     return results
 
 

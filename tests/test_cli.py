@@ -40,6 +40,11 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "params.phi" in capsys.readouterr().err
 
+    def test_non_finite_total_is_an_input_error(self, scenario_file, capsys):
+        path = scenario_file("inf.json", initial={"generator": "random", "total": float("inf")})
+        assert main(["validate", path]) == 1
+        assert "initial.total" in capsys.readouterr().err
+
     def test_missing_file_exits_three(self, capsys):
         assert main(["validate", "/nonexistent/nowhere.json"]) == 3
         assert "io error" in capsys.readouterr().err
@@ -61,6 +66,11 @@ class TestSimulate:
         )
         assert main(["simulate", path]) == 1
         assert "delta" in capsys.readouterr().err
+
+    def test_non_finite_tol_is_an_input_error(self, scenario_file, capsys):
+        path = scenario_file("inf.json", run={"horizon": 120, "tol": float("inf")})
+        assert main(["simulate", path]) == 1
+        assert "run.tol" in capsys.readouterr().err
 
     def test_csv_to_file(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -113,6 +123,12 @@ class TestPlanReform:
         out = capsys.readouterr().out
         assert "trigger_period=0" in out
         assert "projected_limit_k=" in out
+
+    def test_non_finite_margin_is_an_input_error(self, scenario_file, capsys):
+        path = scenario_file("two.json", initial={"values": [0.3, 0.3, 0.0, 0.0]})
+        rc = main(["plan-reform", path, "--stage1", "0.7", "--stage2", "1.0", "--margin", "inf"])
+        assert rc == 1
+        assert "margin" in capsys.readouterr().err
 
     def test_infeasible_exits_two(self, scenario_file, capsys):
         rc = main(["plan-reform", scenario_file(), "--stage1", "0.7", "--stage2", "1.0"])

@@ -10,13 +10,10 @@ from joneses import (
     as_distribution,
     dominates,
     gamma_hat,
-    gamma_of,
     gamma_uniform_top,
     gini,
-    register_envy_functional,
     validate_envy,
 )
-from joneses.envy import ENVY_FUNCTIONALS
 from support import BASELINE, gini_pairwise
 
 # Integer-valued distributions keep share arithmetic exact, which lets the
@@ -109,7 +106,7 @@ def test_gamma_permutation_invariant(values, seed):
     spec = EnvySpec(base=0.1, scale=1.3)
     arr = np.array(values, dtype=float)
     permuted = np.random.default_rng(seed).permutation(arr)
-    assert gamma_of(spec, permuted) == gamma_of(spec, arr)
+    assert spec.weight(permuted) == spec.weight(arr)
 
 
 @given(values=int_dists, exponent=st.integers(-20, 20))
@@ -117,7 +114,7 @@ def test_gamma_permutation_invariant(values, seed):
 def test_gamma_scale_free_exact_for_dyadic_factors(values, exponent):
     spec = EnvySpec(base=0.0, scale=1.0)
     arr = np.array(values, dtype=float)
-    assert gamma_of(spec, arr * 2.0**exponent) == gamma_of(spec, arr)
+    assert spec.weight(arr * 2.0**exponent) == spec.weight(arr)
 
 
 @given(values=int_dists)
@@ -127,9 +124,9 @@ def test_gamma_scale_free_for_decimal_factors(values):
     # 1e-6 introduces one rounding per entry, hence the 1e-14 allowance.
     spec = EnvySpec(base=0.0, scale=1.0)
     arr = np.array(values, dtype=float)
-    reference = gamma_of(spec, arr)
-    assert gamma_of(spec, arr * 1e6) == reference
-    assert gamma_of(spec, arr * 1e-6) == pytest.approx(reference, abs=1e-14)
+    reference = spec.weight(arr)
+    assert spec.weight(arr * 1e6) == reference
+    assert spec.weight(arr * 1e-6) == pytest.approx(reference, abs=1e-14)
 
 
 @st.composite
@@ -157,7 +154,7 @@ def test_dominance_and_strict_monotonicity(pair):
     worse, better = pair
     assert dominates(worse, better)
     spec = EnvySpec(base=0.05, scale=0.8)
-    assert gamma_of(spec, worse) > gamma_of(spec, better)
+    assert spec.weight(worse) > spec.weight(better)
 
 
 class TestDominates:
@@ -238,14 +235,14 @@ class TestGammaUniformTop:
 
 class TestGammaOf:
     def test_base_only_on_equal_distribution(self):
-        assert gamma_of(EnvySpec(0.1, 1.0), [1, 1, 1, 1]) == pytest.approx(0.1)
+        assert EnvySpec(0.1, 1.0).weight([1, 1, 1, 1]) == pytest.approx(0.1)
 
     def test_single_holder(self):
-        assert gamma_of(EnvySpec(0.0, 1.0), [0.4, 0, 0, 0]) == 0.75
+        assert EnvySpec(0.0, 1.0).weight([0.4, 0, 0, 0]) == 0.75
 
     def test_zero_homogeneous(self):
         spec = EnvySpec(0.0, 1.0)
-        assert gamma_of(spec, np.array([0.4, 0, 0, 0]) * 1000) == 0.75
+        assert spec.weight(np.array([0.4, 0, 0, 0]) * 1000) == 0.75
 
 
 class TestEnvySpecValidation:
@@ -281,29 +278,3 @@ class TestValidateEnvy:
             EnvySpec(base=-0.1)
         with pytest.raises(DomainError):
             EnvySpec(scale=-1.0)
-
-
-class TestRegistry:
-    def test_gini_linear_registered(self):
-        assert ENVY_FUNCTIONALS["gini_linear"] is EnvySpec
-
-    def test_register_and_reject_duplicates(self):
-        class TopShareEnvy:
-            """Envy read off the top dynasty's wealth share."""
-
-            def __init__(self, base=0.0, scale=1.0):
-                self.base, self.scale = base, scale
-
-            def weight(self, values):
-                arr = as_distribution(values)
-                return self.base + self.scale * float(arr.max() / arr.sum())
-
-            def max_weight(self, n_agents):
-                return self.base + self.scale
-
-        name = "top_share_test"
-        if name not in ENVY_FUNCTIONALS:
-            register_envy_functional(name, TopShareEnvy)
-        assert ENVY_FUNCTIONALS[name].__name__ == "TopShareEnvy"
-        with pytest.raises(ValueError):
-            register_envy_functional(name, TopShareEnvy)

@@ -15,6 +15,7 @@ from joneses import (
     simulate,
     solve_temporary,
     steady_capital,
+    tax_rates,
 )
 from joneses.errors import (
     BudgetViolation,
@@ -24,14 +25,21 @@ from joneses.errors import (
     ScheduleTooShort,
     ValidationError,
 )
-from support import BASELINE, UNIT_ENVY, random_envy, random_params
+from support import BASELINE, UNIT_ENVY, random_envy, random_initial, random_nu, random_params
+
+
+def realised_gamma_at_trigger(initial, plan, params, envy):
+    """Envy weight at the trigger period on the schedule the plan emits."""
+    schedule = compose_reform_schedule(plan, params.phi, params)
+    traj = simulate(initial, schedule, plan.trigger_period + 1, params, envy)
+    return traj.records[-1].gamma
 
 
 class TestBuildSchedule:
     def test_constant(self):
         s = build_schedule(0.1, [(0, 1.0)], BASELINE)
         assert s.nu_at(0) == 1.0 and s.nu_at(10_000) == 1.0
-        assert s.taxes_at(3).tau_w == pytest.approx(0.1, abs=1e-15)
+        assert tax_rates(s.nu_at(3), BASELINE).tau_w == pytest.approx(0.1, abs=1e-15)
 
     def test_two_stage_lookup(self):
         s = build_schedule(0.1, [(0, 0.7), (50, 1.0)], BASELINE)
@@ -167,6 +175,39 @@ class TestComposeReformSchedule:
         traj = simulate(initial, schedule, 200, BASELINE, UNIT_ENVY)
         threshold = gamma_star(BASELINE.nu_upper, BASELINE)
         assert np.all(traj.gamma_path[plan.trigger_period :] < threshold)
+
+    def test_trigger_target_holds_on_the_emitted_schedule(self):
+        # plan_reform reports gamma on a stage-1-only path; the composed
+        # schedule announces stage 2 one period early, which changes gamma
+        initial = [0.97, 0.01, 0.01, 0.01]
+        plan = plan_reform(initial, BASELINE, UNIT_ENVY, BASELINE.nu_lower, BASELINE.nu_upper)
+        target = gamma_star(BASELINE.nu_upper, BASELINE) - plan.margin
+        realised = realised_gamma_at_trigger(initial, plan, BASELINE, UNIT_ENVY)
+        assert plan.trigger_period == 6
+        assert plan.gamma_at_trigger == pytest.approx(0.6178, abs=5e-5)
+        assert realised == pytest.approx(0.4577, abs=5e-5)
+        assert target == pytest.approx(0.6196, abs=5e-5)
+        assert realised < target
+
+    def test_trigger_target_holds_on_random_emitted_schedules(self):
+        rng = np.random.default_rng(1)
+        checked = 0
+        while checked < 300:
+            p = random_params(rng)
+            envy = random_envy(rng, p)
+            initial = random_initial(rng, p)
+            stage1 = random_nu(rng, p)
+            stage2 = float(rng.uniform(stage1, p.nu_upper))
+            margin = float(rng.uniform(0.001, 0.05))
+            try:
+                plan = plan_reform(initial, p, envy, stage1, stage2, margin, max_horizon=1000)
+            except Infeasible:
+                continue  # stage 1 does not reduce inequality, or not within the horizon
+            if plan.trigger_period == 0:
+                continue  # the schedule is stage 2 throughout: nothing announced early
+            target = gamma_star(stage2, p) - margin
+            assert realised_gamma_at_trigger(initial, plan, p, envy) < target
+            checked += 1
 
 
 def test_reform_dominance_on_random_pairs():

@@ -54,6 +54,14 @@ class TestParsing:
             (lambda o: o["initial"].update(values=[0, 0, 0, 0]), "initial.values"),
             (lambda o: o["run"].update(horizon=0), "run.horizon"),
             (lambda o: o["run"].update(tol=-1.0), "run.tol"),
+            pytest.param(
+                lambda o: o["run"].update(tol=float("inf")), "run.tol", id="infinite-run.tol"
+            ),
+            pytest.param(
+                lambda o: o.update(initial={"generator": "random", "total": float("inf")}),
+                "initial.total",
+                id="infinite-initial.total",
+            ),
             (lambda o: o["schedule"]["segments"][0].update(nu=0.2), "schedule.segments"),
             (lambda o: o.update(extra=1), "<config>"),
             (lambda o: o["params"].update(bogus=1), "params"),

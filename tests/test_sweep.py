@@ -1,4 +1,6 @@
-"""Sweep harness: grid parsing, cell evaluation, determinism, flip location."""
+"""Sweep harness: grid parsing, cell evaluation, CSV quoting, flip location."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -188,17 +190,19 @@ class TestRunSweep:
         assert results[0].error is None
         assert results[1].regime == "error"
 
-    def test_parallel_execution_is_byte_identical(self, tmp_path):
-        init = [0.95, 0.05 / 3, 0.05 / 3, 0.05 / 3]
-        spec = {
-            "template": template(init),
-            "axes": [{"name": "nu", "values": list(np.linspace(0.72, 1.15, 12))}],
-        }
-        run_sweep(parse_grid(spec), tmp_path / "serial", workers=1)
-        run_sweep(parse_grid(spec), tmp_path / "parallel", workers=4)
-        assert (tmp_path / "serial/sweep.csv").read_bytes() == (
-            tmp_path / "parallel/sweep.csv"
-        ).read_bytes()
+    def test_error_message_survives_csv_quoting(self, tmp_path):
+        # nu = 1.5 is admissible at phi = 0.25 but not at phi = 0.1, whose
+        # NuOutOfBounds message names the segment with commas in it
+        obj = template([0.1, 0.1, 0.1, 0.1])
+        obj["schedule"]["segments"][0]["nu"] = 1.5
+        grid = parse_grid({"template": obj, "axes": [{"name": "phi", "values": [0.25, 0.1]}]})
+        results = run_sweep(grid, tmp_path)
+        error = results[1].error
+        assert error.startswith("schedule.segments: nu=1.5 outside [0.7, ") and "," in error
+        with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert [row[-1] for row in rows] == ["error", "", error]
 
 
 class TestLocateRegimeFlip:
