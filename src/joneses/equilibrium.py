@@ -23,6 +23,15 @@ degenerate ties.  Richer parents leave weakly richer heirs, so
 :func:`simulate` validates and sorts the initial vector once and then
 only checks that order, in O(N), each period.
 
+In floating point a path does not just approach its steady state: from
+some period on it sits on it exactly, ``bequests_next`` equal to
+``bequests`` byte for byte.  The period solver is a pure function of the
+bytes of the inherited vector and of the two tilts, so once a period
+maps its state onto itself and the tilt holds, every later period would
+recompute the same record.  :func:`simulate` appends that record again
+instead, and resumes solving when the schedule changes the tilt.  This
+is exact, not a tolerance.
+
 An economy run under a constant tilt settles, depending on whether the
 initial envy weight sits below or above the threshold ``gamma_star(nu)``,
 into the egalitarian steady state (everybody holds the mean bequest) or
@@ -99,6 +108,17 @@ class TemporaryEquilibrium:
     def savings_realized(self) -> float:
         """Realized savings rate k_next / k**alpha."""
         return self.k_next / self.output
+
+    @property
+    def stationary(self) -> bool:
+        """True when the period hands on exactly the bequests it inherited.
+
+        Exact: ``k`` is compared first, then the bytes of the vectors.
+        """
+        return (
+            self.k_next == self.k
+            and self.bequests_next.tobytes() == self.bequests.tobytes()
+        )
 
 
 def fixed_point_active_set(
@@ -275,7 +295,11 @@ def _solve_period(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibri
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered sequence of temporary equilibria along one policy path."""
+    """Ordered sequence of temporary equilibria along one policy path.
+
+    ``records`` may hold the same object several times in a row: the
+    periods of a path that sits at its exact fixed point share one record.
+    """
 
     records: tuple[TemporaryEquilibrium, ...]
 
@@ -325,6 +349,15 @@ def simulate(
     ``schedule`` is either a FiscalSchedule or an explicit sequence of
     per-period tilt values covering periods 0..horizon (the solver for
     period t needs the period t+1 announcement).
+
+    A solved period whose tilt equals the announced one and whose record
+    is stationary (``k_next == k`` and ``bequests_next`` byte-equal to
+    ``bequests``) is repeated, the same object, for as long as the tilt
+    stays unchanged: the next period would get byte-identical inputs and
+    so return an identical record.  The scalar ``k_next == k`` is compared
+    first, so a path that is still moving pays one float comparison per
+    period for it.  Tilts are equal when they compare equal and have the
+    same type (a float32 tilt prices taxes in float32).
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
@@ -332,10 +365,17 @@ def simulate(
     beq = as_distribution(initial, params.n_agents)
     order = np.argsort(beq, kind="stable")
     records = []
+    repeat = None  # a stationary record, while its tilt holds
+    nu_t = nu_at(0)
     for t in range(horizon):
-        state = _PathState(t, beq, order)
-        records.append(solve_temporary(state, nu_at(t), nu_at(t + 1), params, envy))
-        beq = records[-1].bequests_next
+        nu_next = nu_at(t + 1)
+        tilt_holds = nu_next == nu_t and type(nu_next) is type(nu_t)
+        if repeat is None or not tilt_holds:
+            eq = solve_temporary(_PathState(t, beq, order), nu_t, nu_next, params, envy)
+            beq = eq.bequests_next
+            repeat = eq if tilt_holds and eq.stationary else None
+        records.append(eq)
+        nu_t = nu_next
     return Trajectory(records=tuple(records))
 
 
@@ -496,12 +536,13 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
     """
     if not traj.records:
         raise DomainError("trajectory is empty")
-    deltas = np.array(
-        [
-            max(abs(r.k_next - r.k), float(np.abs(r.bequests_next - r.bequests).max()))
-            for r in traj.records
-        ]
-    )
+    deltas = np.empty(len(traj.records))
+    last = None
+    for t, r in enumerate(traj.records):
+        if r is not last:  # a repeated record has the delta it had the period before
+            d = max(abs(r.k_next - r.k), float(np.abs(r.bequests_next - r.bequests).max()))
+            last = r
+        deltas[t] = d
     below = deltas < tol
     if not below[-1]:
         return None

@@ -30,24 +30,32 @@ def trajectory_csv_lines(traj: Trajectory, per_agent: bool = False) -> Iterator[
     if per_agent:
         header += "".join(f",s_{j},c_{j}" for j in range(1, n + 1))
     yield header
+    last = row = None
     for t, r in enumerate(traj.records):
-        cells = [
-            str(t),
-            fmt(r.k),
-            fmt(r.output),
-            fmt(r.gamma),
-            fmt(r.gini),
-            str(r.m_count),
-            fmt(r.savings_realized),
-            fmt(r.taxes.tau_w),
-            fmt(r.taxes.tau_s),
-            fmt(r.avg_consumption),
-        ]
-        if per_agent:
-            for j in range(n):
-                cells.append(fmt(r.bequests_next[j]))
-                cells.append(fmt(r.consumptions[j]))
-        yield ",".join(cells)
+        if r is not last:  # a repeated record differs from its last row only in t
+            row = _record_cells(r, n, per_agent)
+            last = r
+        yield f"{t},{row}"
+
+
+def _record_cells(r, n: int, per_agent: bool) -> str:
+    """The cells of a record's CSV row after ``t``, comma-joined."""
+    cells = [
+        fmt(r.k),
+        fmt(r.output),
+        fmt(r.gamma),
+        fmt(r.gini),
+        str(r.m_count),
+        fmt(r.savings_realized),
+        fmt(r.taxes.tau_w),
+        fmt(r.taxes.tau_s),
+        fmt(r.avg_consumption),
+    ]
+    if per_agent:
+        for j in range(n):
+            cells.append(fmt(r.bequests_next[j]))
+            cells.append(fmt(r.consumptions[j]))
+    return ",".join(cells)
 
 
 def write_trajectory_csv(traj: Trajectory, path, per_agent: bool = False) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import EconomyParams, gamma_star, steady_capital, tax_rates
 from .envy import EnvyFunctional, as_distribution, gamma_uniform_top
-from .equilibrium import TemporaryEquilibrium, WealthState, solve_temporary
+from .equilibrium import TemporaryEquilibrium, _PathState, solve_temporary
 from .errors import (
     BudgetViolation,
     DomainError,
@@ -152,7 +152,9 @@ def plan_reform(
     stage 2 one period early, so its realised weight at the trigger
     differs (the test suite checks it also lies below the target).  The
     projected long-run capital is the egalitarian steady state under
-    stage 2.
+    stage 2.  A stage-1 path that reaches its exact fixed point with the
+    weight still at or above the target would repeat that period up to
+    ``max_horizon``, so it raises :class:`Infeasible` there.
     """
     if not 0.0 < margin < np.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
@@ -163,7 +165,8 @@ def plan_reform(
     tax_rates(stage1_nu, params)  # bounds check
     tax_rates(stage2_nu, params)
     beq = as_distribution(initial, params.n_agents)
-    gamma0 = float(envy.weight(beq))
+    order = np.argsort(beq, kind="stable")
+    gamma0 = float(envy.weight(beq[order]))
     stage1_threshold = gamma_star(stage1_nu, params)
     if not gamma0 < stage1_threshold:
         raise Infeasible(
@@ -177,11 +180,11 @@ def plan_reform(
         if gamma_t < target:
             trigger = t
             break
-        eq = solve_temporary(
-            WealthState(period=t, bequests=beq), stage1_nu, stage1_nu, params, envy
-        )
+        eq = solve_temporary(_PathState(t, beq, order), stage1_nu, stage1_nu, params, envy)
         beq = eq.bequests_next
-        gamma_t = float(envy.weight(beq))
+        if eq.stationary:
+            break  # an exact fixed point: every later period repeats this one
+        gamma_t = float(envy.weight(beq[order]))
     if trigger is None:
         raise Infeasible(
             f"envy weight did not fall below {target} within {max_horizon} periods"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from joneses import (
+    ConvergenceReport,
     EconomyParams,
     EnvySpec,
     budget_check,
@@ -61,6 +62,30 @@ def active_set_oracle(income, z, total, delta, xi_over_nu_next):
             continue
         return float(kappa)
     return None
+
+
+def convergence_oracle(traj, tol):
+    """detect_convergence with a step delta computed for every record.
+
+    The package computes one delta per distinct record and reuses it for
+    the periods that repeat that record; the report must be the same.
+    """
+    deltas = [
+        max(abs(r.k_next - r.k), float(np.abs(r.bequests_next - r.bequests).max()))
+        for r in traj.records
+    ]
+    below = [d < tol for d in deltas]
+    if not below[-1]:
+        return None
+    first_stable = len(below)
+    while first_stable and below[first_stable - 1]:
+        first_stable -= 1
+    return ConvergenceReport(
+        period=first_stable + 1,
+        k=traj.final_k,
+        bequests=traj.final_bequests,
+        reentered=below.index(True) < first_stable,
+    )
 
 
 def random_params(rng: np.random.Generator, max_agents: int = 16) -> EconomyParams:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from joneses import (
     EnvySpec,
+    Trajectory,
     WealthState,
     classify,
     constant_schedule,
@@ -43,6 +44,7 @@ from support import (
     UNIT_ENVY,
     active_set_oracle,
     check_path_invariants,
+    convergence_oracle,
     grid_search_best_utility,
     random_envy,
     random_initial,
@@ -230,6 +232,15 @@ def _assert_same_records(a, b):
             assert x == y, field.name
 
 
+def _chain_of_solves(initial, nus, horizon, params, envy):
+    """The path as public solve_temporary calls, every period solved afresh."""
+    records, beq = [], initial
+    for t in range(horizon):
+        records.append(solve_temporary(WealthState(t, beq), nus[t], nus[t + 1], params, envy))
+        beq = records[-1].bequests_next
+    return Trajectory(records=tuple(records))
+
+
 class TestCarriedOrder:
     @pytest.mark.parametrize("stale", ["reversed", "random", "identity"])
     def test_stale_order_is_repaired(self, stale):
@@ -254,15 +265,90 @@ class TestCarriedOrder:
         for initial in (random_initial(rng, p), rng.random(p.n_agents)):
             nus = [random_nu(rng, p) for _ in range(31)]
             traj = simulate(initial, nus, 30, p, envy)
-            beq = initial
-            for t, record in enumerate(traj.records):
-                eq = solve_temporary(WealthState(t, beq), nus[t], nus[t + 1], p, envy)
+            chain = _chain_of_solves(initial, nus, 30, p, envy)
+            for record, eq in zip(traj.records, chain.records, strict=True):
                 _assert_same_records(record, eq)
                 # means over agent order, Gini as for unsorted input: bit for bit
                 assert record.k == float(np.mean(record.bequests))
                 assert record.k_next == float(np.mean(record.bequests_next))
                 assert record.gini == gini(record.bequests)
-                beq = eq.bequests_next
+
+
+def _assert_bitwise_paths(traj, chain):
+    assert traj.horizon == chain.horizon
+    for a, b in zip(traj.records, chain.records):
+        _assert_same_records(a, b)
+        assert a.bequests_next.tobytes() == b.bequests_next.tobytes()
+        assert a.consumptions.tobytes() == b.consumptions.tobytes()
+
+
+def _assert_same_convergence(traj):
+    for tol in (1e-8, 1e-14):
+        got, want = detect_convergence(traj, tol), convergence_oracle(traj, tol)
+        if want is None:
+            assert got is None
+            continue
+        assert (got.period, got.k, got.reentered) == (want.period, want.k, want.reentered)
+        assert got.bequests.tobytes() == want.bequests.tobytes()
+
+
+def _first_repeat(traj):
+    """First period that repeats the record of the period before, or None."""
+    records = traj.records
+    return next((t for t in range(1, len(records)) if records[t] is records[t - 1]), None)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4, 64]))
+@settings(max_examples=30, deadline=None)
+def test_repeated_records_equal_a_chain_of_solves(seed, n):
+    rng = np.random.default_rng(seed)
+    drawn = random_params(rng)
+    p = validate_params(alpha=drawn.alpha, delta=drawn.delta, phi=drawn.phi, n_agents=n)
+    envy = random_envy(rng, p)
+    nu1, nu2 = random_nu(rng, p), random_nu(rng, p)
+    initial = random_initial(rng, p)
+    horizon = 400  # most drawn paths reach their exact fixed point by period 300
+    nus = [nu1] * (horizon + 1)
+    traj = simulate(initial, nus, horizon, p, envy)
+    _assert_bitwise_paths(traj, _chain_of_solves(initial, nus, horizon, p, envy))
+    _assert_same_convergence(traj)
+    fixed = _first_repeat(traj)
+    if fixed is None:
+        return
+    assert all(r.stationary for r in traj.records[fixed:])
+    # the tilt changes two periods after the fixed point, then changes back
+    horizon = fixed + 60
+    nus = [nu1] * (fixed + 2) + [nu2] * 20 + [nu1] * 39
+    traj = simulate(initial, nus, horizon, p, envy)
+    _assert_bitwise_paths(traj, _chain_of_solves(initial, nus, horizon, p, envy))
+    _assert_same_convergence(traj)
+
+
+class TestStationaryRepeat:
+    def test_polarised_path_holds_few_distinct_records(self):
+        # 97% of the wealth on 16 of 1024 dynasties: the path sits at its exact
+        # fixed point from period 32 on
+        p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=1024)
+        rng = np.random.default_rng(71)
+        initial = rng.random(p.n_agents)
+        rich = rng.choice(p.n_agents, 16, replace=False)
+        initial[rich] = 0.0
+        initial *= 0.03 * p.n_agents / initial.sum()
+        initial[rich] = 0.97 * p.n_agents / 16
+        traj = simulate(initial, constant_schedule(1.0, p), 400, p, UNIT_ENVY)
+        assert len({id(r) for r in traj.records}) <= 40
+        chain = _chain_of_solves(initial, [1.0] * 401, 400, p, UNIT_ENVY)
+        assert traj.final_bequests.tobytes() == chain.final_bequests.tobytes()
+
+    def test_equal_tilt_of_another_type_is_solved(self):
+        # 1.0 == float32(1.0), but a float32 tilt prices taxes in float32
+        initial = [0.4, 0.0, 0.0, 0.0]
+        fixed = _first_repeat(simulate(initial, [1.0] * 201, 200, BASELINE, UNIT_ENVY))
+        assert fixed is not None
+        nus = [1.0] * (fixed + 2) + [np.float32(1.0)] * 10
+        traj = simulate(initial, nus, fixed + 11, BASELINE, UNIT_ENVY)
+        chain = _chain_of_solves(initial, nus, fixed + 11, BASELINE, UNIT_ENVY)
+        _assert_bitwise_paths(traj, chain)
 
 
 class TestSimulate:

@@ -6,7 +6,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from joneses import EnvySpec, constant_schedule, simulate, steady_capital
+from joneses import EnvySpec, Trajectory, constant_schedule, simulate, steady_capital
 from joneses.output import (
     CSV_HEADER,
     fmt,
@@ -53,6 +53,18 @@ class TestTrajectoryCsv:
         assert float(row["avg_consumption"]) == pytest.approx(
             0.675 * 0.1 ** (1 / 3), abs=1e-12
         )
+
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_repeated_records_give_the_rows_of_distinct_ones(self, per_agent):
+        traj = simulate(
+            [0.4, 0, 0, 0], constant_schedule(1.0, BASELINE), 60, BASELINE, UNIT_ENVY
+        )
+        assert len({id(r) for r in traj.records}) < 40  # the path repeats its fixed point
+        got = list(trajectory_csv_lines(traj, per_agent=per_agent))
+        assert len(got) == 61
+        for t, r in enumerate(traj.records):
+            alone = list(trajectory_csv_lines(Trajectory((r,)), per_agent=per_agent))[1]
+            assert got[t + 1] == f"{t}," + alone.split(",", 1)[1]
 
     def test_per_agent_columns(self):
         lines = list(trajectory_csv_lines(_equal_start_traj(1), per_agent=True))

@@ -134,6 +134,20 @@ class TestPlanReform:
                 max_horizon=50,
             )
 
+    def test_exact_fixed_point_stops_the_search(self):
+        # the stage-1 path reaches its exact fixed point above the target;
+        # without the stop this would solve 10**9 periods
+        with pytest.raises(Infeasible, match=r"within 1000000000 periods$"):
+            plan_reform(
+                [0.3, 0.3, 0, 0],
+                BASELINE,
+                UNIT_ENVY,
+                0.7,
+                BASELINE.nu_upper,
+                margin=1.0,
+                max_horizon=10**9,
+            )
+
     def test_lowering_the_tilt_rejected(self):
         with pytest.raises(ValidationError):
             plan_reform([0.3, 0.3, 0, 0], BASELINE, UNIT_ENVY, 1.0, 0.7)
