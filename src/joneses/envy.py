@@ -6,18 +6,16 @@ continuous, 0-homogeneous on nonzero nonnegative vectors, and strictly
 increasing when the distribution becomes more unequal in the
 cumulative-shares (Lorenz) sense implemented by :func:`dominates`.
 
-The one functional shipped here, :class:`EnvySpec`, is affine in the
-Gini coefficient, ``gamma(s) = base + scale * gini(s)``, which satisfies
-all of the above.  Solvers accept any object with the two methods of
-:class:`EnvyFunctional`; such an object is *not* checked against the
-admissibility conditions (the property tests in the test suite can be
-pointed at it).
+The functional, :class:`EnvySpec`, is affine in the Gini coefficient,
+``gamma(s) = base + scale * gini(s)``, which satisfies all of the above.
+The solvers take an :class:`EnvySpec`: the lockstep period kernel forms
+each row's weight as ``base + scale * g`` from the Gini it computes anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,16 +97,6 @@ def dominates(a: ArrayLike, b: ArrayLike) -> bool:
     return bool(np.all(shares_a <= shares_b) and np.any(shares_a < shares_b))
 
 
-class EnvyFunctional(Protocol):
-    """Anything that maps a wealth distribution to an envy weight."""
-
-    def weight(self, values: ArrayLike) -> float: ...
-
-    def max_weight(self, n_agents: int) -> float:
-        """Supremum of the weight over nonzero nonnegative distributions."""
-        ...
-
-
 @dataclass(frozen=True)
 class EnvySpec:
     """Affine-in-Gini envy functional: weight = base + scale * gini."""
@@ -130,7 +118,7 @@ class EnvySpec:
         return self.base + self.scale * (n_agents - 1) / n_agents
 
 
-def gamma_uniform_top(spec: EnvyFunctional, n: int, n_agents: int) -> float:
+def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:
     """Envy weight when n of n_agents dynasties split all wealth equally.
 
     Evaluated on the canonical vector (0, ..., 0, 1/n, ..., 1/n); for the
@@ -147,7 +135,7 @@ def gamma_uniform_top(spec: EnvyFunctional, n: int, n_agents: int) -> float:
     return spec.weight(values)
 
 
-def validate_envy(spec: EnvyFunctional, params: EconomyParams) -> EnvyFunctional:
+def validate_envy(spec: EnvySpec, params: EconomyParams) -> EnvySpec:
     """Check the existence bound: worst-case envy weight < gamma_hat(nu_upper).
 
     gamma_hat is decreasing in nu, so its value at the top of the

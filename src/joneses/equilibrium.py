@@ -19,18 +19,29 @@ makes ``k_next = mean_j s_j`` the root of a piecewise-linear map whose
 slopes are all below one, so the root is unique.  It is found exactly
 by scanning candidate active sets (the top-``a`` incomes) in vectorised
 blocks for the first consistent one; a bisection fallback covers
-degenerate ties.  Richer parents leave weakly richer heirs, so
-:func:`simulate` validates and sorts the initial vector once and then
-only checks that order, in O(N), each period.
+degenerate ties.  Richer parents leave weakly richer heirs, so a path
+validates and sorts its initial vector once and then only checks that
+order, in O(N), each period.
+
+There is one period kernel, and it solves a (C x N) block of bequest
+rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
+reform planner run it on one row; :func:`final_capitals`, which the
+sweep uses, runs a block of cells that share the horizon and the number
+of dynasties.  Every row is rounded exactly as it would be alone:
+row-wise means, sums and cumulative sums equal the 1-D calls bit for
+bit, the Gini's rank sum is one dot product per row, and the per-row
+scalars (powers, taxes, anything a float32 tilt rounds in float32) are
+built in a short Python loop.  A row that raises is frozen with the
+error, and message, its own path raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
 ``bequests`` byte for byte.  The period solver is a pure function of the
 bytes of the inherited vector and of the two tilts, so once a period
 maps its state onto itself and the tilt holds, every later period would
-recompute the same record.  :func:`simulate` appends that record again
-instead, and resumes solving when the schedule changes the tilt.  This
-is exact, not a tolerance.
+recompute the same record.  Such a row leaves the block, its record
+repeating, and rejoins it when the schedule changes its tilt.  This is
+exact, not a tolerance.
 
 An economy run under a constant tilt settles, depending on whether the
 initial envy weight sits below or above the threshold ``gamma_star(nu)``,
@@ -42,6 +53,7 @@ period solver.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,10 +70,11 @@ from .core import (
     steady_capital,
     tax_rates,
 )
-from .envy import EnvyFunctional, as_distribution, gamma_uniform_top, gini
+from .envy import EnvySpec, as_distribution, gamma_uniform_top
 from .errors import (
     DomainError,
     EnvyTooStrong,
+    JonesesError,
     ModelError,
     NoPositiveRoot,
     NotSustainable,
@@ -136,31 +149,58 @@ def fixed_point_active_set(
 
     accepted iff it lies in (0, total), the poorest active dynasty
     saves and the richest inactive one does not.  ``income`` may come in
-    any order (descending input skips the sort).  Candidates are scanned in
-    vectorised blocks of 16, 128, 1024, ... incomes, extending the running
-    sum block by block; the first consistent ``a`` wins.  Returns None when
-    no candidate is consistent (degenerate ties); callers fall back to bisection.
+    any order (descending input skips the sort).  This is the one-row case
+    of :func:`_scan_active_sets`.  Returns None when no candidate is
+    consistent (degenerate ties); callers fall back to bisection.
     """
     inc = income if (income[:-1] >= income[1:]).all() else np.sort(income)[::-1]
-    n = inc.size
-    run, lo, size = 0.0, 0, 16
+    slope = delta * z - xi_over_nu_next
+    columns = (np.array([[v]], dtype=float) for v in (z, total, delta, xi_over_nu_next, slope))
+    kappa, found = _scan_active_sets(inc[None], *columns)
+    return float(kappa[0]) if found[0] else None
+
+
+def _scan_active_sets(desc, z, total, delta, xnn, slope):
+    """First consistent active set of every row of ``desc`` (incomes, descending).
+
+    ``z``, ``total``, ``delta`` and ``xnn`` (xi/nu_next) are (C x 1) columns
+    of per-row values, and ``slope`` holds ``delta*z - xnn`` as the row's own
+    scalar types round it.  Candidates are scanned in column blocks of 16,
+    128, 1024, ... incomes, each row extending its own running sum; a row
+    leaves the scan at its first consistent ``a``.  Returns ``(kappa,
+    found)`` per row.
+    """
+    c, n = desc.shape
+    kappa, found = np.zeros(c), np.zeros(c, dtype=bool)
+    rows, run = np.arange(c), np.zeros(c)
+    base, dz = n * (1.0 + delta), delta * z
+    lo, size = 0, 16
     while lo < n:
         hi = min(lo + size, n)
         # continue the running sum: a block-local cumsum plus offset rounds differently
-        csum = np.cumsum(np.concatenate(((run,), inc[lo:hi])))[1:]
+        csum = desc[:, lo:hi].copy()
+        csum[:, 0] += run
+        np.cumsum(csum, axis=1, out=csum)
         a = np.arange(lo + 1.0, hi + 1.0)
-        denom = n * (1.0 + delta) - a * (delta * z - xi_over_nu_next)
-        kappa = (delta * csum - a * delta * z * total) / denom
+        kap = (delta * csum - a * delta * z * total) / (base - a * slope)
         # bequest numerator of dynasty j is delta*I_j - tail; positive iff saving
-        tail = delta * z * (total - kappa) + xi_over_nu_next * kappa
-        heads = delta * inc[lo : hi + 1]
-        ok = (0.0 < kappa) & (kappa < total) & (heads[: hi - lo] > tail)
-        ok[: heads.size - 1] &= ~(heads[1:] > tail[: heads.size - 1])
-        first = int(ok.argmax())
-        if ok[first]:
-            return float(kappa[first])
-        run, lo, size = csum[-1], hi, 8 * size
-    return None
+        tail = dz * (total - kap) + xnn * kap
+        heads = delta * desc[:, lo : hi + 1]
+        ok = (0.0 < kap) & (kap < total) & (heads[:, : hi - lo] > tail)
+        w = heads.shape[1]
+        ok[:, : w - 1] &= ~(heads[:, 1:] > tail[:, : w - 1])
+        hit = ok.any(axis=1)
+        kappa[rows] = kap[np.arange(rows.size), ok.argmax(axis=1)]  # kept where hit
+        found[rows] = hit
+        if hit.all():
+            break
+        if hit.any():
+            miss = ~hit
+            rows, desc, z, total, delta, xnn, slope, base, dz, csum = (
+                v[miss] for v in (rows, desc, z, total, delta, xnn, slope, base, dz, csum)
+            )
+        run, lo, size = csum[:, -1], hi, 8 * size
+    return kappa, found
 
 
 def fixed_point_bisection(
@@ -207,7 +247,7 @@ def solve_temporary(
     nu_t: float,
     nu_next: float,
     params: EconomyParams,
-    envy: EnvyFunctional,
+    envy: EnvySpec,
 ) -> TemporaryEquilibrium:
     """Solve the unique temporary equilibrium for one period.
 
@@ -218,79 +258,195 @@ def solve_temporary(
     z times average consumption) is guarded here regardless and raises
     :class:`EnvyTooStrong` when violated.
     """
-    if isinstance(state, _PathState):
-        return _solve_period(state.bequests, state.order, nu_t, nu_next, params, envy)
     beq = as_distribution(state.bequests, params.n_agents)
-    return _solve_period(beq, np.argsort(beq, kind="stable"), nu_t, nu_next, params, envy)
+    return _solve_one(beq, np.argsort(beq, kind="stable"), nu_t, nu_next, params, envy)
 
 
-@dataclass(frozen=True)
-class _PathState(WealthState):
-    """A period of :func:`simulate`, carrying the ascending order of ``bequests``."""
+class _Path:
+    """One row of a lockstep block: its economy, its tilts and its outcome.
 
-    order: np.ndarray
-
-    def __post_init__(self):
-        pass  # simulate validated the start; later states come from the kernel
-
-
-def _solve_period(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
-    """:func:`solve_temporary` on a validated ``beq`` that ``order`` should sort
-    ascending.  The order is checked in O(N); a stale one is overwritten in place
-    by a stable argsort, so a caller carrying it from period to period stays valid.
+    ``runs`` holds the path's tilts as ``(start, nu)`` runs.  The taxes of
+    ``nu_t`` and ``xi/nu_next`` are priced once per tilt, when the kernel
+    first needs them.  ``repeat`` is set while the path sits at its exact
+    fixed point: its stationary record, or True when no records are kept.
     """
-    asc = beq[order]
-    if not (asc[:-1] <= asc[1:]).all():
-        order[:] = np.argsort(beq, kind="stable")
-        asc = beq[order]
-    k = float(beq.mean())
-    g = gini(asc)
-    gamma = float(envy.weight(asc))
-    z = gamma / (1.0 + gamma)
-    prices = factor_prices(k, params)
-    taxes = tax_rates(nu_t, params)
-    if not nu_next > 0.0:
-        raise DomainError(f"nu_next must be > 0, got {nu_next}")
 
-    net_return = (1.0 - taxes.tau_s) * prices.gross_return
-    income = net_return * (params.xi / nu_t * k + beq)
-    total = net_return * (params.xi / nu_t + 1.0) * k  # = (1-phi) * k**alpha
-    xnn = params.xi / nu_next
-
-    kappa = fixed_point_active_set(income[order][::-1], z, total, params.delta, xnn)
-    if kappa is None:
-        kappa = fixed_point_bisection(income, z, total, params.delta, xnn)
-
-    heads = params.delta * income - params.delta * z * (total - kappa) - xnn * kappa
-    bequests_next = np.maximum(0.0, heads) / (1.0 + params.delta)
-    k_next = float(bequests_next.mean())
-    if not k_next > 0.0:
-        raise NoPositiveRoot("next-period capital intensity is not positive")
-    consumptions = income - bequests_next
-    avg_consumption = float(consumptions.mean())
-
-    floor = z * avg_consumption
-    if not (income > floor).all():
-        raise EnvyTooStrong(
-            f"envy weight {gamma} leaves a dynasty with income "
-            f"{income.min()} at or below the consumption floor {floor}"
-        )
-
-    return TemporaryEquilibrium(
-        k=k,
-        output=k**params.alpha,
-        gamma=gamma,
-        gini=g,
-        bequests=beq,
-        consumptions=consumptions,
-        bequests_next=bequests_next,
-        k_next=k_next,
-        avg_consumption=avg_consumption,
-        prices=prices,
-        taxes=taxes,
-        nu_next=nu_next,
-        m_count=int(np.count_nonzero(bequests_next > 0.0)),
+    __slots__ = (
+        "params", "envy", "starts", "nus", "nu_t", "nu_next",
+        "taxes", "xi_nu", "xnn", "records", "repeat", "error",
     )
+
+    def __init__(self, params: EconomyParams, envy: EnvySpec, runs=(), keep=False):
+        self.params, self.envy = params, envy
+        self.starts = [start for start, _ in runs]
+        self.nus = [nu for _, nu in runs]
+        self.records = [] if keep else None
+        self.repeat = self.error = None
+
+    def set_tilts(self, nu_t, nu_next) -> None:
+        self.nu_t, self.nu_next = nu_t, nu_next
+        self.taxes = self.xnn = None
+
+    def tilt(self, t: int):
+        return self.nus[bisect.bisect_right(self.starts, t) - 1]
+
+    def changes(self, horizon: int):
+        """Periods at which the pair (nu_t, nu_{t+1}) may change."""
+        yield 0
+        for start in self.starts[1:]:
+            yield start - 1
+            if start < horizon:
+                yield start
+
+
+def _solve_block(beq, order, paths, keep=False):
+    """Solve one period for every row of ``beq``, a (C x N) block of bequests.
+
+    Row i is the inherited vector of ``paths[i]``, which carries its
+    economy and its tilts; ``order[i]`` should sort it ascending.  The
+    order is checked in O(N) and a stale one is overwritten in place by a
+    stable argsort.  Each row is rounded exactly as the one-row case would
+    round it: row-wise means, sums and cumulative sums equal the 1-D calls
+    bit for bit, the Gini's rank sum is one dot product per row, and the
+    per-row scalars (powers, taxes, anything a float32 tilt rounds in
+    float32) are built in a Python loop from the row's own scalars.  A row
+    that raises records the error on its path and computes filler from
+    then on; the other rows go on.
+
+    Returns ``(bequests_next, k, k_next, ok, records)``: ``ok`` marks the
+    rows that did not raise, and ``records`` (only with ``keep``) holds
+    their :class:`TemporaryEquilibrium` records.
+    """
+    c, n = beq.shape
+    asc = beq.take(order + np.arange(0, c * n, n)[:, None])
+    for i in np.flatnonzero(~(asc[:, :-1] <= asc[:, 1:]).all(axis=1)):
+        order[i] = np.argsort(beq[i], kind="stable")
+        asc[i] = beq[i, order[i]]
+    k = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
+    if not np.isfinite(k).all():
+        for i in np.flatnonzero(~np.isfinite(k)):
+            _attempt(paths[i], as_distribution, asc[i])  # the Gini rejects a non-finite row
+
+    # the Gini of each row, with gini's exact cases and clipping, and gamma from it
+    ranks = np.arange(1.0, n + 1.0)
+    dots = np.array([ranks @ row for row in asc])  # a batched product rounds differently
+    top = (n - 1.0) / n
+    g = np.minimum(np.maximum(2.0 * dots / (n * asc.sum(axis=1)) - (n + 1.0) / n, 0.0), top)
+    g[asc[:, -2] == 0.0] = top
+    g[asc[:, 0] == asc[:, -1]] = 0.0
+    coef = [(p.envy.base, p.envy.scale, p.params.delta) for p in paths]
+    base, scale, delta = np.array(coef, dtype=float).T[..., None]  # per-row columns
+    gamma = base + scale * g[:, None]
+    z = gamma / (1.0 + gamma)
+
+    kl, zl = k.tolist(), z.ravel().tolist()
+    prices = [None] * c
+    scalars = []  # net return, xi/nu_t * k, total, xi/nu_next, delta*z - xi/nu_next
+    for i, p in enumerate(paths):
+        if p.error is None:
+            try:
+                prices[i] = factor_prices(kl[i], p.params)
+                if p.taxes is None:
+                    p.taxes, p.xi_nu = tax_rates(p.nu_t, p.params), p.params.xi / p.nu_t
+                if p.xnn is None:
+                    if not p.nu_next > 0.0:
+                        raise DomainError(f"nu_next must be > 0, got {p.nu_next}")
+                    p.xnn = p.params.xi / p.nu_next
+            except JonesesError as exc:
+                p.error = exc
+        if p.error is not None:
+            scalars.append((1.0, 0.0, 1.0, 0.0, 0.0))
+            continue
+        net = (1.0 - p.taxes.tau_s) * prices[i].gross_return
+        total = net * (p.xi_nu + 1.0) * kl[i]  # = (1-phi) * k**alpha
+        scalars.append((net, p.xi_nu * kl[i], total, p.xnn, p.params.delta * zl[i] - p.xnn))
+
+    net, xi_k, total, xnn, slope = np.array(scalars, dtype=float).T[..., None]
+    income = xi_k + beq
+    income *= net
+    asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
+    asc *= net
+    desc = asc[:, ::-1]
+    kappa, found = _scan_active_sets(desc, z, total, delta, xnn, slope)
+    kappa = kappa.tolist()
+    for i in np.flatnonzero(~found):
+        p = paths[i]
+        if p.error is None:
+            args = (income[i], zl[i], scalars[i][2], p.params.delta, p.xnn)
+            kappa[i] = _attempt(p, fixed_point_bisection, *args)
+
+    cuts = [  # delta*z*(total - kappa) and xi/nu_next * kappa, in the row's scalar types
+        (p.params.delta * zi * (s[2] - ki), s[3] * ki) if p.error is None else (0.0, 0.0)
+        for p, s, zi, ki in zip(paths, scalars, zl, kappa)
+    ]
+    cut, xk = np.array(cuts, dtype=float).T[..., None]
+    bequests_next = delta * income
+    bequests_next -= cut
+    bequests_next -= xk
+    np.maximum(0.0, bequests_next, out=bequests_next)
+    bequests_next /= 1.0 + delta
+    k_next = bequests_next.sum(axis=1) / n
+    consumptions = income - bequests_next
+    avg = consumptions.sum(axis=1) / n
+    floor = z[:, 0] * avg
+    short = ~(k_next > 0.0)
+    for i in np.flatnonzero(short | ~(income > floor[:, None]).all(axis=1)):
+        p = paths[i]
+        if p.error is None and short[i]:
+            p.error = NoPositiveRoot("next-period capital intensity is not positive")
+        elif p.error is None:
+            p.error = EnvyTooStrong(
+                f"envy weight {float(gamma[i, 0])} leaves a dynasty with income "
+                f"{income[i].min()} at or below the consumption floor {float(floor[i])}"
+            )
+
+    ok = np.array([p.error is None for p in paths])
+    records = None
+    if keep:
+        m = (bequests_next > 0.0).sum(axis=1)
+        records = [
+            TemporaryEquilibrium(
+                k=kl[i],
+                output=kl[i] ** p.params.alpha,
+                gamma=float(gamma[i, 0]),
+                gini=float(g[i]),
+                bequests=beq[i],
+                consumptions=consumptions[i],
+                bequests_next=bequests_next[i],
+                k_next=float(k_next[i]),
+                avg_consumption=float(avg[i]),
+                prices=prices[i],
+                taxes=p.taxes,
+                nu_next=p.nu_next,
+                m_count=int(m[i]),
+            )
+            if ok[i]
+            else None
+            for i, p in enumerate(paths)
+        ]
+    return bequests_next, k, k_next, ok, records
+
+
+def _attempt(path: _Path, fn, *args):
+    """``fn(*args)``, or None with the error recorded on ``path``."""
+    try:
+        return fn(*args)
+    except JonesesError as exc:
+        path.error = exc
+        return None
+
+
+def _solve_one(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
+    """The kernel on one row: a validated ``beq`` that ``order`` should sort
+    ascending.  A stale order is repaired in place, so a caller carrying it
+    from period to period stays valid.
+    """
+    path = _Path(params, envy)
+    path.set_tilts(nu_t, nu_next)
+    *_, records = _solve_block(beq[None], order[None], [path], keep=True)
+    if path.error is not None:
+        raise path.error
+    return records[0]
 
 
 @dataclass(frozen=True)
@@ -324,17 +480,88 @@ class Trajectory:
         return self.records[-1].k_next
 
 
-def _nu_lookup(schedule, horizon: int):
-    """Accept a FiscalSchedule-like object or an explicit per-period sequence."""
-    if hasattr(schedule, "nu_at"):
-        return schedule.nu_at
-    seq = list(schedule)
-    if len(seq) < horizon + 1:
-        raise ScheduleTooShort(
-            f"need nu for periods 0..{horizon} (one period ahead), "
-            f"got {len(seq)} values"
-        )
-    return lambda t: seq[t]
+def _tilt_runs(schedule, horizon: int) -> list:
+    """The tilts of periods 0..horizon as ``(start, nu)`` runs.
+
+    ``schedule`` is a FiscalSchedule or an explicit per-period sequence.
+    A new run starts wherever the tilt changes value or type.
+    """
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if hasattr(schedule, "segments"):
+        pairs = [(start, nu) for start, nu in schedule.segments if start <= horizon]
+    else:
+        seq = list(schedule)
+        if len(seq) < horizon + 1:
+            raise ScheduleTooShort(
+                f"need nu for periods 0..{horizon} (one period ahead), "
+                f"got {len(seq)} values"
+            )
+        pairs = enumerate(seq[: horizon + 1])
+    runs = []
+    for start, nu in pairs:
+        # a float32 tilt prices taxes in float32: equal tilts must share a type
+        if not runs or not (nu == runs[-1][1] and type(nu) is type(runs[-1][1])):
+            runs.append((start, nu))
+    return runs
+
+
+def _run_paths(beq, paths, horizon: int) -> np.ndarray:
+    """Advance row i of ``beq`` (C x N) along ``paths[i]`` for ``horizon`` periods.
+
+    The rows that need solving in a period are solved as one block.  A
+    row whose solved period is stationary leaves the block, its record
+    repeating, until the next period in which its tilt pair (nu_t,
+    nu_{t+1}) changes; a row that raises is frozen with its error.  A
+    period that announces a new tilt is such a change, and so is the one
+    after it, so a row leaves only while its tilt holds.  Tilts are
+    looked up only in those periods.  Returns the last block of bequests:
+    row i's mean is the final capital intensity of path i.
+    """
+    c = len(paths)
+    keep = paths[0].records is not None
+    order = np.argsort(beq, axis=1, kind="stable")
+    changes = {}
+    for i, p in enumerate(paths):
+        for t in p.changes(horizon):
+            changes.setdefault(t, set()).add(i)
+    live, n_live = np.ones(c, dtype=bool), c
+    for t in range(horizon):
+        for i in changes.get(t, ()):
+            p = paths[i]
+            p.set_tilts(p.tilt(t), p.tilt(t + 1))
+            if p.repeat is not None:
+                p.repeat, live[i], n_live = None, True, n_live + 1
+        if keep and n_live < c:
+            for p in paths:
+                if p.repeat is not None:
+                    p.records.append(p.repeat)
+        if not n_live:
+            continue
+        idx = np.flatnonzero(live)
+        whole = idx.size == c
+        rows = paths if whole else [paths[i] for i in idx]
+        b, o = (beq, order) if whole else (beq[idx], order[idx])
+        nxt, k, k_next, ok, records = _solve_block(b, o, rows, keep)
+        if not whole:
+            order[idx] = o
+        if keep:
+            for p, r in zip(rows, records):
+                if r is not None:
+                    p.records.append(r)
+        for j in np.flatnonzero(ok & (k_next == k)):
+            if nxt[j].tobytes() == b[j].tobytes():
+                rows[j].repeat = records[j] if keep else True
+                live[idx[j]] = False
+        live[idx[~ok]] = False
+        n_live = int(np.count_nonzero(live))
+        if whole:
+            beq = nxt
+        else:
+            if keep:
+                beq = beq.copy()  # records hold rows of the old block
+            beq[idx] = nxt
+    return beq
 
 
 def simulate(
@@ -342,13 +569,14 @@ def simulate(
     schedule,
     horizon: int,
     params: EconomyParams,
-    envy: EnvyFunctional,
+    envy: EnvySpec,
 ) -> Trajectory:
     """Iterate the period solver from an initial bequest vector.
 
     ``schedule`` is either a FiscalSchedule or an explicit sequence of
     per-period tilt values covering periods 0..horizon (the solver for
-    period t needs the period t+1 announcement).
+    period t needs the period t+1 announcement).  The path is the
+    one-row case of the lockstep kernel.
 
     A solved period whose tilt equals the announced one and whose record
     is stationary (``k_next == k`` and ``bequests_next`` byte-equal to
@@ -359,24 +587,35 @@ def simulate(
     period for it.  Tilts are equal when they compare equal and have the
     same type (a float32 tilt prices taxes in float32).
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    nu_at = _nu_lookup(schedule, horizon)
+    runs = _tilt_runs(schedule, horizon)
     beq = as_distribution(initial, params.n_agents)
-    order = np.argsort(beq, kind="stable")
-    records = []
-    repeat = None  # a stationary record, while its tilt holds
-    nu_t = nu_at(0)
-    for t in range(horizon):
-        nu_next = nu_at(t + 1)
-        tilt_holds = nu_next == nu_t and type(nu_next) is type(nu_t)
-        if repeat is None or not tilt_holds:
-            eq = solve_temporary(_PathState(t, beq, order), nu_t, nu_next, params, envy)
-            beq = eq.bequests_next
-            repeat = eq if tilt_holds and eq.stationary else None
-        records.append(eq)
-        nu_t = nu_next
-    return Trajectory(records=tuple(records))
+    path = _Path(params, envy, runs, keep=True)
+    _run_paths(beq[None], [path], horizon)
+    if path.error is not None:
+        raise path.error
+    return Trajectory(records=tuple(path.records))
+
+
+def final_capitals(
+    initials: Sequence[np.ndarray],
+    schedules: Sequence,
+    horizon: int,
+    params: Sequence[EconomyParams],
+    envys: Sequence[EnvySpec],
+) -> list[float | JonesesError]:
+    """``simulate(...).final_k`` for many paths of one length, in lockstep.
+
+    Path i starts from ``initials[i]`` under ``schedules[i]``,
+    ``params[i]`` and ``envys[i]``; all paths share ``horizon`` and the
+    number of dynasties, and advance together as one block.  Entry i is
+    the final capital intensity, bit for bit what :func:`simulate` gives,
+    or the :class:`JonesesError` that stopped path i.  No records are
+    built.  Invalid inputs raise before any path starts.
+    """
+    paths = [_Path(p, e, _tilt_runs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
+    beq = np.stack([as_distribution(x, p.n_agents) for x, p in zip(initials, params)])
+    k_final = _run_paths(beq, paths, horizon).mean(axis=1).tolist()
+    return [k if p.error is None else p.error for p, k in zip(paths, k_final)]
 
 
 @dataclass(frozen=True)
@@ -393,7 +632,7 @@ class SteadyState:
 
 
 def egalitarian_steady(
-    params: EconomyParams, nu: float, envy: EnvyFunctional
+    params: EconomyParams, nu: float, envy: EnvySpec
 ) -> SteadyState:
     """Steady state where every dynasty bequeaths the capital intensity k.
 
@@ -422,7 +661,7 @@ def egalitarian_steady(
 
 
 def polarised_steady(
-    params: EconomyParams, nu: float, envy: EnvyFunctional, rich_count: int
+    params: EconomyParams, nu: float, envy: EnvySpec, rich_count: int
 ) -> SteadyState:
     """Steady state where ``rich_count`` dynasties hold all wealth.
 
@@ -489,7 +728,7 @@ def classify(
     initial: Sequence[float] | np.ndarray,
     nu: float,
     params: EconomyParams,
-    envy: EnvyFunctional,
+    envy: EnvySpec,
 ) -> Regime:
     """Compare the initial envy weight with the threshold gamma_star(nu).
 

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import EconomyParams, nu_for_gamma, savings_rate, steady_capital
-from .envy import EnvyFunctional, gamma_uniform_top
+from .envy import EnvySpec, gamma_uniform_top
 from .equilibrium import Trajectory
 
 CSV_HEADER = "t,k,y,gamma,gini,m_count,savings_rate,tau_w,tau_s,avg_consumption"
@@ -235,7 +235,7 @@ class SavingsPlotResult:
 def render_savings_step_plot(
     gamma0: float,
     params: EconomyParams,
-    envy: EnvyFunctional,
+    envy: EnvySpec,
     rich_count: int,
     path,
 ) -> SavingsPlotResult:

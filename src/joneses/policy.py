@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import EconomyParams, gamma_star, steady_capital, tax_rates
-from .envy import EnvyFunctional, as_distribution, gamma_uniform_top
-from .equilibrium import TemporaryEquilibrium, _PathState, solve_temporary
+from .envy import EnvySpec, as_distribution, gamma_uniform_top
+from .equilibrium import TemporaryEquilibrium, _solve_one
 from .errors import (
     BudgetViolation,
     DomainError,
@@ -133,7 +133,7 @@ class ReformPlan:
 def plan_reform(
     initial: Sequence[float] | np.ndarray,
     params: EconomyParams,
-    envy: EnvyFunctional,
+    envy: EnvySpec,
     stage1_nu: float,
     stage2_nu: float,
     margin: float = 0.01,
@@ -180,7 +180,7 @@ def plan_reform(
         if gamma_t < target:
             trigger = t
             break
-        eq = solve_temporary(_PathState(t, beq, order), stage1_nu, stage1_nu, params, envy)
+        eq = _solve_one(beq, order, stage1_nu, stage1_nu, params, envy)
         beq = eq.bequests_next
         if eq.stationary:
             break  # an exact fixed point: every later period repeats this one

@@ -1,10 +1,17 @@
 """Parameter sweep harness: regime maps over grids of scenario knobs.
 
 A grid is a scenario template plus named axes.  Every cell is an
-independent pure computation (classify + simulate); cells run serially
-in grid order, so identical grids give byte-identical output CSVs.
-Per-cell failures are recorded in the row, with the exception message
-intact (csv quoting), instead of aborting the sweep.
+independent pure computation (classify + simulate).  Cells are parsed
+and classified in grid order; their paths then advance in lockstep, a
+block of cells at a time, through the period kernel that
+:func:`~joneses.equilibrium.simulate` runs on one row.  No axis changes
+the horizon or the number of dynasties, so the cells of a grid share one
+block shape, and ``BLOCK_VALUES`` caps cells x dynasties per block.  Each
+row of a block is rounded as its own ``simulate`` would round it, so a
+cell's ``k_final`` is bit for bit that of ``simulate``, and identical
+grids give byte-identical output CSVs.  A cell that fails, at parse, in
+``classify`` or partway along its path, is recorded in its row with the
+exception message intact (csv quoting); the other cells go on.
 """
 
 from __future__ import annotations
@@ -17,13 +24,16 @@ import os
 from dataclasses import dataclass
 
 from .core import EconomyParams
-from .envy import EnvyFunctional
-from .equilibrium import classify, simulate
+from .envy import EnvySpec
+from .equilibrium import classify, final_capitals
 from .errors import JonesesError, ParseError, ValidationError
 from .output import fmt
 from .scenario import Scenario, parse_scenario
 
 DEFAULT_CELL_CAP = 10**6
+
+#: Cap on cells * n_agents in one lockstep block of paths.
+BLOCK_VALUES = 1 << 14
 
 AXIS_NAMES = ("nu", "alpha", "delta", "phi", "envy_base", "envy_scale", "gini0")
 
@@ -142,15 +152,24 @@ class CellResult:
     error: str | None = None
 
 
-def _eval_cell(grid: SweepGrid, index: int, values: tuple[float, ...]) -> CellResult:
-    try:
-        sc = cell_scenario(grid, values)
-        nu0 = sc.schedule.nu_at(0)
-        regime = classify(sc.initial, nu0, sc.params, sc.envy)
-        traj = simulate(sc.initial, sc.schedule, sc.horizon, sc.params, sc.envy)
-        k_final = traj.final_k
+def _finish_block(block: list, results: list) -> None:
+    """Run the parsed cells of ``block`` in lockstep and fill in their results."""
+    if not block:
+        return
+    cells = [sc for _, _, sc, _ in block]
+    finals = final_capitals(
+        [sc.initial for sc in cells],
+        [sc.schedule for sc in cells],
+        cells[0].horizon,  # no axis changes the horizon or the number of dynasties
+        [sc.params for sc in cells],
+        [sc.envy for sc in cells],
+    )
+    for (index, values, _, regime), k_final in zip(block, finals):
+        if isinstance(k_final, JonesesError):
+            results[index] = CellResult(index, values, "error", error=str(k_final))
+            continue
         gap = abs(k_final - regime.limit_k) if regime.limit_k is not None else None
-        return CellResult(
+        results[index] = CellResult(
             index=index,
             values=values,
             regime=regime.kind,
@@ -159,8 +178,7 @@ def _eval_cell(grid: SweepGrid, index: int, values: tuple[float, ...]) -> CellRe
             k_final=k_final,
             gap=gap,
         )
-    except JonesesError as exc:
-        return CellResult(index=index, values=values, regime="error", error=str(exc))
+    block.clear()
 
 
 def sweep_csv_rows(grid: SweepGrid, results) -> list[list]:
@@ -173,9 +191,28 @@ def sweep_csv_rows(grid: SweepGrid, results) -> list[list]:
 
 
 def run_sweep(grid: SweepGrid, out_dir) -> list[CellResult]:
-    """Evaluate every cell serially and write <out_dir>/sweep.csv in grid order."""
+    """Evaluate every cell and write <out_dir>/sweep.csv in grid order.
+
+    Each cell is parsed and classified in turn; a failure there is the
+    cell's error.  The parsed cells then run their paths in lockstep
+    blocks of at most ``BLOCK_VALUES // n_agents`` cells, and a path that
+    raises gives its cell the error message the cell's own
+    :func:`simulate` would raise.
+    """
+    results, block = [], []
     cells = itertools.product(*(vals for _, vals in grid.axes))
-    results = [_eval_cell(grid, i, v) for i, v in enumerate(cells)]
+    for index, values in enumerate(cells):
+        try:
+            sc = cell_scenario(grid, values)
+            regime = classify(sc.initial, sc.schedule.nu_at(0), sc.params, sc.envy)
+        except JonesesError as exc:
+            results.append(CellResult(index, values, "error", error=str(exc)))
+            continue
+        results.append(None)
+        block.append((index, values, sc, regime))
+        if len(block) * sc.params.n_agents >= BLOCK_VALUES:
+            _finish_block(block, results)
+    _finish_block(block, results)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(sweep_csv_rows(grid, results))
@@ -185,7 +222,7 @@ def run_sweep(grid: SweepGrid, out_dir) -> list[CellResult]:
 def locate_regime_flip(
     initial,
     params: EconomyParams,
-    envy: EnvyFunctional,
+    envy: EnvySpec,
     nu_lo: float,
     nu_hi: float,
     tol: float = 1e-10,

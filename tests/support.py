@@ -2,9 +2,10 @@
 
 The oracles here are deliberately independent of the package's solution
 paths: the Gini oracle is the O(N^2) pairwise sum, utility optimality is
-checked by brute-force grid search on the budget line, and equilibrium
-paths are audited against the conservation laws and monotonicity
-statements recomputed from raw quantities.
+checked by brute-force grid search on the budget line, one period is
+solved by the scalar one-vector solver the lockstep kernel replaced, and
+equilibrium paths are audited against the conservation laws and
+monotonicity statements recomputed from raw quantities.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from joneses import (
     ConvergenceReport,
     EconomyParams,
     EnvySpec,
+    TemporaryEquilibrium,
     budget_check,
     gamma_hat,
     gamma_star,
+    gini,
     savings_rate,
     validate_params,
 )
+from joneses.core import factor_prices, tax_rates
+from joneses.equilibrium import fixed_point_active_set, fixed_point_bisection
+from joneses.errors import DomainError, EnvyTooStrong, JonesesError, NoPositiveRoot
 
 BASELINE = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4)
 UNIT_ENVY = EnvySpec(base=0.0, scale=1.0)
@@ -62,6 +68,87 @@ def active_set_oracle(income, z, total, delta, xi_over_nu_next):
             continue
         return float(kappa)
     return None
+
+
+def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
+    """The scalar period solver, one bequest vector at a time: the kernel's oracle.
+
+    ``beq`` is validated and ``order`` should sort it ascending.  The
+    order is checked in O(N); a stale one is overwritten in place by a
+    stable argsort, so a caller carrying it from period to period stays
+    valid.  Each row of the lockstep kernel must equal this record bit
+    for bit, and raise where it raises with the same message.
+    """
+    asc = beq[order]
+    if not (asc[:-1] <= asc[1:]).all():
+        order[:] = np.argsort(beq, kind="stable")
+        asc = beq[order]
+    k = float(beq.mean())
+    g = gini(asc)
+    gamma = float(envy.weight(asc))
+    z = gamma / (1.0 + gamma)
+    prices = factor_prices(k, params)
+    taxes = tax_rates(nu_t, params)
+    if not nu_next > 0.0:
+        raise DomainError(f"nu_next must be > 0, got {nu_next}")
+
+    net_return = (1.0 - taxes.tau_s) * prices.gross_return
+    income = net_return * (params.xi / nu_t * k + beq)
+    total = net_return * (params.xi / nu_t + 1.0) * k  # = (1-phi) * k**alpha
+    xnn = params.xi / nu_next
+
+    kappa = fixed_point_active_set(income[order][::-1], z, total, params.delta, xnn)
+    if kappa is None:
+        kappa = fixed_point_bisection(income, z, total, params.delta, xnn)
+
+    heads = params.delta * income - params.delta * z * (total - kappa) - xnn * kappa
+    bequests_next = np.maximum(0.0, heads) / (1.0 + params.delta)
+    k_next = float(bequests_next.mean())
+    if not k_next > 0.0:
+        raise NoPositiveRoot("next-period capital intensity is not positive")
+    consumptions = income - bequests_next
+    avg_consumption = float(consumptions.mean())
+
+    floor = z * avg_consumption
+    if not (income > floor).all():
+        raise EnvyTooStrong(
+            f"envy weight {gamma} leaves a dynasty with income "
+            f"{income.min()} at or below the consumption floor {floor}"
+        )
+
+    return TemporaryEquilibrium(
+        k=k,
+        output=k**params.alpha,
+        gamma=gamma,
+        gini=g,
+        bequests=beq,
+        consumptions=consumptions,
+        bequests_next=bequests_next,
+        k_next=k_next,
+        avg_consumption=avg_consumption,
+        prices=prices,
+        taxes=taxes,
+        nu_next=nu_next,
+        m_count=int(np.count_nonzero(bequests_next > 0.0)),
+    )
+
+
+def chained_oracle(initial, nus, horizon, params, envy):
+    """A path as ``period_oracle`` calls, every period solved afresh.
+
+    Returns ``(records, error)``: the records of the periods solved before
+    the first :class:`JonesesError`, and that error (None if none).
+    """
+    beq = np.asarray(initial, dtype=float)
+    order = np.argsort(beq, kind="stable")
+    records = []
+    for t in range(horizon):
+        try:
+            records.append(period_oracle(beq, order, nus[t], nus[t + 1], params, envy))
+        except JonesesError as exc:
+            return records, exc
+        beq = records[-1].bequests_next
+    return records, None
 
 
 def convergence_oracle(traj, tol):

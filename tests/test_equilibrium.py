@@ -15,6 +15,7 @@ from joneses import (
     constant_schedule,
     detect_convergence,
     egalitarian_steady,
+    gamma_hat,
     gamma_star,
     gamma_uniform_top,
     gini,
@@ -26,7 +27,12 @@ from joneses import (
     validate_params,
 )
 from joneses.equilibrium import (
-    _solve_period,
+    _Path,
+    _run_paths,
+    _solve_block,
+    _solve_one,
+    _tilt_runs,
+    final_capitals,
     fixed_point_active_set,
     fixed_point_bisection,
 )
@@ -43,9 +49,11 @@ from support import (
     TOL_SOLVER,
     UNIT_ENVY,
     active_set_oracle,
+    chained_oracle,
     check_path_invariants,
     convergence_oracle,
     grid_search_best_utility,
+    period_oracle,
     random_envy,
     random_initial,
     random_nu,
@@ -254,7 +262,7 @@ class TestCarriedOrder:
                 "random": rng.permutation(p.n_agents),
                 "identity": np.arange(p.n_agents),
             }[stale]
-            eq = _solve_period(beq, order, 1.0, 1.1, p, UNIT_ENVY)
+            eq = _solve_one(beq, order, 1.0, 1.1, p, UNIT_ENVY)
             _assert_same_records(eq, fresh)
             assert np.all(np.diff(beq[order]) >= 0.0)
 
@@ -349,6 +357,130 @@ class TestStationaryRepeat:
         traj = simulate(initial, nus, fixed + 11, BASELINE, UNIT_ENVY)
         chain = _chain_of_solves(initial, nus, fixed + 11, BASELINE, UNIT_ENVY)
         _assert_bitwise_paths(traj, chain)
+
+
+def _block_row(rng, n, horizon):
+    """One row of a lockstep block: economy, envy, start and per-period tilts.
+
+    Rows differ in alpha, delta, phi, base and scale.  Some starts have
+    ties, some rows carry envy far above the existence ceiling (they may
+    raise EnvyTooStrong partway), some change the tilt in mid-path (to a
+    float or a float32), and some announce a tilt so small that xi/nu
+    overflows, which raises NoPositiveRoot in that period.
+    """
+    drawn = random_params(rng)
+    p = validate_params(alpha=drawn.alpha, delta=drawn.delta, phi=drawn.phi, n_agents=n)
+    role = rng.integers(4)
+    envy = random_envy(rng, p)
+    if role == 1:
+        envy = EnvySpec(base=0.0, scale=rng.uniform(1.0, 6.0) * gamma_hat(p.nu_upper, p))
+    initial = random_initial(rng, p)
+    ties = rng.integers(3)
+    if ties == 1:
+        initial[rng.random(n) < 0.5] = initial.max()
+    elif ties == 2:
+        initial = np.round(initial, 1)
+        initial[0] += 0.1  # keeps the total positive
+    nu1, nu2 = random_nu(rng, p), random_nu(rng, p)
+    nus = [nu1] * (horizon + 1)
+    if role == 2:
+        start = int(rng.integers(1, horizon))
+        length = int(rng.integers(1, horizon))
+        nus[start : start + length] = [np.float32(nu2) if rng.random() < 0.5 else nu2] * length
+        nus = nus[: horizon + 1]
+    if role == 3:
+        nus[int(rng.integers(1, horizon + 1))] = 1e-310
+    return p, envy, initial, nus
+
+
+def _assert_row_matches_oracle(path_records, path_error, case, horizon):
+    p, envy, initial, nus = case
+    records, error = chained_oracle(initial, nus, horizon, p, envy)
+    assert len(path_records) == len(records)
+    for got, want in zip(path_records, records):
+        _assert_same_records(got, want)
+        assert got.bequests_next.tobytes() == want.bequests_next.tobytes()
+        assert got.consumptions.tobytes() == want.consumptions.tobytes()
+    if error is None:
+        assert path_error is None
+    else:
+        assert type(path_error) is type(error) and str(path_error) == str(error)
+    return records, error
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows xi/nu
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 4, 64, 20000]),
+    rows=st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_rows_equal_their_chained_oracle(seed, n, rows):
+    rng = np.random.default_rng(seed)
+    horizon = 12 if n > 64 else 150
+    cases = [_block_row(rng, n, horizon) for _ in range(rows)]
+    initials = np.stack([initial for _, _, initial, _ in cases])
+    paths = [_Path(p, envy, _tilt_runs(nus, horizon), keep=True) for p, envy, _, nus in cases]
+    _run_paths(initials, paths, horizon)
+    finals = final_capitals(
+        [initial for _, _, initial, _ in cases],
+        [nus for *_, nus in cases],
+        horizon,
+        [p for p, *_ in cases],
+        [envy for _, envy, *_ in cases],
+    )
+    for path, case, final in zip(paths, cases, finals):
+        records, error = _assert_row_matches_oracle(path.records, path.error, case, horizon)
+        if error is None:
+            assert final == records[-1].k_next
+        else:
+            assert type(final) is type(error) and str(final) == str(error)
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("stale", ["reversed", "random", "identity"])
+    def test_stale_orders_are_repaired_row_by_row(self, stale):
+        rng = np.random.default_rng(83)
+        p = validate_params(alpha=0.3, delta=1.4, phi=0.08, n_agents=64)
+        beq = np.stack([random_initial(rng, p) for _ in range(5)])
+        fresh = np.argsort(beq, axis=1, kind="stable")
+        order = {
+            "reversed": fresh[:, ::-1].copy(),
+            "random": np.stack([rng.permutation(p.n_agents) for _ in range(5)]),
+            "identity": np.tile(np.arange(p.n_agents), (5, 1)),
+        }[stale]
+        order[0] = fresh[0]  # one row carries a valid order
+        envys = [random_envy(rng, p) for _ in range(5)]
+        paths = [_Path(p, envy) for envy in envys]
+        for path in paths:
+            path.set_tilts(1.0, 1.1)
+        *_, records = _solve_block(beq, order, paths, keep=True)
+        for i, (record, envy) in enumerate(zip(records, envys)):
+            want = period_oracle(beq[i], fresh[i].copy(), 1.0, 1.1, p, envy)
+            _assert_same_records(record, want)
+            assert record.bequests_next.tobytes() == want.bequests_next.tobytes()
+            assert np.all(np.diff(beq[i][order[i]]) >= 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows
+    def test_rows_that_raise_are_frozen_and_the_others_go_on(self):
+        p = BASELINE
+        horizon = 30
+        strong = EnvySpec(0.0, 6.0)  # far above the ceiling: the floor breaks in period 6
+        cases = [
+            (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * (horizon + 1)),
+            (p, strong, np.array([0.2, 0.1, 0.1, 0.1]), [1.0] * (horizon + 1)),
+            (p, UNIT_ENVY, np.array([0.1, 0.2, 0.3, 0.4]), [1.0] * 7 + [1e-310] * 24),
+            (p, UNIT_ENVY, np.array([0.1, 0.1, 0.1, 0.1]), [1.0] * (horizon + 1)),
+        ]
+        paths = [_Path(q, e, _tilt_runs(nus, horizon), keep=True) for q, e, _, nus in cases]
+        _run_paths(np.stack([c[2] for c in cases]), paths, horizon)
+        kinds = []
+        for path, case in zip(paths, cases):
+            records, error = _assert_row_matches_oracle(path.records, path.error, case, horizon)
+            kinds.append((type(error).__name__, len(records)))
+        assert kinds[0] == kinds[3] == ("NoneType", horizon)
+        assert kinds[1] == ("EnvyTooStrong", 6)
+        assert kinds[2] == ("NoPositiveRoot", 6)
 
 
 class TestSimulate:

@@ -1,15 +1,23 @@
 """Sweep harness: grid parsing, cell evaluation, CSV quoting, flip location."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
-from joneses import classify, constant_schedule, locate_regime_flip, simulate
-from joneses.errors import ValidationError
+from joneses import classify, constant_schedule, locate_regime_flip, simulate, sweep
+from joneses.errors import JonesesError, ValidationError
 from joneses.scenario import parse_scenario
-from joneses.sweep import load_grid, parse_grid, run_sweep
-from support import BASELINE, UNIT_ENVY
+from joneses.sweep import (
+    CellResult,
+    cell_scenario,
+    load_grid,
+    parse_grid,
+    run_sweep,
+    sweep_csv_rows,
+)
+from support import BASELINE, UNIT_ENVY, chained_oracle
 
 
 def template(initial=None):
@@ -203,6 +211,74 @@ class TestRunSweep:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [7, 7, 7]
         assert [row[-1] for row in rows] == ["error", "", error]
+
+
+def _oracle_sweep_csv(grid, path) -> bytes:
+    """sweep.csv from a per-cell evaluation, each path chained through period_oracle."""
+    results = []
+    for index, values in enumerate(itertools.product(*(vals for _, vals in grid.axes))):
+        try:
+            sc = cell_scenario(grid, values)
+            regime = classify(sc.initial, sc.schedule.nu_at(0), sc.params, sc.envy)
+            nus = [sc.schedule.nu_at(t) for t in range(sc.horizon + 1)]
+            records, error = chained_oracle(sc.initial, nus, sc.horizon, sc.params, sc.envy)
+            if error is not None:
+                raise error
+        except JonesesError as exc:
+            results.append(CellResult(index, values, "error", error=str(exc)))
+            continue
+        k_final = records[-1].k_next
+        gap = abs(k_final - regime.limit_k) if regime.limit_k is not None else None
+        results.append(
+            CellResult(index, values, regime.kind, regime.rich_count, regime.limit_k, k_final, gap)
+        )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(sweep_csv_rows(grid, results))
+    return path.read_bytes()
+
+
+# Extreme but valid starts: their cells parse and classify, then some paths
+# raise DomainError, NoPositiveRoot or EnvyTooStrong on the way.
+EXTREME_STARTS = ([5e-324, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0], [1e200, 1e100, 1.0, 0.0])
+PATH_ERRORS = ("capital intensity must be > 0", "no dynasty saves", "leaves a dynasty with income")
+
+
+def _extreme_grid(initial):
+    obj = template(initial)
+    obj["run"]["horizon"] = 40
+    axes = [
+        {"name": "alpha", "values": [0.2, 0.3, 0.5, 0.6]},
+        {"name": "delta", "values": [0.5, 1.0, 1e300]},
+        {"name": "nu", "values": [0.8, 1.0]},
+    ]
+    return parse_grid({"template": obj, "axes": axes})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # these paths overflow on purpose
+class TestLockstepSweep:
+    @pytest.mark.parametrize("initial", EXTREME_STARTS)
+    def test_path_failures_match_a_per_cell_oracle(self, tmp_path, initial):
+        grid = _extreme_grid(initial)
+        results = run_sweep(grid, tmp_path / "lockstep")
+        expected = _oracle_sweep_csv(grid, tmp_path / "oracle.csv")
+        assert (tmp_path / "lockstep" / "sweep.csv").read_bytes() == expected
+        # some cells fail in their path, not at parse, with the message intact
+        failed = [r.error for r in results if r.error and r.error.startswith(PATH_ERRORS)]
+        assert failed
+        with open(tmp_path / "lockstep" / "sweep.csv", encoding="utf-8", newline="") as fh:
+            assert {row[-1] for row in csv.reader(fh)} >= set(failed)
+
+    def test_grid_larger_than_one_block_equals_one_cell_at_a_time(self, tmp_path, monkeypatch):
+        grid = _extreme_grid(EXTREME_STARTS[2])
+        outputs = []
+        # one block of 24 cells, blocks of 3 cells, then one cell per block
+        for name, cap in (("one", sweep.BLOCK_VALUES), ("threes", 12), ("single", 1)):
+            monkeypatch.setattr(sweep, "BLOCK_VALUES", cap)
+            results = run_sweep(grid, tmp_path / name)
+            outputs.append((results, (tmp_path / name / "sweep.csv").read_bytes()))
+        assert grid.n_cells * 4 > 12  # more cells than one block of the smaller cap holds
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert any(r.error for r in outputs[0][0]) and any(r.k_final for r in outputs[0][0])
 
 
 class TestLocateRegimeFlip:
