@@ -47,9 +47,6 @@ from .errors import (
 #: residuals of closed forms).
 IDENTITY_TOL = 1e-12
 
-#: Absolute tolerance for iterative limits (path convergence checks).
-LIMIT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class EconomyParams:

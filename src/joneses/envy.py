@@ -8,8 +8,10 @@ cumulative-shares (Lorenz) sense implemented by :func:`dominates`.
 
 The functional, :class:`EnvySpec`, is affine in the Gini coefficient,
 ``gamma(s) = base + scale * gini(s)``, which satisfies all of the above.
-The solvers take an :class:`EnvySpec`: the lockstep period kernel forms
-each row's weight as ``base + scale * g`` from the Gini it computes anyway.
+Both formulas live in one place, :func:`_gini_weights`, which works on a
+block of ascending rows: :func:`gini` and :meth:`EnvySpec.weight` run it
+on one row, and the lockstep period kernel runs it on its whole block,
+one row per path, so each row gets the bytes it would get alone.
 """
 
 from __future__ import annotations
@@ -53,22 +55,35 @@ def gini(values: ArrayLike) -> float:
     which equals the mean-absolute-difference form
     sum_ij |x_i - x_j| / (2 N^2 mu).  Ranges over [0, (N-1)/N];
     permutation-invariant and scale-free.  The two extreme
-    distributions (all equal; a single positive holder) are detected
-    and returned exactly; everything else is clipped to the
-    mathematical range, which the rank formula can overshoot by an ulp.
-    Ascending input skips the sort (strided input is copied: the BLAS dot
-    rounds differently on it).
+    distributions (all equal; a single positive holder) are returned
+    exactly; everything else is clipped to the mathematical range, which
+    the rank formula can overshoot by an ulp.
     """
+    return float(_gini_weights(_ascending(values)[None], _UNIT)[0][0])
+
+
+def _ascending(values: ArrayLike) -> np.ndarray:
+    """Validated ``values``, ascending and contiguous (the dot rounds strided input differently)."""
     arr = as_distribution(values)
-    x = np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
-    n = x.size
-    if x[0] == x[-1]:
-        return 0.0
-    if x[-2] == 0.0:
-        return (n - 1.0) / n
-    ranks = np.arange(1, n + 1, dtype=float)
-    g = 2.0 * (ranks @ x) / (n * x.sum()) - (n + 1.0) / n
-    return float(min(max(g, 0.0), (n - 1.0) / n))
+    return np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
+
+
+def _gini_weights(asc: np.ndarray, specs) -> tuple[np.ndarray, np.ndarray]:
+    """Gini and envy weight of each ascending, C-contiguous row of ``asc`` under ``specs``.
+
+    One rank dot per row (a batched product rounds differently), so a row
+    gets the bytes it would get alone.  All equal (N=1 included) takes
+    precedence over a single positive holder.
+    """
+    n = asc.shape[1]
+    ranks = np.arange(1.0, n + 1.0)
+    dots = np.array([ranks @ row for row in asc])
+    top = (n - 1.0) / n
+    g = np.minimum(np.maximum(2.0 * dots / (n * asc.sum(axis=1)) - (n + 1.0) / n, 0.0), top)
+    g[asc[:, -min(n, 2)] == 0.0] = top
+    g[asc[:, 0] == asc[:, -1]] = 0.0
+    base, scale = np.array([(s.base, s.scale) for s in specs], dtype=float).T
+    return g, base + scale * g
 
 
 def lorenz_shares(values: ArrayLike) -> np.ndarray:
@@ -111,11 +126,15 @@ class EnvySpec:
             raise DomainError(f"envy scale must be finite and >= 0, got {self.scale}")
 
     def weight(self, values: ArrayLike) -> float:
-        return self.base + self.scale * gini(values)
+        return float(_gini_weights(_ascending(values)[None], (self,))[1][0])
 
     def max_weight(self, n_agents: int) -> float:
-        # Gini peaks at (N-1)/N when a single dynasty holds everything.
-        return self.base + self.scale * (n_agents - 1) / n_agents
+        # Gini peaks at (N-1)/N when a single dynasty holds everything
+        # (parenthesised so it rounds as that distribution's weight does).
+        return self.base + self.scale * ((n_agents - 1) / n_agents)
+
+
+_UNIT = (EnvySpec(),)  # weight = gini, for gini itself
 
 
 def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:

@@ -18,10 +18,10 @@ where ``z = gamma / (1 + gamma)`` and average consumption satisfies
 makes ``k_next = mean_j s_j`` the root of a piecewise-linear map whose
 slopes are all below one, so the root is unique.  It is found exactly
 by scanning candidate active sets (the top-``a`` incomes) in vectorised
-blocks for the first consistent one; a bisection fallback covers
-degenerate ties.  Richer parents leave weakly richer heirs, so a path
-validates and sorts its initial vector once and then only checks that
-order, in O(N), each period.
+blocks for the first consistent one; bisection finds it where rounding
+leaves none consistent (a dynasty exactly at a kink).  Richer parents
+leave weakly richer heirs, so a path validates and sorts its initial
+vector once and then only checks that order, in O(N), each period.
 
 There is one period kernel, and it solves a (C x N) block of bequest
 rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
@@ -29,10 +29,10 @@ reform planner run it on one row; :func:`final_capitals`, which the
 sweep uses, runs a block of cells that share the horizon and the number
 of dynasties.  Every row is rounded exactly as it would be alone:
 row-wise means, sums and cumulative sums equal the 1-D calls bit for
-bit, the Gini's rank sum is one dot product per row, and the per-row
-scalars (powers, taxes, anything a float32 tilt rounds in float32) are
-built in a short Python loop.  A row that raises is frozen with the
-error, and message, its own path raises; the other rows go on.
+bit, the Gini and weight come from the function that ``gini`` runs, and
+the per-row scalars (powers, taxes, anything a float32 tilt rounds in
+float32) are built in a short Python loop.  A row that raises is frozen
+with the error, and message, its own path raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -70,7 +70,7 @@ from .core import (
     steady_capital,
     tax_rates,
 )
-from .envy import EnvySpec, as_distribution, gamma_uniform_top
+from .envy import EnvySpec, _gini_weights, as_distribution, gamma_uniform_top
 from .errors import (
     DomainError,
     EnvyTooStrong,
@@ -151,7 +151,7 @@ def fixed_point_active_set(
     saves and the richest inactive one does not.  ``income`` may come in
     any order (descending input skips the sort).  This is the one-row case
     of :func:`_scan_active_sets`.  Returns None when no candidate is
-    consistent (degenerate ties); callers fall back to bisection.
+    consistent (rounding at a kink); callers fall back to bisection.
     """
     inc = income if (income[:-1] >= income[1:]).all() else np.sort(income)[::-1]
     slope = delta * z - xi_over_nu_next
@@ -307,7 +307,7 @@ def _solve_block(beq, order, paths, keep=False):
     order is checked in O(N) and a stale one is overwritten in place by a
     stable argsort.  Each row is rounded exactly as the one-row case would
     round it: row-wise means, sums and cumulative sums equal the 1-D calls
-    bit for bit, the Gini's rank sum is one dot product per row, and the
+    bit for bit, the Gini and weight come from ``envy._gini_weights``, and the
     per-row scalars (powers, taxes, anything a float32 tilt rounds in
     float32) are built in a Python loop from the row's own scalars.  A row
     that raises records the error on its path and computes filler from
@@ -327,16 +327,9 @@ def _solve_block(beq, order, paths, keep=False):
         for i in np.flatnonzero(~np.isfinite(k)):
             _attempt(paths[i], as_distribution, asc[i])  # the Gini rejects a non-finite row
 
-    # the Gini of each row, with gini's exact cases and clipping, and gamma from it
-    ranks = np.arange(1.0, n + 1.0)
-    dots = np.array([ranks @ row for row in asc])  # a batched product rounds differently
-    top = (n - 1.0) / n
-    g = np.minimum(np.maximum(2.0 * dots / (n * asc.sum(axis=1)) - (n + 1.0) / n, 0.0), top)
-    g[asc[:, -2] == 0.0] = top
-    g[asc[:, 0] == asc[:, -1]] = 0.0
-    coef = [(p.envy.base, p.envy.scale, p.params.delta) for p in paths]
-    base, scale, delta = np.array(coef, dtype=float).T[..., None]  # per-row columns
-    gamma = base + scale * g[:, None]
+    g, gamma = _gini_weights(asc, [p.envy for p in paths])
+    gamma = gamma[:, None]  # per-row columns
+    delta = np.array([p.params.delta for p in paths], dtype=float)[:, None]
     z = gamma / (1.0 + gamma)
 
     kl, zl = k.tolist(), z.ravel().tolist()

@@ -72,6 +72,14 @@ def _number(obj: dict, key: str, path: str, default=None, required=True) -> floa
     return float(v)
 
 
+def numbers(values: list, path: str) -> list:
+    """``values`` unchanged if every entry is an int or a float (bools are not)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(path, f"expected numbers, got {v!r}")
+    return values
+
+
 def _integer(obj: dict, key: str, path: str, default=None, required=True):
     if key not in obj:
         if required:
@@ -158,6 +166,7 @@ def _parse_initial(obj, params: EconomyParams, seed) -> np.ndarray:
         values = section["values"]
         if not isinstance(values, list):
             raise ValidationError("initial.values", "expected a list of numbers")
+        numbers(values, "initial.values")
         try:
             return as_distribution(values, params.n_agents)
         except InputError as exc:
@@ -218,15 +227,19 @@ def parse_scenario(obj, source: str = "<config>") -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file."""
+def read_json(path):
+    """The JSON document in the file at ``path``; malformed JSON raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_scenario(obj, source=str(path))
+
+
+def load_scenario(path) -> Scenario:
+    """Read and validate a scenario file."""
+    return parse_scenario(read_json(path), source=str(path))
 
 
 def scenario_to_obj(sc: Scenario) -> dict:

@@ -19,16 +19,15 @@ from __future__ import annotations
 import copy
 import csv
 import itertools
-import json
 import os
 from dataclasses import dataclass
 
-from .core import EconomyParams
+from .core import IDENTITY_TOL, EconomyParams, nu_for_gamma
 from .envy import EnvySpec
 from .equilibrium import classify, final_capitals
-from .errors import JonesesError, ParseError, ValidationError
+from .errors import JonesesError, ValidationError
 from .output import fmt
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, numbers, parse_scenario, read_json
 
 DEFAULT_CELL_CAP = 10**6
 
@@ -78,10 +77,7 @@ def parse_grid(obj, source: str = "<grid>") -> SweepGrid:
         values = axis["values"]
         if not isinstance(values, list) or not values:
             raise ValidationError(f"{path}.values", "expected a nonempty list of numbers")
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError(f"{path}.values", f"expected numbers, got {v!r}")
-        axes.append((name, tuple(float(v) for v in values)))
+        axes.append((name, tuple(float(v) for v in numbers(values, f"{path}.values"))))
     cap = obj.get("cap", DEFAULT_CELL_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ValidationError("cap", f"expected a positive integer, got {cap!r}")
@@ -92,25 +88,17 @@ def parse_grid(obj, source: str = "<grid>") -> SweepGrid:
 
 
 def load_grid(path) -> SweepGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return parse_grid(obj, source=str(path))
+    return parse_grid(read_json(path), source=str(path))
 
 
-def _template_total(template: dict) -> float:
+def _template_total(template: dict):
+    """The template's total wealth, for a ``gini0`` cell (its generator checks a total)."""
     initial = template.get("initial", {})
     if isinstance(initial, dict):
-        if "values" in initial and isinstance(initial["values"], list):
-            try:
-                return float(sum(initial["values"]))
-            except TypeError:
-                return 1.0
-        if "total" in initial and isinstance(initial["total"], (int, float)):
-            return float(initial["total"])
+        if isinstance(initial.get("values"), list):
+            return float(sum(numbers(initial["values"], "initial.values")))
+        if "total" in initial:
+            return initial["total"]
     return 1.0
 
 
@@ -220,32 +208,18 @@ def run_sweep(grid: SweepGrid, out_dir) -> list[CellResult]:
 
 
 def locate_regime_flip(
-    initial,
-    params: EconomyParams,
-    envy: EnvySpec,
-    nu_lo: float,
-    nu_hi: float,
-    tol: float = 1e-10,
+    initial, params: EconomyParams, envy: EnvySpec, nu_lo: float, nu_hi: float
 ) -> float:
-    """Bisect the tilt at which the classified regime flips to polarised.
+    """The tilt at which the classified regime flips to polarised.
 
     Requires an egalitarian classification at ``nu_lo`` and a polarised
-    one at ``nu_hi`` (the threshold is monotone in the tilt, so the flip
-    is unique).  Boundary classifications count as not-yet-polarised.
+    one at ``nu_hi``; boundary classifications count as not yet
+    polarised.  ``classify`` calls a start polarised once the threshold
+    ``gamma_star(nu)``, which falls with the tilt, lies at least
+    ``IDENTITY_TOL`` below the initial weight ``gamma0``.  So the flip is
+    the closed-form inverse ``nu_for_gamma(gamma0 - IDENTITY_TOL)``.
     """
-
-    def polarised(nu: float) -> bool:
-        return classify(initial, nu, params, envy).kind == "polarised"
-
-    if polarised(nu_lo) or not polarised(nu_hi):
-        raise ValidationError(
-            "nu_lo/nu_hi", "bracket must go egalitarian -> polarised"
-        )
-    lo, hi = nu_lo, nu_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if polarised(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    below = classify(initial, nu_lo, params, envy)
+    if below.kind == "polarised" or classify(initial, nu_hi, params, envy).kind != "polarised":
+        raise ValidationError("nu_lo/nu_hi", "bracket must go egalitarian -> polarised")
+    return nu_for_gamma(below.gamma0 - IDENTITY_TOL, params).raw

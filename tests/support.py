@@ -1,7 +1,8 @@
 """Shared fixtures and oracles for the test suite.
 
 The oracles here are deliberately independent of the package's solution
-paths: the Gini oracle is the O(N^2) pairwise sum, utility optimality is
+paths: the Gini oracles are the O(N^2) pairwise sum and the scalar
+sorted-rank formula the package's block form replaced, utility optimality is
 checked by brute-force grid search on the budget line, one period is
 solved by the scalar one-vector solver the lockstep kernel replaced, and
 equilibrium paths are audited against the conservation laws and
@@ -20,11 +21,11 @@ from joneses import (
     budget_check,
     gamma_hat,
     gamma_star,
-    gini,
     savings_rate,
     validate_params,
 )
 from joneses.core import factor_prices, tax_rates
+from joneses.envy import as_distribution
 from joneses.equilibrium import fixed_point_active_set, fixed_point_bisection
 from joneses.errors import DomainError, EnvyTooStrong, JonesesError, NoPositiveRoot
 
@@ -44,6 +45,24 @@ def gini_pairwise(values) -> float:
     x = np.asarray(values, dtype=float)
     n = x.size
     return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * x.mean()))
+
+
+def gini_oracle(values) -> float:
+    """Scalar sorted-rank Gini of one vector: ``gini`` must equal it bit for bit.
+
+    The formula, exact cases and clipping of ``joneses.envy.gini``, written
+    out for one vector instead of the package's block of rows.
+    """
+    arr = as_distribution(values)
+    x = np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
+    n = x.size
+    if x[0] == x[-1]:
+        return 0.0
+    if x[-2] == 0.0:
+        return (n - 1.0) / n
+    ranks = np.arange(1, n + 1, dtype=float)
+    g = 2.0 * (ranks @ x) / (n * x.sum()) - (n + 1.0) / n
+    return float(min(max(g, 0.0), (n - 1.0) / n))
 
 
 def active_set_oracle(income, z, total, delta, xi_over_nu_next):
@@ -84,8 +103,8 @@ def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibri
         order[:] = np.argsort(beq, kind="stable")
         asc = beq[order]
     k = float(beq.mean())
-    g = gini(asc)
-    gamma = float(envy.weight(asc))
+    g = gini_oracle(asc)
+    gamma = float(envy.base + envy.scale * g)
     z = gamma / (1.0 + gamma)
     prices = factor_prices(k, params)
     taxes = tax_rates(nu_t, params)

@@ -256,9 +256,7 @@ def test_criterion_8_breakpoint_reproduction(tmp_path):
         lo = rows[changes[0] - 1].values[0]
         hi = rows[changes[0]].values[0]
         assert lo < analytic < hi
-        flip = locate_regime_flip(
-            np.array(initial), BASELINE, UNIT_ENVY, lo, hi, tol=1e-11
-        )
+        flip = locate_regime_flip(np.array(initial), BASELINE, UNIT_ENVY, lo, hi)
         assert abs(flip - analytic) < 1e-9
 
 

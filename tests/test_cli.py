@@ -45,6 +45,12 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "initial.total" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [["a", 1, 1, 1], [[0.1], 1, 1, 1], [True, 0.5, 0.5, 0.5]])
+    def test_non_number_values_are_an_input_error(self, scenario_file, capsys, values):
+        path = scenario_file("values.json", initial={"values": values})
+        assert main(["validate", path]) == 1
+        assert "error: initial.values: expected numbers" in capsys.readouterr().err
+
     def test_missing_file_exits_three(self, capsys):
         assert main(["validate", "/nonexistent/nowhere.json"]) == 3
         assert "io error" in capsys.readouterr().err

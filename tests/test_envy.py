@@ -14,7 +14,7 @@ from joneses import (
     gini,
     validate_envy,
 )
-from support import BASELINE, gini_pairwise
+from support import BASELINE, gini_oracle, gini_pairwise
 
 # Integer-valued distributions keep share arithmetic exact, which lets the
 # dominance and symmetry properties assert equalities without tolerance.
@@ -84,6 +84,37 @@ class TestGini:
             reversed_view = asc[::-1].copy()[::-1]  # ascending, negative stride
             assert gini(asc) == gini(values)
             assert gini(reversed_view) == gini(values)
+
+
+@st.composite
+def gini_vectors(draw):
+    """Nonnegative vectors with a positive total: lognormal draws, ties, zeros,
+    a single positive holder, or all equal, in any order."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 64, 20000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "ties", "zeros", "single", "equal"]))
+    values = rng.lognormal(sigma=draw(st.floats(0.0, 3.0)), size=n)
+    if kind == "ties":
+        values = values[rng.integers(0, min(draw(st.integers(1, 4)), n), size=n)]
+    elif kind == "zeros":
+        values[rng.random(n) < draw(st.floats(0.0, 0.95))] = 0.0
+        values[rng.integers(0, n)] = 1.5
+    elif kind == "single":
+        values = np.zeros(n)
+        values[rng.integers(0, n)] = 0.3
+    elif kind == "equal":
+        values = np.full(n, values[0])
+    return values
+
+
+@given(values=gini_vectors(), base=st.floats(0.0, 2.0), scale=st.floats(0.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_gini_and_weight_equal_the_scalar_oracle_bit_for_bit(values, base, scale):
+    spec = EnvySpec(base=base, scale=scale)
+    for x in (values, np.sort(values)):
+        g = gini_oracle(x)
+        assert gini(x).hex() == g.hex()
+        assert spec.weight(x).hex() == (base + scale * g).hex()
 
 
 class TestDistributionValidation:
@@ -253,6 +284,13 @@ class TestEnvySpecValidation:
 
         with pytest.raises(DomainError):
             EnvySpec(**{field: bad})
+
+
+@given(base=st.floats(0.0, 2.0), scale=st.floats(0.0, 5.0), n=st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_max_weight_is_the_weight_of_a_single_holder(base, scale, n):
+    spec = EnvySpec(base=base, scale=scale)
+    assert spec.max_weight(n) == gamma_uniform_top(spec, 1, n)
 
 
 class TestValidateEnvy:

@@ -240,6 +240,63 @@ def _assert_same_records(a, b):
             assert x == y, field.name
 
 
+class TestBisectionFallback:
+    """Valid inputs on which no active set is consistent, so bisection must run.
+
+    At the root one dynasty sits exactly at a kink of the fixed-point map.
+    Rounding then rejects both candidate sets that meet there: the set
+    without that dynasty finds it saving, and the set with it finds it not.
+    """
+
+    # one period of solve_temporary([0.0600..., 0.0597..., 0.0382..., 0.0], nu=1.0,
+    # nu_next=0.7164648121528091) on BASELINE with UNIT_ENVY
+    INCOME = np.array(
+        [0.35953047493850576, 0.35896626030278234, 0.3033339720468496, 0.20436614145762758]
+    )
+    Z, TOTAL, DELTA, XNN = 0.2417032166616897, 0.3065492121864413, 1.0, 2.791483916691552
+    BEQUESTS = [0.06000480590980038, 0.05978661408086293, 0.03827261931010785, 0.0]
+    NU_NEXT = 0.7164648121528091
+
+    def test_scan_finds_no_set_and_bisection_finds_the_root(self):
+        args = (self.INCOME, self.Z, self.TOTAL, self.DELTA, self.XNN)
+        assert fixed_point_active_set(*args) is None
+        assert active_set_oracle(*args) is None
+        kappa = fixed_point_bisection(*args)
+        assert 0.0 < kappa < self.TOTAL
+        heads = self.DELTA * (self.INCOME - self.Z * (self.TOTAL - kappa)) - self.XNN * kappa
+        residual = np.maximum(0.0, heads).sum() / ((1.0 + self.DELTA) * self.INCOME.size) - kappa
+        assert abs(residual) < 1e-12
+        assert abs(heads[-1]) < 1e-12  # the poorest dynasty sits at its kink
+
+    def test_kernel_falls_back_and_matches_the_oracle(self, monkeypatch):
+        # The Gini's BLAS dot may round differently on another host, which moves
+        # the kink by an ulp or so: search the announced tilt ulp by ulp.
+        import joneses.equilibrium as equilibrium
+
+        calls = []
+        bisection = equilibrium.fixed_point_bisection
+        monkeypatch.setattr(
+            equilibrium,
+            "fixed_point_bisection",
+            lambda *args: calls.append(args) or bisection(*args),
+        )
+        beq = np.array(self.BEQUESTS)
+        nu_next = up = down = self.NU_NEXT
+        for step in range(2000):
+            record = solve_temporary(WealthState(0, beq), 1.0, nu_next, BASELINE, UNIT_ENVY)
+            if calls:
+                break
+            if step % 2:
+                nu_next = down = np.nextafter(down, 0.0)
+            else:
+                nu_next = up = np.nextafter(up, 2.0)
+        assert calls, "no announced tilt near the kink made the scan fall back"
+        want = period_oracle(beq, np.argsort(beq, kind="stable"), 1.0, nu_next, BASELINE, UNIT_ENVY)
+        _assert_same_records(record, want)
+        assert record.bequests_next.tobytes() == want.bequests_next.tobytes()
+        assert record.k_next == pytest.approx(0.0510915353643, abs=1e-12)
+
+
 def _chain_of_solves(initial, nus, horizon, params, envy):
     """The path as public solve_temporary calls, every period solved afresh."""
     records, beq = [], initial

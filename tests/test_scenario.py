@@ -35,6 +35,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_scenario(path)
 
+    def test_non_number_values_name_the_entry(self):
+        obj = minimal_obj()
+        obj["initial"]["values"] = [0.1, "a", 0.1, 0.1]
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(obj)
+        assert str(exc.value) == "initial.values: expected numbers, got 'a'"
+
     def test_assumption_violation_addresses_phi(self):
         obj = minimal_obj()
         obj["params"]["phi"] = 0.4
@@ -52,6 +59,9 @@ class TestParsing:
             (lambda o: o["envy"].update(scale=9.0), "envy.scale"),
             (lambda o: o["initial"].update(values=[1, 2]), "initial.values"),
             (lambda o: o["initial"].update(values=[0, 0, 0, 0]), "initial.values"),
+            (lambda o: o["initial"].update(values=["a", 1, 1, 1]), "initial.values"),
+            (lambda o: o["initial"].update(values=[[0.1], 1, 1, 1]), "initial.values"),
+            (lambda o: o["initial"].update(values=[True, 0.5, 0.5, 0.5]), "initial.values"),
             (lambda o: o["run"].update(horizon=0), "run.horizon"),
             (lambda o: o["run"].update(tol=-1.0), "run.tol"),
             pytest.param(

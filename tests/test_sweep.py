@@ -6,9 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from joneses import classify, constant_schedule, locate_regime_flip, simulate, sweep
-from joneses.errors import JonesesError, ValidationError
-from joneses.scenario import parse_scenario
+from joneses import EnvySpec, classify, constant_schedule, locate_regime_flip, simulate, sweep
+from joneses.errors import JonesesError, ParseError, ValidationError
+from joneses.scenario import load_scenario, parse_scenario
 from joneses.sweep import (
     CellResult,
     cell_scenario,
@@ -60,6 +60,16 @@ class TestParseGrid:
             % __import__("json").dumps(template())
         )
         assert load_grid(path).n_cells == 1
+
+    def test_malformed_file_raises_the_scenario_loader_message(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ParseError) as grid_exc:
+            load_grid(path)
+        with pytest.raises(ParseError) as scenario_exc:
+            load_scenario(path)
+        assert str(grid_exc.value) == str(scenario_exc.value)
+        assert str(grid_exc.value).startswith(f"{path}: Expecting property name")
 
 
 class TestRunSweep:
@@ -169,6 +179,26 @@ class TestRunSweep:
         results = run_sweep(grid, tmp_path)
         # threshold at nu=1 is 2/3: only the 0.7 start polarises
         assert [r.regime for r in results] == ["egalitarian", "egalitarian", "polarised"]
+
+    @pytest.mark.parametrize(
+        "initial, error",
+        [
+            ({"values": ["a", 1, 1, 1]}, "initial.values: expected numbers, got 'a'"),
+            ({"values": [True, 0.5, 0.5, 0.5]}, "initial.values: expected numbers, got True"),
+            (
+                {"generator": "random", "total": "x"},
+                "initial.total: expected a number, got 'x'",
+            ),
+        ],
+    )
+    def test_gini_axis_rejects_a_template_total_that_is_not_a_number(
+        self, tmp_path, initial, error
+    ):
+        obj = template()
+        obj["initial"] = initial
+        grid = parse_grid({"template": obj, "axes": [{"name": "gini0", "values": [0.0, 0.5]}]})
+        results = run_sweep(grid, tmp_path)
+        assert [(r.regime, r.error) for r in results] == [("error", error)] * 2
 
     def test_technology_and_preference_axes(self, tmp_path):
         grid = parse_grid(
@@ -288,6 +318,20 @@ class TestLocateRegimeFlip:
             init, BASELINE, UNIT_ENVY, BASELINE.nu_lower, BASELINE.nu_upper
         )
         assert flip == pytest.approx(2 / 0.7 - 2, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "init, envy",
+        [
+            ([0.95, 0.05 / 3, 0.05 / 3, 0.05 / 3], UNIT_ENVY),
+            ([0.3, 0.05, 0.05, 0.0], EnvySpec(0.1, 1.0)),
+            ([0.2, 0.2, 0.0, 0.0], EnvySpec(0.0, 1.4)),
+        ],
+    )
+    def test_classification_flips_at_the_returned_tilt(self, init, envy):
+        init = np.array(init)
+        flip = locate_regime_flip(init, BASELINE, envy, BASELINE.nu_lower, BASELINE.nu_upper)
+        assert classify(init, flip * (1.0 + 1e-9), BASELINE, envy).kind == "polarised"
+        assert classify(init, flip * (1.0 - 1e-9), BASELINE, envy).kind != "polarised"
 
     def test_requires_proper_bracket(self):
         init = np.array([0.4, 0.0, 0.0, 0.0])  # polarised on the whole segment
