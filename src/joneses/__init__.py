@@ -38,7 +38,6 @@ from .equilibrium import (
     SteadyState,
     TemporaryEquilibrium,
     Trajectory,
-    WealthState,
     classify,
     detect_convergence,
     egalitarian_steady,
@@ -79,7 +78,6 @@ __all__ = [
     "dominates",
     "gamma_uniform_top",
     "validate_envy",
-    "WealthState",
     "TemporaryEquilibrium",
     "Trajectory",
     "SteadyState",

@@ -167,10 +167,10 @@ def savings_rate(gamma: float, m: float, nu: float, params: EconomyParams) -> fl
     """
     if not 0.0 < m <= 1.0:
         raise DomainError(f"saver share m must lie in (0, 1], got {m}")
-    if not gamma >= 0.0:
-        raise DomainError(f"envy weight must be >= 0, got {gamma}")
-    if not nu > 0.0:
-        raise DomainError(f"nu must be > 0, got {nu}")
+    if not 0.0 <= gamma < float("inf"):
+        raise DomainError(f"envy weight must be finite and >= 0, got {gamma}")
+    if not 0.0 < nu < float("inf"):
+        raise DomainError(f"nu must be finite and > 0, got {nu}")
     if gamma >= gamma_hat(nu, params):
         warnings.warn(
             f"gamma={gamma} >= gamma_hat(nu)={gamma_hat(nu, params)}; "
@@ -229,8 +229,8 @@ def nu_for_gamma(gamma_target: float, params: EconomyParams) -> NuForGamma:
     values within 1e-12 of a bound snap to it unflagged, so that exact
     round trips are not spuriously reported as clamps.
     """
-    if not gamma_target > 0.0:
-        raise DomainError(f"gamma_target must be > 0, got {gamma_target}")
+    if not 0.0 < gamma_target < float("inf"):
+        raise DomainError(f"gamma_target must be finite and > 0, got {gamma_target}")
     raw = params.delta * params.xi / gamma_target - params.xi
     lo, hi = params.nu_lower, params.nu_upper
     for bound in (lo, hi):

@@ -140,7 +140,9 @@ _UNIT = (EnvySpec(),)  # weight = gini, for gini itself
 def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:
     """Envy weight when n of n_agents dynasties split all wealth equally.
 
-    Evaluated on the canonical vector (0, ..., 0, 1/n, ..., 1/n); for the
+    Bit for bit ``spec.weight`` of the canonical vector (0, ..., 0, 1/n,
+    ..., 1/n), which is built ascending and valid, so it goes straight to
+    :func:`_gini_weights` without a validation pass.  For the
     Gini-affine functional this equals base + scale * (N - n) / N.
     Strictly decreasing in n whenever the functional is strictly
     dominance-monotone.
@@ -151,7 +153,7 @@ def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:
         raise DomainError(f"rich count must lie in 1..{n_agents}, got {n}")
     values = np.zeros(n_agents)
     values[n_agents - n :] = 1.0 / n
-    return spec.weight(values)
+    return float(_gini_weights(values[None], (spec,))[1][0])
 
 
 def validate_envy(spec: EnvySpec, params: EconomyParams) -> EnvySpec:

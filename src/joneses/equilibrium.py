@@ -20,8 +20,10 @@ slopes are all below one, so the root is unique.  It is found exactly
 by scanning candidate active sets (the top-``a`` incomes) in vectorised
 blocks for the first consistent one; bisection finds it where rounding
 leaves none consistent (a dynasty exactly at a kink).  Richer parents
-leave weakly richer heirs, so a path validates and sorts its initial
-vector once and then only checks that order, in O(N), each period.
+leave weakly richer heirs, so a path sorts its initial vector once and
+then only checks that order, in O(N), each period.  A wealth vector is
+validated once, where it enters: the public functions here take plain
+vectors, and nothing behind them validates the same vector again.
 
 There is one period kernel, and it solves a (C x N) block of bequest
 rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
@@ -83,23 +85,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class WealthState:
-    """Inherited bequest vector at the start of a period."""
-
-    period: int
-    bequests: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bequests", as_distribution(self.bequests))
-        if self.period < 0:
-            raise DomainError(f"period must be >= 0, got {self.period}")
-
-    @property
-    def capital_intensity(self) -> float:
-        return float(self.bequests.mean())
-
-
-@dataclass(frozen=True)
 class TemporaryEquilibrium:
     """One period's market-clearing allocation and its diagnostics."""
 
@@ -114,7 +99,6 @@ class TemporaryEquilibrium:
     avg_consumption: float
     prices: FactorPrices
     taxes: TaxRates
-    nu_next: float
     m_count: int  # dynasties leaving positive bequests
 
     @property
@@ -243,7 +227,7 @@ def fixed_point_bisection(
 
 
 def solve_temporary(
-    state: WealthState,
+    bequests: Sequence[float] | np.ndarray,
     nu_t: float,
     nu_next: float,
     params: EconomyParams,
@@ -251,14 +235,16 @@ def solve_temporary(
 ) -> TemporaryEquilibrium:
     """Solve the unique temporary equilibrium for one period.
 
-    ``nu_t`` prices the period's taxes; ``nu_next`` is the announced
+    ``bequests`` is the inherited vector, validated here like the initial
+    vector of :func:`simulate` (N entries, finite, nonnegative, positive
+    total).  ``nu_t`` prices the period's taxes; ``nu_next`` is the announced
     next-period tilt entering the bequest motive.  The caller is
     responsible for having validated ``envy`` against the existence
     bound; the realized floor condition (every dynasty can consume above
     z times average consumption) is guarded here regardless and raises
     :class:`EnvyTooStrong` when violated.
     """
-    beq = as_distribution(state.bequests, params.n_agents)
+    beq = as_distribution(bequests, params.n_agents)
     return _solve_one(beq, np.argsort(beq, kind="stable"), nu_t, nu_next, params, envy)
 
 
@@ -410,7 +396,6 @@ def _solve_block(beq, order, paths, keep=False):
                 avg_consumption=float(avg[i]),
                 prices=prices[i],
                 taxes=p.taxes,
-                nu_next=p.nu_next,
                 m_count=int(m[i]),
             )
             if ok[i]
@@ -729,9 +714,11 @@ def classify(
     dynasties tied at the highest initial bequest (counted by exact
     value equality) end up holding everything.  Within 1e-12 of the
     threshold the long-run limit is not claimed ("boundary").
+    ``gamma0`` is bit for bit ``envy.weight(initial)``, computed on the
+    sorted vector without validating it a second time.
     """
     beq = as_distribution(initial, params.n_agents)
-    gamma0 = float(envy.weight(beq))
+    gamma0 = float(_gini_weights(np.sort(beq)[None], (envy,))[1][0])
     threshold = gamma_star(nu, params)
     n = params.n_agents
     if abs(gamma0 - threshold) < IDENTITY_TOL:

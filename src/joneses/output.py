@@ -159,10 +159,10 @@ class _Canvas:
             f'fill="{fill}" stroke="{color}" stroke-width="1.5"/>'
         )
 
-    def label(self, x, y, text, color="black", dx=6.0, dy=-6.0, size=11):
+    def label(self, x, y, text, color="black", dy=-6.0):
         self.parts.append(
-            f'<text x="{_px(self.x(x) + dx)}" y="{_px(self.y(y) + dy)}" '
-            f'font-family="sans-serif" font-size="{size}" fill="{color}">{text}</text>'
+            f'<text x="{_px(self.x(x) + 6.0)}" y="{_px(self.y(y) + dy)}" '
+            f'font-family="sans-serif" font-size="11" fill="{color}">{text}</text>'
         )
 
     def note(self, line_no, text, color="black"):

@@ -61,9 +61,12 @@ def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
         raise ValidationError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
 
 
-def _number(obj: dict, key: str, path: str, default=None, required=True) -> float:
+_REQUIRED = object()  # default of a field that must be present
+
+
+def _number(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
     if key not in obj:
-        if required:
+        if default is _REQUIRED:
             raise ValidationError(f"{path}.{key}", "missing required field")
         return default
     v = obj[key]
@@ -80,9 +83,9 @@ def numbers(values: list, path: str) -> list:
     return values
 
 
-def _integer(obj: dict, key: str, path: str, default=None, required=True):
+def _integer(obj: dict, key: str, path: str, default=_REQUIRED):
     if key not in obj:
-        if required:
+        if default is _REQUIRED:
             raise ValidationError(f"{path}.{key}", "missing required field")
         return default
     v = obj[key]
@@ -112,8 +115,8 @@ def _parse_envy(obj, params: EconomyParams) -> EnvySpec:
     kind = section.get("kind", "gini_linear")
     if kind != "gini_linear":
         raise ValidationError("envy.kind", f"unknown functional {kind!r}; known: 'gini_linear'")
-    base = _number(section, "base", "envy", default=0.0, required=False)
-    scale = _number(section, "scale", "envy", default=1.0, required=False)
+    base = _number(section, "base", "envy", default=0.0)
+    scale = _number(section, "scale", "envy", default=1.0)
     try:
         return validate_envy(EnvySpec(base=base, scale=scale), params)
     except ExistenceBoundViolated as exc:
@@ -125,7 +128,7 @@ def _parse_envy(obj, params: EconomyParams) -> EnvySpec:
 def _generate_initial(section: dict, params: EconomyParams, seed) -> np.ndarray:
     n = params.n_agents
     name = section["generator"]
-    total = _number(section, "total", "initial", default=1.0, required=False)
+    total = _number(section, "total", "initial", default=1.0)
     if not 0.0 < total < np.inf:
         raise ValidationError("initial.total", f"total wealth must be finite and > 0, got {total}")
     if name == "top_share":
@@ -210,10 +213,12 @@ def parse_scenario(obj, source: str = "<config>") -> Scenario:
     horizon = _integer(run, "horizon", "run")
     if horizon < 1:
         raise ValidationError("run.horizon", f"must be >= 1, got {horizon}")
-    tol = _number(run, "tol", "run", default=DEFAULT_TOL, required=False)
+    tol = _number(run, "tol", "run", default=DEFAULT_TOL)
     if not 0.0 < tol < np.inf:
         raise ValidationError("run.tol", f"must be finite and > 0, got {tol}")
-    seed = _integer(run, "seed", "run", default=None, required=False)
+    seed = _integer(run, "seed", "run", default=None)
+    if seed is not None and seed < 0:
+        raise ValidationError("run.seed", f"must be >= 0, got {seed}")
     initial = _parse_initial(root["initial"], params, seed)
     schedule = _parse_schedule(root["schedule"], params)
     return Scenario(

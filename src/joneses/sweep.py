@@ -43,10 +43,6 @@ class SweepGrid:
     axes: tuple[tuple[str, tuple[float, ...]], ...]
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(vals) for _, vals in self.axes)
-
-    @property
     def n_cells(self) -> int:
         total = 1
         for _, vals in self.axes:
@@ -74,6 +70,8 @@ def parse_grid(obj, source: str = "<grid>") -> SweepGrid:
         name = axis["name"]
         if name not in AXIS_NAMES:
             raise ValidationError(f"{path}.name", f"unknown axis {name!r}; known: {AXIS_NAMES}")
+        if any(name == seen for seen, _ in axes):
+            raise ValidationError(f"{path}.name", f"axis {name!r} is already in the grid")
         values = axis["values"]
         if not isinstance(values, list) or not values:
             raise ValidationError(f"{path}.values", "expected a nonempty list of numbers")

@@ -12,6 +12,7 @@ monotonicity statements recomputed from raw quantities.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from joneses import (
     ConvergenceReport,
@@ -45,6 +46,28 @@ def gini_pairwise(values) -> float:
     x = np.asarray(values, dtype=float)
     n = x.size
     return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * x.mean()))
+
+
+@st.composite
+def gini_vectors(draw, sizes):
+    """Nonnegative vectors of a length in ``sizes`` with a positive total:
+    lognormal draws, ties, zeros, a single positive holder, or all equal,
+    in any order."""
+    n = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "ties", "zeros", "single", "equal"]))
+    values = rng.lognormal(sigma=draw(st.floats(0.0, 3.0)), size=n)
+    if kind == "ties":
+        values = values[rng.integers(0, min(draw(st.integers(1, 4)), n), size=n)]
+    elif kind == "zeros":
+        values[rng.random(n) < draw(st.floats(0.0, 0.95))] = 0.0
+        values[rng.integers(0, n)] = 1.5
+    elif kind == "single":
+        values = np.zeros(n)
+        values[rng.integers(0, n)] = 0.3
+    elif kind == "equal":
+        values = np.full(n, values[0])
+    return values
 
 
 def gini_oracle(values) -> float:
@@ -147,7 +170,6 @@ def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibri
         avg_consumption=avg_consumption,
         prices=prices,
         taxes=taxes,
-        nu_next=nu_next,
         m_count=int(np.count_nonzero(bequests_next > 0.0)),
     )
 

@@ -19,7 +19,6 @@ import pytest
 
 from joneses import (
     EnvySpec,
-    WealthState,
     constant_schedule,
     egalitarian_steady,
     gamma_star,
@@ -165,7 +164,7 @@ def test_criterion_5_solver_correctness():
             envy = random_envy(rng, p)
             nu_t, nu_next = random_nu(rng, p), random_nu(rng, p)
             beq = random_initial(rng, p)
-            eq = solve_temporary(WealthState(0, beq), nu_t, nu_next, p, envy)
+            eq = solve_temporary(beq, nu_t, nu_next, p, envy)
             income = (
                 (1.0 - eq.taxes.tau_s)
                 * eq.prices.gross_return
@@ -192,7 +191,7 @@ def test_criterion_6_steady_state_self_consistency():
             envy = random_envy(rng, p)
             nu = random_nu(rng, p)
             egal = egalitarian_steady(p, nu, envy)
-            eq = solve_temporary(WealthState(0, egal.bequests), nu, nu, p, envy)
+            eq = solve_temporary(egal.bequests, nu, nu, p, envy)
             assert np.abs(eq.bequests_next - egal.bequests).max() < TOL_SOLVER
             assert np.abs(eq.consumptions - egal.consumptions).max() < TOL_SOLVER
             rich = int(rng.integers(1, p.n_agents))
@@ -200,7 +199,7 @@ def test_criterion_6_steady_state_self_consistency():
                 pol = polarised_steady(p, nu, envy, rich)
             except NotSustainable:
                 continue
-            eq = solve_temporary(WealthState(0, pol.bequests), nu, nu, p, envy)
+            eq = solve_temporary(pol.bequests, nu, nu, p, envy)
             assert np.abs(eq.bequests_next - pol.bequests).max() < TOL_SOLVER
             assert np.abs(eq.consumptions - pol.consumptions).max() < TOL_SOLVER
             checked += 1

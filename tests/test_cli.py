@@ -51,6 +51,15 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "error: initial.values: expected numbers" in capsys.readouterr().err
 
+    def test_negative_seed_is_an_input_error(self, scenario_file, capsys):
+        path = scenario_file(
+            "seed.json",
+            initial={"generator": "random", "total": 1.0},
+            run={"horizon": 120, "seed": -1},
+        )
+        assert main(["validate", path]) == 1
+        assert "error: run.seed: must be >= 0" in capsys.readouterr().err
+
     def test_missing_file_exits_three(self, capsys):
         assert main(["validate", "/nonexistent/nowhere.json"]) == 3
         assert "io error" in capsys.readouterr().err
@@ -188,6 +197,20 @@ class TestPlots:
         )
         assert rc == 0
         assert "breakpoint=0.857142857" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("curve", ["inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan"])
+    def test_non_finite_curve_is_an_input_error(self, scenario_file, tmp_path, capsys, curve):
+        out = tmp_path / "phase.svg"
+        assert main(["plot-phase", scenario_file(), "--curve", curve, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma0", ["inf", "nan"])
+    def test_non_finite_gamma0_is_an_input_error(self, scenario_file, tmp_path, capsys, gamma0):
+        out = tmp_path / "savings.svg"
+        assert main(["plot-savings", scenario_file(), "--gamma0", gamma0, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_curve_spec_exits_one(self, scenario_file, tmp_path):
         rc = main(

@@ -147,6 +147,14 @@ class TestSavingsRate:
         with pytest.raises(DomainError):
             savings_rate(-0.1, 1.0, 1.0, BASELINE)
 
+    @pytest.mark.parametrize(
+        "gamma, nu",
+        [(np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan), (0.0, 0.0), (0.0, -1.0)],
+    )
+    def test_envy_and_tilt_domain(self, gamma, nu):
+        with pytest.raises(DomainError):
+            savings_rate(gamma, 1.0, nu, BASELINE)
+
     def test_warns_at_existence_ceiling(self):
         with pytest.warns(EnvyBoundWarning):
             savings_rate(gamma_hat(1.0, BASELINE) + 0.1, 1.0, 1.0, BASELINE)
@@ -301,3 +309,8 @@ class TestNuForGamma:
     def test_nonpositive_target_rejected(self):
         with pytest.raises(DomainError):
             nu_for_gamma(0.0, BASELINE)
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, -np.inf])
+    def test_non_finite_target_rejected(self, gamma):
+        with pytest.raises(DomainError):
+            nu_for_gamma(gamma, BASELINE)

@@ -14,7 +14,7 @@ from joneses import (
     gini,
     validate_envy,
 )
-from support import BASELINE, gini_oracle, gini_pairwise
+from support import BASELINE, gini_oracle, gini_pairwise, gini_vectors
 
 # Integer-valued distributions keep share arithmetic exact, which lets the
 # dominance and symmetry properties assert equalities without tolerance.
@@ -86,28 +86,11 @@ class TestGini:
             assert gini(reversed_view) == gini(values)
 
 
-@st.composite
-def gini_vectors(draw):
-    """Nonnegative vectors with a positive total: lognormal draws, ties, zeros,
-    a single positive holder, or all equal, in any order."""
-    n = draw(st.sampled_from([1, 2, 3, 4, 64, 20000]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "ties", "zeros", "single", "equal"]))
-    values = rng.lognormal(sigma=draw(st.floats(0.0, 3.0)), size=n)
-    if kind == "ties":
-        values = values[rng.integers(0, min(draw(st.integers(1, 4)), n), size=n)]
-    elif kind == "zeros":
-        values[rng.random(n) < draw(st.floats(0.0, 0.95))] = 0.0
-        values[rng.integers(0, n)] = 1.5
-    elif kind == "single":
-        values = np.zeros(n)
-        values[rng.integers(0, n)] = 0.3
-    elif kind == "equal":
-        values = np.full(n, values[0])
-    return values
-
-
-@given(values=gini_vectors(), base=st.floats(0.0, 2.0), scale=st.floats(0.0, 5.0))
+@given(
+    values=gini_vectors(sizes=(1, 2, 3, 4, 64, 20000)),
+    base=st.floats(0.0, 2.0),
+    scale=st.floats(0.0, 5.0),
+)
 @settings(max_examples=300, deadline=None)
 def test_gini_and_weight_equal_the_scalar_oracle_bit_for_bit(values, base, scale):
     spec = EnvySpec(base=base, scale=scale)
@@ -115,6 +98,20 @@ def test_gini_and_weight_equal_the_scalar_oracle_bit_for_bit(values, base, scale
         g = gini_oracle(x)
         assert gini(x).hex() == g.hex()
         assert spec.weight(x).hex() == (base + scale * g).hex()
+
+
+@given(
+    base=st.floats(0.0, 2.0),
+    scale=st.floats(0.0, 5.0),
+    n_agents=st.sampled_from([1, 2, 3, 4, 7, 64, 1000]),
+)
+@settings(max_examples=60, deadline=None)
+def test_gamma_uniform_top_is_the_weight_of_the_canonical_vector(base, scale, n_agents):
+    spec = EnvySpec(base=base, scale=scale)
+    for n in range(1, n_agents + 1):
+        canonical = np.zeros(n_agents)
+        canonical[n_agents - n :] = 1.0 / n
+        assert gamma_uniform_top(spec, n, n_agents).hex() == spec.weight(canonical).hex()
 
 
 class TestDistributionValidation:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from joneses import (
     EnvySpec,
     Trajectory,
-    WealthState,
     classify,
     constant_schedule,
     detect_convergence,
@@ -39,6 +38,7 @@ from joneses.equilibrium import (
 from joneses.errors import (
     DomainError,
     EnvyTooStrong,
+    LengthMismatch,
     NoPositiveRoot,
     NotSustainable,
     ScheduleTooShort,
@@ -52,6 +52,7 @@ from support import (
     chained_oracle,
     check_path_invariants,
     convergence_oracle,
+    gini_vectors,
     grid_search_best_utility,
     period_oracle,
     random_envy,
@@ -78,7 +79,7 @@ def _solver_inputs(beq, nu_t, params, envy):
 
 class TestSolveTemporary:
     def test_equal_start_matches_closed_form(self):
-        eq = solve_temporary(WealthState(0, [0.1] * 4), 1.0, 1.0, BASELINE, UNIT_ENVY)
+        eq = solve_temporary([0.1] * 4, 1.0, 1.0, BASELINE, UNIT_ENVY)
         k1 = 0.225 * 0.1 ** (1 / 3)
         assert eq.gamma == 0.0
         assert eq.k_next == pytest.approx(k1, abs=TOL_SOLVER)
@@ -93,14 +94,14 @@ class TestSolveTemporary:
             nu = random_nu(rng, p)
             level = rng.uniform(0.02, 2.0)
             eq = solve_temporary(
-                WealthState(0, [level] * p.n_agents), nu, nu, p, random_envy(rng, p)
+                [level] * p.n_agents, nu, nu, p, random_envy(rng, p)
             )
             assert np.unique(eq.bequests_next).size == 1
             assert np.unique(eq.consumptions).size == 1
 
     def test_polarised_start_satisfies_every_invariant(self):
         eq = solve_temporary(
-            WealthState(0, [0.4, 0, 0, 0]), 1.0, 1.0, BASELINE, UNIT_ENVY
+            [0.4, 0, 0, 0], 1.0, 1.0, BASELINE, UNIT_ENVY
         )
         assert eq.gamma == pytest.approx(0.75)
         assert eq.gamma > gamma_star(1.0, BASELINE)
@@ -116,7 +117,7 @@ class TestSolveTemporary:
 
     def test_polarised_start_agents_are_optimal_by_grid_search(self):
         eq = solve_temporary(
-            WealthState(0, [0.4, 0, 0, 0]), 1.0, 1.0, BASELINE, UNIT_ENVY
+            [0.4, 0, 0, 0], 1.0, 1.0, BASELINE, UNIT_ENVY
         )
         income, _, _ = _solver_inputs([0.4, 0, 0, 0], 1.0, BASELINE, UNIT_ENVY)
         for j in range(4):
@@ -134,7 +135,7 @@ class TestSolveTemporary:
     def test_full_participation_capital_law_with_bisection_cross_check(self):
         # with every dynasty saving, next capital is the closed-form savings
         # rate times output; the bisection root agrees independently
-        eq = solve_temporary(WealthState(0, [0.1] * 4), 1.0, 1.0, BASELINE, UNIT_ENVY)
+        eq = solve_temporary([0.1] * 4, 1.0, 1.0, BASELINE, UNIT_ENVY)
         expected = savings_rate(0.0, 1.0, 1.0, BASELINE) * 0.1 ** BASELINE.alpha
         assert eq.k_next == pytest.approx(expected, abs=TOL_SOLVER)
         income, z, total = _solver_inputs([0.1] * 4, 1.0, BASELINE, UNIT_ENVY)
@@ -159,7 +160,7 @@ class TestSolveTemporary:
     def test_envy_beyond_ceiling_raises(self):
         with pytest.raises(EnvyTooStrong):
             solve_temporary(
-                WealthState(0, [0.4, 0, 0, 0]), 1.0, 1.0, BASELINE, EnvySpec(0.0, 6.0)
+                [0.4, 0, 0, 0], 1.0, 1.0, BASELINE, EnvySpec(0.0, 6.0)
             )
 
     def test_no_positive_root_guard(self):
@@ -170,12 +171,15 @@ class TestSolveTemporary:
             )
 
     def test_state_validation(self):
-        with pytest.raises(DomainError):
-            WealthState(-1, [0.1, 0.1])
-        with pytest.raises(DomainError):
-            WealthState(0, [0.0, 0.0])
-        state = WealthState(3, [0.1, 0.3])
-        assert state.capital_intensity == pytest.approx(0.2)
+        # the inherited vector is validated where it enters the solver
+        eq = solve_temporary([0.1, 0.3, 0.0, 0.2], 1.0, 1.0, BASELINE, UNIT_ENVY)
+        assert eq.bequests.tobytes() == np.array([0.1, 0.3, 0.0, 0.2]).tobytes()
+        with pytest.raises(LengthMismatch):
+            solve_temporary([0.1, 0.3, 0.2], 1.0, 1.0, BASELINE, UNIT_ENVY)
+        bad = ([0.0] * 4, [0.2, -0.1, 0.1, 0.1], [0.1, np.nan, 0.1, 0.1], [0.1, np.inf, 0.1, 0.1])
+        for beq in bad:
+            with pytest.raises(DomainError):
+                solve_temporary(beq, 1.0, 1.0, BASELINE, UNIT_ENVY)
 
 
 def _active_count(income, z, total, delta, xnn, kappa):
@@ -283,7 +287,7 @@ class TestBisectionFallback:
         beq = np.array(self.BEQUESTS)
         nu_next = up = down = self.NU_NEXT
         for step in range(2000):
-            record = solve_temporary(WealthState(0, beq), 1.0, nu_next, BASELINE, UNIT_ENVY)
+            record = solve_temporary(beq, 1.0, nu_next, BASELINE, UNIT_ENVY)
             if calls:
                 break
             if step % 2:
@@ -301,7 +305,7 @@ def _chain_of_solves(initial, nus, horizon, params, envy):
     """The path as public solve_temporary calls, every period solved afresh."""
     records, beq = [], initial
     for t in range(horizon):
-        records.append(solve_temporary(WealthState(t, beq), nus[t], nus[t + 1], params, envy))
+        records.append(solve_temporary(beq, nus[t], nus[t + 1], params, envy))
         beq = records[-1].bequests_next
     return Trajectory(records=tuple(records))
 
@@ -313,7 +317,7 @@ class TestCarriedOrder:
         p = BASELINE
         for _ in range(20):
             beq = random_initial(rng, p)
-            fresh = solve_temporary(WealthState(0, beq), 1.0, 1.1, p, UNIT_ENVY)
+            fresh = solve_temporary(beq, 1.0, 1.1, p, UNIT_ENVY)
             order = {
                 "reversed": np.argsort(beq, kind="stable")[::-1].copy(),
                 "random": rng.permutation(p.n_agents),
@@ -546,7 +550,7 @@ class TestSimulate:
             [0.4, 0, 0, 0], constant_schedule(1.0, BASELINE), 1, BASELINE, UNIT_ENVY
         )
         eq = solve_temporary(
-            WealthState(0, [0.4, 0, 0, 0]), 1.0, 1.0, BASELINE, UNIT_ENVY
+            [0.4, 0, 0, 0], 1.0, 1.0, BASELINE, UNIT_ENVY
         )
         assert traj.horizon == 1
         np.testing.assert_array_equal(traj.records[0].bequests_next, eq.bequests_next)
@@ -614,7 +618,7 @@ class TestSteadyStates:
             envy = random_envy(rng, p)
             nu = random_nu(rng, p)
             state = egalitarian_steady(p, nu, envy)
-            eq = solve_temporary(WealthState(0, state.bequests), nu, nu, p, envy)
+            eq = solve_temporary(state.bequests, nu, nu, p, envy)
             np.testing.assert_allclose(
                 eq.bequests_next, state.bequests, atol=TOL_SOLVER
             )
@@ -637,7 +641,7 @@ class TestSteadyStates:
 
     def test_polarised_is_fixed_point_of_solver(self):
         state = polarised_steady(BASELINE, 1.0, UNIT_ENVY, rich_count=1)
-        eq = solve_temporary(WealthState(0, state.bequests), 1.0, 1.0, BASELINE, UNIT_ENVY)
+        eq = solve_temporary(state.bequests, 1.0, 1.0, BASELINE, UNIT_ENVY)
         np.testing.assert_allclose(eq.bequests_next, state.bequests, atol=TOL_SOLVER)
         np.testing.assert_allclose(eq.consumptions, state.consumptions, atol=TOL_SOLVER)
 
@@ -713,6 +717,18 @@ class TestClassify:
                 continue
             traj = simulate(initial, constant_schedule(nu, p), 400, p, envy)
             assert abs(traj.final_k - regime.limit_k) < 1e-6
+
+    @given(
+        values=gini_vectors(sizes=(2, 3, 4, 64, 20000)),
+        base=st.floats(0.0, 1.0),
+        scale=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gamma0_is_the_weight_of_the_start_bit_for_bit(self, values, base, scale):
+        envy = EnvySpec(base=base, scale=scale)
+        p = dataclasses.replace(BASELINE, n_agents=values.size)
+        for x in (values, values.tolist()):
+            assert classify(x, 1.0, p, envy).gamma0.hex() == envy.weight(x).hex()
 
 
 class TestDetectConvergence:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from joneses import (
-    WealthState,
     build_schedule,
     budget_check,
     compose_reform_schedule,
@@ -69,7 +68,7 @@ class TestBuildSchedule:
 class TestBudgetCheck:
     def test_solver_output_balances(self):
         eq = solve_temporary(
-            WealthState(0, [0.4, 0, 0, 0]), 1.0, 1.0, BASELINE, UNIT_ENVY
+            [0.4, 0, 0, 0], 1.0, 1.0, BASELINE, UNIT_ENVY
         )
         report = budget_check(eq, BASELINE)
         assert abs(report.rel_residual) < 1e-10
@@ -79,12 +78,12 @@ class TestBudgetCheck:
 
     def test_zero_spending_means_zero_revenue(self):
         p = dataclasses.replace(BASELINE, phi=0.0)
-        eq = solve_temporary(WealthState(0, [0.1] * 4), 1.0, 1.0, p, UNIT_ENVY)
+        eq = solve_temporary([0.1] * 4, 1.0, 1.0, p, UNIT_ENVY)
         report = budget_check(eq, p)
         assert report.revenue == 0.0 and report.spending == 0.0
 
     def test_perturbed_labour_tax_flags_violation(self):
-        eq = solve_temporary(WealthState(0, [0.1] * 4), 1.0, 1.0, BASELINE, UNIT_ENVY)
+        eq = solve_temporary([0.1] * 4, 1.0, 1.0, BASELINE, UNIT_ENVY)
         broken = dataclasses.replace(
             eq, taxes=dataclasses.replace(eq.taxes, tau_w=eq.taxes.tau_w + 1e-6)
         )

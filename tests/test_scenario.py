@@ -72,6 +72,14 @@ class TestParsing:
                 "initial.total",
                 id="infinite-initial.total",
             ),
+            pytest.param(
+                lambda o: (
+                    o.update(initial={"generator": "random"}),
+                    o["run"].update(seed=-1),
+                ),
+                "run.seed",
+                id="negative-run.seed",
+            ),
             (lambda o: o["schedule"]["segments"][0].update(nu=0.2), "schedule.segments"),
             (lambda o: o.update(extra=1), "<config>"),
             (lambda o: o["params"].update(bogus=1), "params"),

@@ -35,7 +35,13 @@ class TestParseGrid:
         grid = parse_grid(
             {"template": template(), "axes": [{"name": "nu", "values": [0.8, 1.0]}]}
         )
-        assert grid.shape == (2,) and grid.n_cells == 2
+        assert grid.axes == (("nu", (0.8, 1.0)),) and grid.n_cells == 2
+
+    def test_repeated_axis(self):
+        axes = [{"name": "nu", "values": [0.8, 0.9]}, {"name": "nu", "values": [1.0]}]
+        with pytest.raises(ValidationError) as exc:
+            parse_grid({"template": template(), "axes": axes})
+        assert exc.value.path == "axes[1].name"
 
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):
