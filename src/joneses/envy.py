@@ -28,7 +28,7 @@ ArrayLike = Sequence[float] | np.ndarray
 
 
 def as_distribution(values: ArrayLike, n_agents: int | None = None) -> np.ndarray:
-    """Validate a wealth distribution: 1-D, finite, nonnegative, positive total."""
+    """Validate a wealth distribution: 1-D, finite, nonnegative, finite positive total."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("wealth distribution must be a nonempty 1-D sequence")
@@ -40,8 +40,10 @@ def as_distribution(values: ArrayLike, n_agents: int | None = None) -> np.ndarra
         raise DomainError("wealth distribution contains non-finite entries")
     if (arr < 0.0).any():
         raise DomainError("bequests must be nonnegative")
-    if not arr.sum() > 0.0:
-        raise DomainError("total wealth must be positive")
+    with np.errstate(over="ignore"):  # an overflowing total is rejected, not warned about
+        total = arr.sum()
+    if not 0.0 < total < np.inf:
+        raise DomainError("total wealth must be finite and positive")
     return arr
 
 

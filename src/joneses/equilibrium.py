@@ -32,8 +32,8 @@ sweep uses, runs a block of cells that share the horizon and the number
 of dynasties.  Every row is rounded exactly as it would be alone:
 row-wise means, sums and cumulative sums equal the 1-D calls bit for
 bit, the Gini and weight come from the function that ``gini`` runs, and
-the per-row scalars (powers, taxes, anything a float32 tilt rounds in
-float32) are built in a short Python loop.  A row that raises is frozen
+the per-row scalars (powers, taxes) are built in a short Python loop.
+Every tilt is priced as a Python float.  A row that raises is frozen
 with the error, and message, its own path raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
@@ -118,41 +118,20 @@ class TemporaryEquilibrium:
         )
 
 
-def fixed_point_active_set(
-    income: np.ndarray, z: float, total: float, delta: float, xi_over_nu_next: float
-) -> float | None:
-    """Exact root of the bequest fixed point by active-set enumeration.
+def _scan_active_sets(desc, z, total, delta, xnn):
+    """First consistent active set of every row of ``desc`` (incomes, descending).
 
-    Candidate active sets are prefixes of the dynasties sorted by income
-    (optimal bequests are increasing in income, so the saver set is
-    always a top segment).  For an active count ``a`` the fixed point is
-    linear in k_next with the closed-form root
+    ``z``, ``total``, ``delta`` and ``xnn`` (xi/nu_next) are (C x 1) columns
+    of per-row values.  The top ``a`` incomes are a candidate set; its root
 
         kappa = (delta * sum_active(I) - a*delta*z*total)
                 / (N*(1+delta) - a*(delta*z - xi/nu_next))
 
-    accepted iff it lies in (0, total), the poorest active dynasty
-    saves and the richest inactive one does not.  ``income`` may come in
-    any order (descending input skips the sort).  This is the one-row case
-    of :func:`_scan_active_sets`.  Returns None when no candidate is
-    consistent (rounding at a kink); callers fall back to bisection.
-    """
-    inc = income if (income[:-1] >= income[1:]).all() else np.sort(income)[::-1]
-    slope = delta * z - xi_over_nu_next
-    columns = (np.array([[v]], dtype=float) for v in (z, total, delta, xi_over_nu_next, slope))
-    kappa, found = _scan_active_sets(inc[None], *columns)
-    return float(kappa[0]) if found[0] else None
-
-
-def _scan_active_sets(desc, z, total, delta, xnn, slope):
-    """First consistent active set of every row of ``desc`` (incomes, descending).
-
-    ``z``, ``total``, ``delta`` and ``xnn`` (xi/nu_next) are (C x 1) columns
-    of per-row values, and ``slope`` holds ``delta*z - xnn`` as the row's own
-    scalar types round it.  Candidates are scanned in column blocks of 16,
-    128, 1024, ... incomes, each row extending its own running sum; a row
-    leaves the scan at its first consistent ``a``.  Returns ``(kappa,
-    found)`` per row.
+    is accepted iff it lies in (0, total), the poorest active dynasty
+    saves and the richest inactive one does not.  Candidates are scanned
+    in column blocks of 16, 128, 1024, ... incomes, each row extending its
+    own running sum; a row leaves the scan at its first consistent ``a``.
+    Returns ``(kappa, found)`` per row.
     """
     c, n = desc.shape
     kappa, found = np.zeros(c), np.zeros(c, dtype=bool)
@@ -166,7 +145,7 @@ def _scan_active_sets(desc, z, total, delta, xnn, slope):
         csum[:, 0] += run
         np.cumsum(csum, axis=1, out=csum)
         a = np.arange(lo + 1.0, hi + 1.0)
-        kap = (delta * csum - a * delta * z * total) / (base - a * slope)
+        kap = (delta * csum - a * delta * z * total) / (base - a * (dz - xnn))
         # bequest numerator of dynasty j is delta*I_j - tail; positive iff saving
         tail = dz * (total - kap) + xnn * kap
         heads = delta * desc[:, lo : hi + 1]
@@ -180,8 +159,8 @@ def _scan_active_sets(desc, z, total, delta, xnn, slope):
             break
         if hit.any():
             miss = ~hit
-            rows, desc, z, total, delta, xnn, slope, base, dz, csum = (
-                v[miss] for v in (rows, desc, z, total, delta, xnn, slope, base, dz, csum)
+            rows, desc, z, total, delta, xnn, base, dz, csum = (
+                v[miss] for v in (rows, desc, z, total, delta, xnn, base, dz, csum)
             )
         run, lo, size = csum[:, -1], hi, 8 * size
     return kappa, found
@@ -270,7 +249,7 @@ class _Path:
         self.repeat = self.error = None
 
     def set_tilts(self, nu_t, nu_next) -> None:
-        self.nu_t, self.nu_next = nu_t, nu_next
+        self.nu_t, self.nu_next = float(nu_t), float(nu_next)
         self.taxes = self.xnn = None
 
     def tilt(self, t: int):
@@ -294,10 +273,9 @@ def _solve_block(beq, order, paths, keep=False):
     stable argsort.  Each row is rounded exactly as the one-row case would
     round it: row-wise means, sums and cumulative sums equal the 1-D calls
     bit for bit, the Gini and weight come from ``envy._gini_weights``, and the
-    per-row scalars (powers, taxes, anything a float32 tilt rounds in
-    float32) are built in a Python loop from the row's own scalars.  A row
-    that raises records the error on its path and computes filler from
-    then on; the other rows go on.
+    per-row scalars (powers, taxes) are built in a Python loop from the
+    row's own scalars.  A row that raises records the error on its path
+    and computes filler from then on; the other rows go on.
 
     Returns ``(bequests_next, k, k_next, ok, records)``: ``ok`` marks the
     rows that did not raise, and ``records`` (only with ``keep``) holds
@@ -318,9 +296,9 @@ def _solve_block(beq, order, paths, keep=False):
     delta = np.array([p.params.delta for p in paths], dtype=float)[:, None]
     z = gamma / (1.0 + gamma)
 
-    kl, zl = k.tolist(), z.ravel().tolist()
+    kl = k.tolist()
     prices = [None] * c
-    scalars = []  # net return, xi/nu_t * k, total, xi/nu_next, delta*z - xi/nu_next
+    scalars = []  # net return, xi/nu_t * k, total, xi/nu_next
     for i, p in enumerate(paths):
         if p.error is None:
             try:
@@ -334,34 +312,28 @@ def _solve_block(beq, order, paths, keep=False):
             except JonesesError as exc:
                 p.error = exc
         if p.error is not None:
-            scalars.append((1.0, 0.0, 1.0, 0.0, 0.0))
+            scalars.append((1.0, 0.0, 1.0, 0.0))
             continue
         net = (1.0 - p.taxes.tau_s) * prices[i].gross_return
         total = net * (p.xi_nu + 1.0) * kl[i]  # = (1-phi) * k**alpha
-        scalars.append((net, p.xi_nu * kl[i], total, p.xnn, p.params.delta * zl[i] - p.xnn))
+        scalars.append((net, p.xi_nu * kl[i], total, p.xnn))
 
-    net, xi_k, total, xnn, slope = np.array(scalars, dtype=float).T[..., None]
+    net, xi_k, total, xnn = np.array(scalars, dtype=float).T[..., None]
     income = xi_k + beq
     income *= net
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
     desc = asc[:, ::-1]
-    kappa, found = _scan_active_sets(desc, z, total, delta, xnn, slope)
-    kappa = kappa.tolist()
+    kappa, found = _scan_active_sets(desc, z, total, delta, xnn)
     for i in np.flatnonzero(~found):
         p = paths[i]
         if p.error is None:
-            args = (income[i], zl[i], scalars[i][2], p.params.delta, p.xnn)
-            kappa[i] = _attempt(p, fixed_point_bisection, *args)
+            args = (income[i], float(z[i, 0]), scalars[i][2], p.params.delta, p.xnn)
+            kappa[i] = _attempt(p, fixed_point_bisection, *args) or 0.0  # 0: filler
 
-    cuts = [  # delta*z*(total - kappa) and xi/nu_next * kappa, in the row's scalar types
-        (p.params.delta * zi * (s[2] - ki), s[3] * ki) if p.error is None else (0.0, 0.0)
-        for p, s, zi, ki in zip(paths, scalars, zl, kappa)
-    ]
-    cut, xk = np.array(cuts, dtype=float).T[..., None]
     bequests_next = delta * income
-    bequests_next -= cut
-    bequests_next -= xk
+    bequests_next -= delta * z * (total - kappa[:, None])
+    bequests_next -= xnn * kappa[:, None]
     np.maximum(0.0, bequests_next, out=bequests_next)
     bequests_next /= 1.0 + delta
     k_next = bequests_next.sum(axis=1) / n
@@ -462,7 +434,7 @@ def _tilt_runs(schedule, horizon: int) -> list:
     """The tilts of periods 0..horizon as ``(start, nu)`` runs.
 
     ``schedule`` is a FiscalSchedule or an explicit per-period sequence.
-    A new run starts wherever the tilt changes value or type.
+    A new run starts wherever the tilt's float value changes.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
@@ -478,8 +450,8 @@ def _tilt_runs(schedule, horizon: int) -> list:
         pairs = enumerate(seq[: horizon + 1])
     runs = []
     for start, nu in pairs:
-        # a float32 tilt prices taxes in float32: equal tilts must share a type
-        if not runs or not (nu == runs[-1][1] and type(nu) is type(runs[-1][1])):
+        # compare the floats the kernel prices: NumPy compares a narrower scalar in its type
+        if not runs or not float(nu) == float(runs[-1][1]):
             runs.append((start, nu))
     return runs
 
@@ -562,8 +534,7 @@ def simulate(
     stays unchanged: the next period would get byte-identical inputs and
     so return an identical record.  The scalar ``k_next == k`` is compared
     first, so a path that is still moving pays one float comparison per
-    period for it.  Tilts are equal when they compare equal and have the
-    same type (a float32 tilt prices taxes in float32).
+    period for it.  Tilts are equal when their float values are.
     """
     runs = _tilt_runs(schedule, horizon)
     beq = as_distribution(initial, params.n_agents)
@@ -751,10 +722,13 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
     below tol (entering period T the state is stationary to tol), or
     None if the final delta still exceeds tol.  ``reentered`` flags the
     anomaly of deltas dropping below tol and later rising above it,
-    which this model's dynamics should never produce.
+    which this model's dynamics should never produce.  ``tol`` must be
+    finite and > 0.
     """
     if not traj.records:
         raise DomainError("trajectory is empty")
+    if not 0.0 < tol < float("inf"):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     deltas = np.empty(len(traj.records))
     last = None
     for t, r in enumerate(traj.records):

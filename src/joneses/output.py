@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import EconomyParams, nu_for_gamma, savings_rate, steady_capital
+from .core import EconomyParams, nu_for_gamma, savings_rate, steady_capital, tax_rates
 from .envy import EnvySpec, gamma_uniform_top
 from .equilibrium import Trajectory
 
@@ -190,9 +190,11 @@ def render_phase_plot(
 
     One curve per (gamma, m, nu) triple, the 45-degree line, and a
     labelled marker E<i> where each curve crosses it (the steady state).
+    A ``nu`` outside the admissible segment raises NuOutOfBounds.
     """
     points = []
     for i, (gamma, m, nu) in enumerate(curves):
+        tax_rates(nu, params)  # the admissibility check
         points.append((f"E{i + 1}", steady_capital(gamma, m, nu, params)))
     k_max = 1.6 * max((k for _, k in points), default=0.625)
     canvas = _Canvas(

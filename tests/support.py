@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the package's solution
 paths: the Gini oracles are the O(N^2) pairwise sum and the scalar
 sorted-rank formula the package's block form replaced, utility optimality is
 checked by brute-force grid search on the budget line, one period is
-solved by the scalar one-vector solver the lockstep kernel replaced, and
+solved by a scalar one-vector solver whose fixed point comes from the
+scalar candidate loop ``active_set_oracle`` (or the package's bisection), and
 equilibrium paths are audited against the conservation laws and
 monotonicity statements recomputed from raw quantities.
 """
@@ -27,7 +28,7 @@ from joneses import (
 )
 from joneses.core import factor_prices, tax_rates
 from joneses.envy import as_distribution
-from joneses.equilibrium import fixed_point_active_set, fixed_point_bisection
+from joneses.equilibrium import _scan_active_sets, fixed_point_bisection
 from joneses.errors import DomainError, EnvyTooStrong, JonesesError, NoPositiveRoot
 
 BASELINE = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4)
@@ -92,8 +93,8 @@ def active_set_oracle(income, z, total, delta, xi_over_nu_next):
     """Scalar candidate loop over income-prefix active sets, the solver's oracle.
 
     Tries a = 1..N in turn and returns the root of the first consistent
-    candidate, or None when none is; ``fixed_point_active_set`` must
-    agree with it exactly.
+    candidate, or None when none is; the kernel's block scan,
+    ``_scan_active_sets``, must agree with it exactly.
     """
     n = income.size
     inc = np.sort(income)[::-1]
@@ -112,19 +113,36 @@ def active_set_oracle(income, z, total, delta, xi_over_nu_next):
     return None
 
 
+def scan_row(income, z, total, delta, xi_over_nu_next):
+    """The kernel's block scan, ``_scan_active_sets``, on one income vector.
+
+    Not an oracle: this is the code under test, which sorts ``income``
+    descending and returns the root, or None where the scan finds no set.
+    """
+    desc = np.sort(income)[::-1][None]
+    columns = (np.array([[v]], dtype=float) for v in (z, total, delta, xi_over_nu_next))
+    kappa, found = _scan_active_sets(desc, *columns)
+    return float(kappa[0]) if found[0] else None
+
+
 def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
     """The scalar period solver, one bequest vector at a time: the kernel's oracle.
 
     ``beq`` is validated and ``order`` should sort it ascending.  The
     order is checked in O(N); a stale one is overwritten in place by a
     stable argsort, so a caller carrying it from period to period stays
-    valid.  Each row of the lockstep kernel must equal this record bit
-    for bit, and raise where it raises with the same message.
+    valid.  The tilts are priced as Python floats, as the kernel prices
+    them.  The fixed point comes from the scalar ``active_set_oracle``,
+    not the kernel's block scan, and from the package's bisection where
+    no candidate is consistent.  Each row of the lockstep kernel must
+    equal this record bit for bit, and raise where it raises with the
+    same message.
     """
     asc = beq[order]
     if not (asc[:-1] <= asc[1:]).all():
         order[:] = np.argsort(beq, kind="stable")
         asc = beq[order]
+    nu_t, nu_next = float(nu_t), float(nu_next)
     k = float(beq.mean())
     g = gini_oracle(asc)
     gamma = float(envy.base + envy.scale * g)
@@ -139,7 +157,7 @@ def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibri
     total = net_return * (params.xi / nu_t + 1.0) * k  # = (1-phi) * k**alpha
     xnn = params.xi / nu_next
 
-    kappa = fixed_point_active_set(income[order][::-1], z, total, params.delta, xnn)
+    kappa = active_set_oracle(income, z, total, params.delta, xnn)
     if kappa is None:
         kappa = fixed_point_bisection(income, z, total, params.delta, xnn)
 

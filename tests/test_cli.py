@@ -51,6 +51,12 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "error: initial.values: expected numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "simulate", "classify"])
+    def test_overflowing_total_is_an_input_error(self, scenario_file, capsys, command):
+        path = scenario_file("huge.json", initial={"values": [1e308, 1e308, 0.0, 0.0]})
+        assert main([command, path]) == 1
+        assert "error: initial.values: total wealth must be finite" in capsys.readouterr().err
+
     def test_negative_seed_is_an_input_error(self, scenario_file, capsys):
         path = scenario_file(
             "seed.json",
@@ -198,7 +204,9 @@ class TestPlots:
         assert rc == 0
         assert "breakpoint=0.857142857" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("curve", ["inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan"])
+    @pytest.mark.parametrize(  # non-finite values, and tilts outside [nu_lower, nu_upper]
+        "curve", ["inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan", "0,1,1e-320", "0,1,1e-300", "0,1,5"]
+    )
     def test_non_finite_curve_is_an_input_error(self, scenario_file, tmp_path, capsys, curve):
         out = tmp_path / "phase.svg"
         assert main(["plot-phase", scenario_file(), "--curve", curve, "--out", str(out)]) == 1

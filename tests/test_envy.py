@@ -124,8 +124,11 @@ class TestDistributionValidation:
     def test_non_finite_rejected(self):
         from joneses.errors import DomainError
 
-        with pytest.raises(DomainError):
-            as_distribution([1.0, float("nan")])
+        # finite entries whose total overflows are rejected too
+        for values in ([1.0, float("nan")], [1e308, 1e308, 0.0, 0.0]):
+            for fn in (as_distribution, gini, EnvySpec().weight):
+                with pytest.raises(DomainError):
+                    fn(values)
 
 
 @given(values=int_dists, seed=st.integers(0, 2**32 - 1))

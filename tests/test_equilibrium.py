@@ -28,11 +28,11 @@ from joneses import (
 from joneses.equilibrium import (
     _Path,
     _run_paths,
+    _scan_active_sets,
     _solve_block,
     _solve_one,
     _tilt_runs,
     final_capitals,
-    fixed_point_active_set,
     fixed_point_bisection,
 )
 from joneses.errors import (
@@ -59,6 +59,7 @@ from support import (
     random_initial,
     random_nu,
     random_params,
+    scan_row,
     solver_utility,
 )
 
@@ -152,7 +153,7 @@ class TestSolveTemporary:
                 random_initial(rng, p), nu_t, p, envy
             )
             xnn = p.xi / nu_next
-            exact = fixed_point_active_set(income, z, total, p.delta, xnn)
+            exact = scan_row(income, z, total, p.delta, xnn)
             assert exact is not None
             approx = fixed_point_bisection(income, z, total, p.delta, xnn)
             assert abs(exact - approx) < TOL_SOLVER * max(1.0, exact)
@@ -176,7 +177,13 @@ class TestSolveTemporary:
         assert eq.bequests.tobytes() == np.array([0.1, 0.3, 0.0, 0.2]).tobytes()
         with pytest.raises(LengthMismatch):
             solve_temporary([0.1, 0.3, 0.2], 1.0, 1.0, BASELINE, UNIT_ENVY)
-        bad = ([0.0] * 4, [0.2, -0.1, 0.1, 0.1], [0.1, np.nan, 0.1, 0.1], [0.1, np.inf, 0.1, 0.1])
+        bad = (
+            [0.0] * 4,
+            [0.2, -0.1, 0.1, 0.1],
+            [0.1, np.nan, 0.1, 0.1],
+            [0.1, np.inf, 0.1, 0.1],
+            [1e308, 1e308, 0.0, 0.0],  # finite entries, overflowing total
+        )
         for beq in bad:
             with pytest.raises(DomainError):
                 solve_temporary(beq, 1.0, 1.0, BASELINE, UNIT_ENVY)
@@ -213,26 +220,32 @@ def fixed_point_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_block_scan_equals_scalar_oracle(instance):
     income, z, total, delta, xnn = instance
-    before = income.copy()
-    got = fixed_point_active_set(income, z, total, delta, xnn)
-    assert got == active_set_oracle(income, z, total, delta, xnn)
-    np.testing.assert_array_equal(income, before)
+    assert scan_row(income, z, total, delta, xnn) == active_set_oracle(income, z, total, delta, xnn)
 
 
-@pytest.mark.parametrize("m", [1, 15, 16, 17, 143, 144, 145, 1167, 1168, 1169])
+BLOCK_EDGES = [1, 15, 16, 17, 143, 144, 145, 1167, 1168, 1169]
+
+
+@pytest.mark.parametrize("m", BLOCK_EDGES)
 def test_block_scan_on_block_edges(m):
-    # m rich dynasties, the rest hold nothing: the root's active set is exactly m
+    # one row per edge: r rich dynasties, the rest hold nothing, so the row's active
+    # set is exactly r and the rows leave the scan in different column blocks; the
+    # block is rotated to lead with r = m, so the rows that leave shift in position
+    lead = BLOCK_EDGES.index(m)
+    counts = BLOCK_EDGES[lead:] + BLOCK_EDGES[:lead]
     rng = np.random.default_rng(m)
-    n = m + 7
-    income = np.zeros(n)
-    income[:m] = 1.0 + 0.2 * rng.random(m)
-    rng.shuffle(income)
-    args = (income.mean(), 1.0, 0.5)
-    for inc in (income, np.sort(income)[::-1], np.sort(income)):
-        got = fixed_point_active_set(inc, 0.5, *args)
-        assert got is not None
-        assert got == active_set_oracle(inc, 0.5, *args)
-        assert _active_count(inc, 0.5, *args, got) == m
+    desc = np.zeros((len(counts), max(counts) + 7))
+    for row, r in zip(desc, counts):
+        row[:r] = np.sort(1.0 + 0.2 * rng.random(r))[::-1]
+    total = desc.mean(axis=1)
+    before = desc.copy()
+    z, delta, xnn = (np.full((len(counts), 1), v) for v in (0.5, 1.0, 0.5))
+    kappa, found = _scan_active_sets(desc, z, total[:, None], delta, xnn)
+    np.testing.assert_array_equal(desc, before)
+    assert found.all()
+    for row, r, t, got in zip(desc, counts, total, kappa):
+        assert got == active_set_oracle(row, 0.5, t, 1.0, 0.5)
+        assert _active_count(row, 0.5, t, 1.0, 0.5, got) == r
 
 
 def _assert_same_records(a, b):
@@ -263,7 +276,7 @@ class TestBisectionFallback:
 
     def test_scan_finds_no_set_and_bisection_finds_the_root(self):
         args = (self.INCOME, self.Z, self.TOTAL, self.DELTA, self.XNN)
-        assert fixed_point_active_set(*args) is None
+        assert scan_row(*args) is None
         assert active_set_oracle(*args) is None
         kappa = fixed_point_bisection(*args)
         assert 0.0 < kappa < self.TOTAL
@@ -409,15 +422,22 @@ class TestStationaryRepeat:
         chain = _chain_of_solves(initial, [1.0] * 401, 400, p, UNIT_ENVY)
         assert traj.final_bequests.tobytes() == chain.final_bequests.tobytes()
 
-    def test_equal_tilt_of_another_type_is_solved(self):
-        # 1.0 == float32(1.0), but a float32 tilt prices taxes in float32
+    def test_float32_tilt_is_priced_as_its_float_value(self):
+        # np.float32(1.0) is the running tilt, so the stationary record keeps repeating;
+        # np.float32(0.9) is a new tilt, solved as float(np.float32(0.9))
         initial = [0.4, 0.0, 0.0, 0.0]
         fixed = _first_repeat(simulate(initial, [1.0] * 201, 200, BASELINE, UNIT_ENVY))
         assert fixed is not None
+
+        def run(tail):
+            return simulate(initial, [1.0] * (fixed + 2) + tail, fixed + 11, BASELINE, UNIT_ENVY)
+
+        for nu2 in (1.0, 0.9):
+            _assert_bitwise_paths(run([np.float32(nu2)] * 10), run([float(np.float32(nu2))] * 10))
         nus = [1.0] * (fixed + 2) + [np.float32(1.0)] * 10
         traj = simulate(initial, nus, fixed + 11, BASELINE, UNIT_ENVY)
-        chain = _chain_of_solves(initial, nus, fixed + 11, BASELINE, UNIT_ENVY)
-        _assert_bitwise_paths(traj, chain)
+        _assert_bitwise_paths(traj, _chain_of_solves(initial, nus, fixed + 11, BASELINE, UNIT_ENVY))
+        assert all(r is traj.records[fixed - 1] for r in traj.records[fixed:])
 
 
 def _block_row(rng, n, horizon):
@@ -757,3 +777,10 @@ class TestDetectConvergence:
             [0.1] * 4, constant_schedule(1.0, BASELINE), 3, BASELINE, UNIT_ENVY
         )
         assert detect_convergence(traj, 1e-14) is None
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an infinite tol would report this still-moving path as settled
+        traj = simulate([0.1] * 4, constant_schedule(1.0, BASELINE), 3, BASELINE, UNIT_ENVY)
+        with pytest.raises(DomainError, match="tol"):
+            detect_convergence(traj, tol)
