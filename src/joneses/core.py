@@ -129,12 +129,17 @@ class FactorPrices:
     wage: float  # w, output units per unit of labour
 
 
+def gross_return(k: float, alpha: float) -> float:
+    """Marginal product of capital 1 + r = alpha*k**(alpha-1), for a float k > 0."""
+    return alpha * k ** (alpha - 1.0)
+
+
 def factor_prices(k: float, params: EconomyParams) -> FactorPrices:
     """Marginal-product prices: 1 + r = alpha*k**(alpha-1), w = (1-alpha)*k**alpha."""
     if not k > 0.0:
         raise DomainError(f"capital intensity must be > 0, got {k}")
     a = params.alpha
-    return FactorPrices(gross_return=a * k ** (a - 1.0), wage=(1.0 - a) * k**a)
+    return FactorPrices(gross_return=gross_return(k, a), wage=(1.0 - a) * k**a)
 
 
 def tax_rates(nu: float, params: EconomyParams) -> TaxRates:
@@ -187,9 +192,12 @@ def savings_rate(gamma: float, m: float, nu: float, params: EconomyParams) -> fl
 
 
 def steady_capital(gamma: float, m: float, nu: float, params: EconomyParams) -> float:
-    """Unique positive root of k = s(gamma, m, nu) * k**alpha."""
+    """Unique positive root of k = s(gamma, m, nu) * k**alpha; DomainError if it underflows."""
     s = savings_rate(gamma, m, nu, params)
-    return s ** (1.0 / (1.0 - params.alpha))
+    k = s ** (1.0 / (1.0 - params.alpha))
+    if not 0.0 < k < float("inf"):
+        raise DomainError(f"steady-state capital {k} is not finite and > 0 at gamma={gamma}")
+    return k
 
 
 def gamma_star(nu: float, params: EconomyParams) -> float:

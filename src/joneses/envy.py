@@ -61,7 +61,7 @@ def gini(values: ArrayLike) -> float:
     exactly; everything else is clipped to the mathematical range, which
     the rank formula can overshoot by an ulp.
     """
-    return float(_gini_weights(_ascending(values)[None], _UNIT)[0][0])
+    return float(_gini_weights(_ascending(values)[None], 0.0, 1.0)[0][0])
 
 
 def _ascending(values: ArrayLike) -> np.ndarray:
@@ -70,21 +70,21 @@ def _ascending(values: ArrayLike) -> np.ndarray:
     return np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
 
 
-def _gini_weights(asc: np.ndarray, specs) -> tuple[np.ndarray, np.ndarray]:
-    """Gini and envy weight of each ascending, C-contiguous row of ``asc`` under ``specs``.
+def _gini_weights(asc: np.ndarray, base, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Gini and envy weight of each ascending, C-contiguous row of ``asc``.
 
-    One rank dot per row (a batched product rounds differently), so a row
-    gets the bytes it would get alone.  All equal (N=1 included) takes
-    precedence over a single positive holder.
+    ``base`` and ``scale`` are floats or one value per row.  One rank dot
+    per row (a batched product rounds differently), so a row gets the
+    bytes it would get alone.  All equal (N=1 included) takes precedence
+    over a single positive holder.
     """
-    n = asc.shape[1]
+    c, n = asc.shape
     ranks = np.arange(1.0, n + 1.0)
-    dots = np.array([ranks @ row for row in asc])
+    dots = np.fromiter(map(ranks.dot, asc), float, c)
     top = (n - 1.0) / n
     g = np.minimum(np.maximum(2.0 * dots / (n * asc.sum(axis=1)) - (n + 1.0) / n, 0.0), top)
     g[asc[:, -min(n, 2)] == 0.0] = top
     g[asc[:, 0] == asc[:, -1]] = 0.0
-    base, scale = np.array([(s.base, s.scale) for s in specs], dtype=float).T
     return g, base + scale * g
 
 
@@ -128,15 +128,12 @@ class EnvySpec:
             raise DomainError(f"envy scale must be finite and >= 0, got {self.scale}")
 
     def weight(self, values: ArrayLike) -> float:
-        return float(_gini_weights(_ascending(values)[None], (self,))[1][0])
+        return float(_gini_weights(_ascending(values)[None], self.base, self.scale)[1][0])
 
     def max_weight(self, n_agents: int) -> float:
         # Gini peaks at (N-1)/N when a single dynasty holds everything
         # (parenthesised so it rounds as that distribution's weight does).
         return self.base + self.scale * ((n_agents - 1) / n_agents)
-
-
-_UNIT = (EnvySpec(),)  # weight = gini, for gini itself
 
 
 def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:
@@ -155,7 +152,7 @@ def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:
         raise DomainError(f"rich count must lie in 1..{n_agents}, got {n}")
     values = np.zeros(n_agents)
     values[n_agents - n :] = 1.0 / n
-    return float(_gini_weights(values[None], (spec,))[1][0])
+    return float(_gini_weights(values[None], spec.base, spec.scale)[1][0])
 
 
 def validate_envy(spec: EnvySpec, params: EconomyParams) -> EnvySpec:

@@ -29,10 +29,11 @@ There is one period kernel, and it solves a (C x N) block of bequest
 rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
 reform planner run it on one row; :func:`final_capitals`, which the
 sweep uses, runs a block of cells that share the horizon and the number
-of dynasties.  Every row is rounded exactly as it would be alone:
-row-wise means, sums and cumulative sums equal the 1-D calls bit for
-bit, the Gini and weight come from the function that ``gini`` runs, and
-the per-row scalars (powers, taxes) are built in a short Python loop.
+of dynasties, each row's economy held as columns.  Every row is rounded
+exactly as it would be alone: row-wise means, sums and cumulative sums
+equal the 1-D calls bit for bit, the Gini and weight come from the
+function that ``gini`` runs, and the column arithmetic repeats the
+scalar operations; the only per-row Python work is one power and one dot.
 Every tilt is priced as a Python float.  A row that raises is frozen
 with the error, and message, its own path raises; the other rows go on.
 
@@ -68,6 +69,7 @@ from .core import (
     TaxRates,
     factor_prices,
     gamma_star,
+    gross_return,
     savings_rate,
     steady_capital,
     tax_rates,
@@ -228,17 +230,17 @@ def solve_temporary(
 
 
 class _Path:
-    """One row of a lockstep block: its economy, its tilts and its outcome.
+    """One row of a lockstep block: its tilts and its outcome.
 
-    ``runs`` holds the path's tilts as ``(start, nu)`` runs.  The taxes of
-    ``nu_t`` and ``xi/nu_next`` are priced once per tilt, when the kernel
-    first needs them.  ``repeat`` is set while the path sits at its exact
-    fixed point: its stationary record, or True when no records are kept.
+    ``runs`` holds the path's tilts as ``(start, nu)`` runs.  ``params``
+    and ``envy`` fill the path's row of block columns (``_ECONOMY``), and
+    ``taxes`` are those of ``nu_t``.  ``repeat`` is set while the path sits
+    at its exact fixed point: its stationary record, or True when no
+    records are kept.
     """
 
     __slots__ = (
-        "params", "envy", "starts", "nus", "nu_t", "nu_next",
-        "taxes", "xi_nu", "xnn", "records", "repeat", "error",
+        "params", "envy", "starts", "nus", "nu_t", "nu_next", "taxes", "records", "repeat", "error",
     )
 
     def __init__(self, params: EconomyParams, envy: EnvySpec, runs=(), keep=False):
@@ -250,7 +252,6 @@ class _Path:
 
     def set_tilts(self, nu_t, nu_next) -> None:
         self.nu_t, self.nu_next = float(nu_t), float(nu_next)
-        self.taxes = self.xnn = None
 
     def tilt(self, t: int):
         return self.nus[bisect.bisect_right(self.starts, t) - 1]
@@ -264,18 +265,33 @@ class _Path:
                 yield start
 
 
-def _solve_block(beq, order, paths, keep=False):
+# A block's economy, one record per row: the index of its path, what holds for the whole
+# path, and tau_s, xi/nu_t and xi/nu_next, priced again once ``priced`` is cleared.
+_ECONOMY = np.dtype([
+    ("path", np.intp), ("alpha", float), ("delta", float), ("base", float), ("scale", float),
+    ("tau_s", float), ("xi_nu", float), ("xnn", float), ("priced", bool),
+], align=True)  # numpy buffers arithmetic on unaligned columns
+
+
+def _economy(paths) -> np.ndarray:
+    """The block economy of ``paths``, its tilts not yet priced."""
+    fixed = [(p.params.alpha, p.params.delta, p.envy.base, p.envy.scale) for p in paths]
+    return np.array([(i, *f, 0.0, 0.0, 0.0, False) for i, f in enumerate(fixed)], dtype=_ECONOMY)
+
+
+def _solve_block(beq, order, econ, paths, keep=False):
     """Solve one period for every row of ``beq``, a (C x N) block of bequests.
 
-    Row i is the inherited vector of ``paths[i]``, which carries its
-    economy and its tilts; ``order[i]`` should sort it ascending.  The
-    order is checked in O(N) and a stale one is overwritten in place by a
-    stable argsort.  Each row is rounded exactly as the one-row case would
-    round it: row-wise means, sums and cumulative sums equal the 1-D calls
-    bit for bit, the Gini and weight come from ``envy._gini_weights``, and the
-    per-row scalars (powers, taxes) are built in a Python loop from the
-    row's own scalars.  A row that raises records the error on its path
-    and computes filler from then on; the other rows go on.
+    Row i is the inherited vector of ``paths[econ["path"][i]]``, whose
+    economy is ``econ[i]``; ``order[i]`` should sort it ascending.  A stale
+    order is overwritten in place by a stable argsort, and a row whose
+    tilts are not priced is priced in place.  Each row is rounded as the
+    one-row case would round it: row-wise means, sums and cumulative sums
+    equal the 1-D calls, the Gini and weight come from ``_gini_weights``,
+    and the columns repeat the scalar IEEE operations in order.  The power
+    ``k ** (alpha - 1)`` stays a scalar call, since numpy's elementwise
+    power rounds differently.  A row that raises records the error on its
+    path and computes finite filler from then on; the other rows go on.
 
     Returns ``(bequests_next, k, k_next, ok, records)``: ``ok`` marks the
     rows that did not raise, and ``records`` (only with ``keep``) holds
@@ -287,49 +303,47 @@ def _solve_block(beq, order, paths, keep=False):
         order[i] = np.argsort(beq[i], kind="stable")
         asc[i] = beq[i, order[i]]
     k = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
-    if not np.isfinite(k).all():
-        for i in np.flatnonzero(~np.isfinite(k)):
-            _attempt(paths[i], as_distribution, asc[i])  # the Gini rejects a non-finite row
+    ok, rows = np.ones(c, dtype=bool), econ["path"]
+    bad = ~((0.0 < k) & (k < np.inf))
+    for i in np.flatnonzero(bad | ~econ["priced"]):
+        p = paths[rows[i]]
+        try:
+            if bad[i]:
+                as_distribution(asc[i])  # the Gini rejects a non-finite row,
+                factor_prices(float(k[i]), p.params)  # the prices a mean that is not > 0
+            p.taxes, xi = tax_rates(p.nu_t, p.params), p.params.xi
+            if not p.nu_next > 0.0:
+                raise DomainError(f"nu_next must be > 0, got {p.nu_next}")
+            econ[["tau_s", "xi_nu", "xnn", "priced"]][i] = (
+                p.taxes.tau_s, xi / p.nu_t, xi / p.nu_next, True
+            )
+        except JonesesError as exc:
+            p.error, ok[i] = exc, False
 
-    g, gamma = _gini_weights(asc, [p.envy for p in paths])
-    gamma = gamma[:, None]  # per-row columns
-    delta = np.array([p.params.delta for p in paths], dtype=float)[:, None]
+    g, gamma = _gini_weights(asc, econ["base"], econ["scale"])
+    gamma, delta = gamma[:, None], econ["delta"][:, None]  # per-row columns
     z = gamma / (1.0 + gamma)
 
+    if not ok.all():
+        k = np.where(ok, k, 1.0)  # filler for the rows that raised
     kl = k.tolist()
-    prices = [None] * c
-    scalars = []  # net return, xi/nu_t * k, total, xi/nu_next
-    for i, p in enumerate(paths):
-        if p.error is None:
-            try:
-                prices[i] = factor_prices(kl[i], p.params)
-                if p.taxes is None:
-                    p.taxes, p.xi_nu = tax_rates(p.nu_t, p.params), p.params.xi / p.nu_t
-                if p.xnn is None:
-                    if not p.nu_next > 0.0:
-                        raise DomainError(f"nu_next must be > 0, got {p.nu_next}")
-                    p.xnn = p.params.xi / p.nu_next
-            except JonesesError as exc:
-                p.error = exc
-        if p.error is not None:
-            scalars.append((1.0, 0.0, 1.0, 0.0))
-            continue
-        net = (1.0 - p.taxes.tau_s) * prices[i].gross_return
-        total = net * (p.xi_nu + 1.0) * kl[i]  # = (1-phi) * k**alpha
-        scalars.append((net, p.xi_nu * kl[i], total, p.xnn))
-
-    net, xi_k, total, xnn = np.array(scalars, dtype=float).T[..., None]
+    gross = np.fromiter(map(gross_return, kl, econ["alpha"].tolist()), float, c)
+    net = (1.0 - econ["tau_s"]) * gross
+    xi_k = (econ["xi_nu"] * k)[:, None]
+    total = (net * (econ["xi_nu"] + 1.0) * k)[:, None]  # = (1-phi) * k**alpha
+    net, xnn = net[:, None], econ["xnn"][:, None]
     income = xi_k + beq
     income *= net
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
     desc = asc[:, ::-1]
     kappa, found = _scan_active_sets(desc, z, total, delta, xnn)
-    for i in np.flatnonzero(~found):
-        p = paths[i]
-        if p.error is None:
-            args = (income[i], float(z[i, 0]), scalars[i][2], p.params.delta, p.xnn)
-            kappa[i] = _attempt(p, fixed_point_bisection, *args) or 0.0  # 0: filler
+    for i in np.flatnonzero(ok & ~found):
+        args = (income[i], float(z[i, 0]), float(total[i, 0]), float(delta[i, 0]), float(xnn[i, 0]))
+        try:
+            kappa[i] = fixed_point_bisection(*args)
+        except JonesesError as exc:
+            paths[rows[i]].error, ok[i], kappa[i] = exc, False, 0.0  # 0: filler
 
     bequests_next = delta * income
     bequests_next -= delta * z * (total - kappa[:, None])
@@ -341,22 +355,23 @@ def _solve_block(beq, order, paths, keep=False):
     avg = consumptions.sum(axis=1) / n
     floor = z[:, 0] * avg
     short = ~(k_next > 0.0)
-    for i in np.flatnonzero(short | ~(income > floor[:, None]).all(axis=1)):
-        p = paths[i]
-        if p.error is None and short[i]:
-            p.error = NoPositiveRoot("next-period capital intensity is not positive")
-        elif p.error is None:
-            p.error = EnvyTooStrong(
+    for i in np.flatnonzero(ok & (short | ~(income > floor[:, None]).all(axis=1))):
+        if short[i]:
+            error = NoPositiveRoot("next-period capital intensity is not positive")
+        else:
+            error = EnvyTooStrong(
                 f"envy weight {float(gamma[i, 0])} leaves a dynasty with income "
                 f"{income[i].min()} at or below the consumption floor {float(floor[i])}"
             )
+        paths[rows[i]].error, ok[i] = error, False
 
-    ok = np.array([p.error is None for p in paths])
     records = None
     if keep:
         m = (bequests_next > 0.0).sum(axis=1)
-        records = [
-            TemporaryEquilibrium(
+        records = [None] * c
+        for i in np.flatnonzero(ok):
+            p = paths[rows[i]]
+            records[i] = TemporaryEquilibrium(
                 k=kl[i],
                 output=kl[i] ** p.params.alpha,
                 gamma=float(gamma[i, 0]),
@@ -366,24 +381,11 @@ def _solve_block(beq, order, paths, keep=False):
                 bequests_next=bequests_next[i],
                 k_next=float(k_next[i]),
                 avg_consumption=float(avg[i]),
-                prices=prices[i],
+                prices=factor_prices(kl[i], p.params),
                 taxes=p.taxes,
                 m_count=int(m[i]),
             )
-            if ok[i]
-            else None
-            for i, p in enumerate(paths)
-        ]
     return bequests_next, k, k_next, ok, records
-
-
-def _attempt(path: _Path, fn, *args):
-    """``fn(*args)``, or None with the error recorded on ``path``."""
-    try:
-        return fn(*args)
-    except JonesesError as exc:
-        path.error = exc
-        return None
 
 
 def _solve_one(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
@@ -393,7 +395,7 @@ def _solve_one(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
     """
     path = _Path(params, envy)
     path.set_tilts(nu_t, nu_next)
-    *_, records = _solve_block(beq[None], order[None], [path], keep=True)
+    *_, records = _solve_block(beq[None], order[None], _economy([path]), [path], keep=True)
     if path.error is not None:
         raise path.error
     return records[0]
@@ -471,6 +473,7 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
     c = len(paths)
     keep = paths[0].records is not None
     order = np.argsort(beq, axis=1, kind="stable")
+    econ = _economy(paths)
     changes = {}
     for i, p in enumerate(paths):
         for t in p.changes(horizon):
@@ -480,6 +483,7 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
         for i in changes.get(t, ()):
             p = paths[i]
             p.set_tilts(p.tilt(t), p.tilt(t + 1))
+            econ["priced"][i] = False
             if p.repeat is not None:
                 p.repeat, live[i], n_live = None, True, n_live + 1
         if keep and n_live < c:
@@ -490,18 +494,19 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
             continue
         idx = np.flatnonzero(live)
         whole = idx.size == c
-        rows = paths if whole else [paths[i] for i in idx]
-        b, o = (beq, order) if whole else (beq[idx], order[idx])
-        nxt, k, k_next, ok, records = _solve_block(b, o, rows, keep)
+        # take and put: indexing a structured array with idx is ~5x slower
+        b, o, e = (beq, order, econ) if whole else (beq[idx], order[idx], econ.take(idx))
+        nxt, k, k_next, ok, records = _solve_block(b, o, e, paths, keep)
         if not whole:
             order[idx] = o
+            np.put(econ, idx, e)
         if keep:
-            for p, r in zip(rows, records):
+            for i, r in zip(idx, records):
                 if r is not None:
-                    p.records.append(r)
+                    paths[i].records.append(r)
         for j in np.flatnonzero(ok & (k_next == k)):
             if nxt[j].tobytes() == b[j].tobytes():
-                rows[j].repeat = records[j] if keep else True
+                paths[idx[j]].repeat = records[j] if keep else True
                 live[idx[j]] = False
         live[idx[~ok]] = False
         n_live = int(np.count_nonzero(live))
@@ -689,7 +694,7 @@ def classify(
     sorted vector without validating it a second time.
     """
     beq = as_distribution(initial, params.n_agents)
-    gamma0 = float(_gini_weights(np.sort(beq)[None], (envy,))[1][0])
+    gamma0 = float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1][0])
     threshold = gamma_star(nu, params)
     n = params.n_agents
     if abs(gamma0 - threshold) < IDENTITY_TOL:

@@ -15,6 +15,7 @@ capital stock.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,12 +59,12 @@ def build_schedule(
     segments: Sequence[tuple[int, float]],
     params: EconomyParams,
 ) -> FiscalSchedule:
-    """Validate segment starts and tilts (every tilt must price taxes)."""
+    """Validate segment starts (integral numbers) and tilts (every tilt must price taxes)."""
     if phi != params.phi:
         raise ValidationError(
             "schedule.phi", f"spending share {phi} differs from params.phi={params.phi}"
         )
-    segs = tuple((int(s), float(nu)) for s, nu in segments)
+    segs = tuple((_start(s), float(nu)) for s, nu in segments)
     if not segs:
         raise ScheduleTooShort("schedule needs at least one segment")
     if segs[0][0] != 0:
@@ -76,6 +77,14 @@ def build_schedule(
     for _, nu in segs:
         tax_rates(nu, params)  # raises NuOutOfBounds
     return FiscalSchedule(phi=phi, segments=segs)
+
+
+def _start(value) -> int:
+    """A segment start as an int; integral floats and numpy integers included."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise DomainError(f"segment start must be an integer, got {value!r}")
+    return int(value)
 
 
 def constant_schedule(nu: float, params: EconomyParams) -> FiscalSchedule:
@@ -155,7 +164,11 @@ def plan_reform(
     stage 2.  A stage-1 path that reaches its exact fixed point with the
     weight still at or above the target would repeat that period up to
     ``max_horizon``, so it raises :class:`Infeasible` there.
+    ``max_horizon`` must be an integer >= 0.
     """
+    integral = isinstance(max_horizon, numbers.Integral) and not isinstance(max_horizon, bool)
+    if not (integral and max_horizon >= 0):
+        raise DomainError(f"max_horizon must be an integer >= 0, got {max_horizon!r}")
     if not 0.0 < margin < np.inf:
         raise DomainError(f"margin must be finite and > 0, got {margin}")
     if stage2_nu < stage1_nu:

@@ -151,6 +151,12 @@ class TestPlanReform:
         assert rc == 1
         assert "margin" in capsys.readouterr().err
 
+    def test_negative_max_horizon_is_an_input_error(self, scenario_file, capsys):
+        path = scenario_file("two.json", initial={"values": [0.3, 0.3, 0.0, 0.0]})
+        rc = main(["plan-reform", path, "--stage1", "0.7", "--stage2", "1.0", "--max-horizon", "-1"])
+        assert rc == 1
+        assert "error: max_horizon must be an integer >= 0, got -1" in capsys.readouterr().err
+
     def test_infeasible_exits_two(self, scenario_file, capsys):
         rc = main(["plan-reform", scenario_file(), "--stage1", "0.7", "--stage2", "1.0"])
         assert rc == 2
@@ -204,9 +210,11 @@ class TestPlots:
         assert rc == 0
         assert "breakpoint=0.857142857" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(  # non-finite values, and tilts outside [nu_lower, nu_upper]
-        "curve", ["inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan", "0,1,1e-320", "0,1,1e-300", "0,1,5"]
+    @pytest.mark.parametrize(  # non-finite values, tilts outside [nu_lower, nu_upper], k* = 0
+        "curve",
+        ["inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan", "0,1,1e-320", "0,1,1e-300", "0,1,5", "1e300,1,1"],
     )
+    @pytest.mark.filterwarnings("ignore::joneses.errors.EnvyBoundWarning")  # 1e300 warns first
     def test_non_finite_curve_is_an_input_error(self, scenario_file, tmp_path, capsys, curve):
         out = tmp_path / "phase.svg"
         assert main(["plot-phase", scenario_file(), "--curve", curve, "--out", str(out)]) == 1

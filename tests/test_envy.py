@@ -14,6 +14,7 @@ from joneses import (
     gini,
     validate_envy,
 )
+from joneses.envy import _gini_weights
 from support import BASELINE, gini_oracle, gini_pairwise, gini_vectors
 
 # Integer-valued distributions keep share arithmetic exact, which lets the
@@ -90,14 +91,26 @@ class TestGini:
     values=gini_vectors(sizes=(1, 2, 3, 4, 64, 20000)),
     base=st.floats(0.0, 2.0),
     scale=st.floats(0.0, 5.0),
+    data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_gini_and_weight_equal_the_scalar_oracle_bit_for_bit(values, base, scale):
+def test_gini_and_weight_equal_the_scalar_oracle_bit_for_bit(values, base, scale, data):
     spec = EnvySpec(base=base, scale=scale)
     for x in (values, np.sort(values)):
         g = gini_oracle(x)
         assert gini(x).hex() == g.hex()
         assert spec.weight(x).hex() == (base + scale * g).hex()
+    # a stacked block, as the period kernel weighs it: each row with its own (base, scale)
+    block = [(np.sort(values), base, scale)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        row = np.sort(data.draw(gini_vectors(sizes=(values.size,))))
+        block.append((row, data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 5.0))))
+    rows, bases, scales = zip(*block)
+    g, weights = _gini_weights(np.stack(rows), np.array(bases), np.array(scales))
+    for i, (row, b, s) in enumerate(block):
+        want = gini_oracle(row)
+        assert float(g[i]).hex() == want.hex()
+        assert float(weights[i]).hex() == (b + s * want).hex()
 
 
 @given(

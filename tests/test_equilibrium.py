@@ -27,6 +27,7 @@ from joneses import (
 )
 from joneses.equilibrium import (
     _Path,
+    _economy,
     _run_paths,
     _scan_active_sets,
     _solve_block,
@@ -535,7 +536,7 @@ class TestLockstepKernel:
         paths = [_Path(p, envy) for envy in envys]
         for path in paths:
             path.set_tilts(1.0, 1.1)
-        *_, records = _solve_block(beq, order, paths, keep=True)
+        *_, records = _solve_block(beq, order, _economy(paths), paths, keep=True)
         for i, (record, envy) in enumerate(zip(records, envys)):
             want = period_oracle(beq[i], fresh[i].copy(), 1.0, 1.1, p, envy)
             _assert_same_records(record, want)
@@ -545,13 +546,18 @@ class TestLockstepKernel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows
     def test_rows_that_raise_are_frozen_and_the_others_go_on(self):
         p = BASELINE
-        horizon = 30
+        horizon = 60
         strong = EnvySpec(0.0, 6.0)  # far above the ceiling: the floor breaks in period 6
+        # [0.4, 0, 0, 0] sits at its exact fixed point from period 34; rows 4 and 5
+        # are announced a new tilt in period 39 while frozen there: 0.9, which is
+        # valid, and 5.0, outside [nu_lower, nu_upper], which raises in period 40
         cases = [
             (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * (horizon + 1)),
             (p, strong, np.array([0.2, 0.1, 0.1, 0.1]), [1.0] * (horizon + 1)),
-            (p, UNIT_ENVY, np.array([0.1, 0.2, 0.3, 0.4]), [1.0] * 7 + [1e-310] * 24),
+            (p, UNIT_ENVY, np.array([0.1, 0.2, 0.3, 0.4]), [1.0] * 7 + [1e-310] * (horizon - 6)),
             (p, UNIT_ENVY, np.array([0.1, 0.1, 0.1, 0.1]), [1.0] * (horizon + 1)),
+            (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [0.9] * (horizon - 39)),
+            (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [5.0] * (horizon - 39)),
         ]
         paths = [_Path(q, e, _tilt_runs(nus, horizon), keep=True) for q, e, _, nus in cases]
         _run_paths(np.stack([c[2] for c in cases]), paths, horizon)
@@ -559,9 +565,13 @@ class TestLockstepKernel:
         for path, case in zip(paths, cases):
             records, error = _assert_row_matches_oracle(path.records, path.error, case, horizon)
             kinds.append((type(error).__name__, len(records)))
-        assert kinds[0] == kinds[3] == ("NoneType", horizon)
+        assert kinds[0] == kinds[3] == kinds[4] == ("NoneType", horizon)
         assert kinds[1] == ("EnvyTooStrong", 6)
         assert kinds[2] == ("NoPositiveRoot", 6)
+        assert kinds[5] == ("NuOutOfBounds", 40)
+        for path in paths[4:]:
+            assert path.records[38] is path.records[34]  # frozen at the fixed point
+            assert path.records[39] is not path.records[38]  # solved again on the announcement
 
 
 class TestSimulate:

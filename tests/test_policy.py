@@ -18,6 +18,7 @@ from joneses import (
 )
 from joneses.errors import (
     BudgetViolation,
+    DomainError,
     Infeasible,
     NonMonotoneSegments,
     NuOutOfBounds,
@@ -59,6 +60,17 @@ class TestBuildSchedule:
             build_schedule(0.1, [(5, 1.0)], BASELINE)
         with pytest.raises(ScheduleTooShort):
             build_schedule(0.1, [], BASELINE)
+
+    @pytest.mark.parametrize("start", [2.5, float("nan"), float("inf"), True, "2"])
+    def test_start_must_be_an_integer(self, start):
+        with pytest.raises(DomainError, match="segment start must be an integer"):
+            build_schedule(0.1, [(0, 1.0), (start, 1.05)], BASELINE)
+
+    @pytest.mark.parametrize("start", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_starts_are_taken_as_ints(self, start):
+        s = build_schedule(0.1, [(0, 1.0), (start, 1.05)], BASELINE)
+        assert s.segments == ((0, 1.0), (2, 1.05))
+        assert type(s.segments[1][0]) is int
 
     def test_phi_must_match_params(self):
         with pytest.raises(ValidationError):
@@ -146,6 +158,17 @@ class TestPlanReform:
                 margin=1.0,
                 max_horizon=10**9,
             )
+
+    @pytest.mark.parametrize("max_horizon", [-1, 2.0, True])
+    def test_max_horizon_must_be_a_nonnegative_integer(self, max_horizon):
+        with pytest.raises(DomainError, match="max_horizon"):
+            plan_reform([0.3, 0.3, 0, 0], BASELINE, UNIT_ENVY, 0.7, 1.0, max_horizon=max_horizon)
+
+    def test_zero_max_horizon_is_valid(self):
+        plan = plan_reform([0.3, 0.3, 0, 0], BASELINE, UNIT_ENVY, 0.7, 1.0, max_horizon=0)
+        assert plan.trigger_period == 0
+        with pytest.raises(Infeasible, match=r"within 0 periods$"):
+            plan_reform([0.3, 0.3, 0, 0], BASELINE, UNIT_ENVY, 0.7, 1.0, margin=1.0, max_horizon=0)
 
     def test_lowering_the_tilt_rejected(self):
         with pytest.raises(ValidationError):
