@@ -18,12 +18,14 @@ where ``z = gamma / (1 + gamma)`` and average consumption satisfies
 makes ``k_next = mean_j s_j`` the root of a piecewise-linear map whose
 slopes are all below one, so the root is unique.  It is found exactly
 by scanning candidate active sets (the top-``a`` incomes) in vectorised
-blocks for the first consistent one; bisection finds it where rounding
-leaves none consistent (a dynasty exactly at a kink).  Richer parents
-leave weakly richer heirs, so a path sorts its initial vector once and
-then only checks that order, in O(N), each period.  A wealth vector is
-validated once, where it enters: the public functions here take plain
-vectors, and nothing behind them validates the same vector again.
+blocks for the first consistent one.  The map is the upper envelope of
+the candidates' lines, so its root is also the largest candidate root;
+a row takes that one where rounding leaves no set consistent (a dynasty
+exactly at a kink).  Richer parents leave weakly richer heirs, so a path
+sorts its initial vector once and then only checks that order, in O(N),
+each period.  A wealth vector is validated once, where it enters: the
+public functions here take plain vectors, and nothing behind them
+validates the same vector again.
 
 There is one period kernel, and it solves a (C x N) block of bequest
 rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
@@ -121,23 +123,31 @@ class TemporaryEquilibrium:
 
 
 def _scan_active_sets(desc, z, total, delta, xnn):
-    """First consistent active set of every row of ``desc`` (incomes, descending).
+    """The fixed point of every row of ``desc`` (incomes, descending).
 
     ``z``, ``total``, ``delta`` and ``xnn`` (xi/nu_next) are (C x 1) columns
     of per-row values.  The top ``a`` incomes are a candidate set; its root
 
-        kappa = (delta * sum_active(I) - a*delta*z*total)
-                / (N*(1+delta) - a*(delta*z - xi/nu_next))
+        kappa_a = (delta * sum_active(I) - a*delta*z*total)
+                  / (N*(1+delta) - a*(delta*z - xi/nu_next))
 
     is accepted iff it lies in (0, total), the poorest active dynasty
     saves and the richest inactive one does not.  Candidates are scanned
     in column blocks of 16, 128, 1024, ... incomes, each row extending its
     own running sum; a row leaves the scan at its first consistent ``a``.
-    Returns ``(kappa, found)`` per row.
+
+    Every head delta*I_j - delta*z*(total - kappa) - (xi/nu_next)*kappa has
+    the same slope in kappa, so the sum of their positive parts is the
+    largest top-``a`` sum: the fixed-point map is the upper envelope of the
+    candidates' lines, each of which crosses the diagonal from above.  Its
+    root is therefore the largest candidate root.  A row that rounding
+    leaves with no consistent set (a dynasty exactly at a kink) takes that
+    root, carried as a running maximum; where it is not positive, no
+    dynasty saves.  Returns the root of every row.
     """
     c, n = desc.shape
-    kappa, found = np.zeros(c), np.zeros(c, dtype=bool)
-    rows, run = np.arange(c), np.zeros(c)
+    kappa = np.zeros(c)
+    rows, run, best = np.arange(c), np.zeros(c), np.full(c, -np.inf)
     base, dz = n * (1.0 + delta), delta * z
     lo, size = 0, 16
     while lo < n:
@@ -156,55 +166,17 @@ def _scan_active_sets(desc, z, total, delta, xnn):
         ok[:, : w - 1] &= ~(heads[:, 1:] > tail[:, : w - 1])
         hit = ok.any(axis=1)
         kappa[rows] = kap[np.arange(rows.size), ok.argmax(axis=1)]  # kept where hit
-        found[rows] = hit
         if hit.all():
-            break
+            return kappa
+        best = np.maximum(best, kap.max(axis=1))
         if hit.any():
             miss = ~hit
-            rows, desc, z, total, delta, xnn, base, dz, csum = (
-                v[miss] for v in (rows, desc, z, total, delta, xnn, base, dz, csum)
+            rows, desc, z, total, delta, xnn, base, dz, csum, best = (
+                v[miss] for v in (rows, desc, z, total, delta, xnn, base, dz, csum, best)
             )
         run, lo, size = csum[:, -1], hi, 8 * size
-    return kappa, found
-
-
-def fixed_point_bisection(
-    income: np.ndarray,
-    z: float,
-    total: float,
-    delta: float,
-    xi_over_nu_next: float,
-) -> float:
-    """Bisection root of the bequest fixed point on (0, total).
-
-    The residual mean_j max(0, .)/(1+delta) - kappa is strictly
-    decreasing; it is negative at kappa = total (average consumption
-    must stay positive), so a root exists iff the residual at 0 is
-    positive.  Independent of the active-set path: used as fallback and
-    as a cross-check oracle.
-    """
-    n = income.size
-
-    def residual(kappa: float) -> float:
-        heads = delta * income - delta * z * (total - kappa) - xi_over_nu_next * kappa
-        return float(np.maximum(0.0, heads).sum() / ((1.0 + delta) * n)) - kappa
-
-    if not residual(0.0) > 0.0:
-        raise NoPositiveRoot(
-            "no dynasty saves even at zero next-period capital; the economy "
-            "exits the model domain"
-        )
-    lo, hi = 0.0, total
-    width_tol = 1e-12 * max(1.0, total)
-    for _ in range(200):
-        if hi - lo < width_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    kappa[rows] = best
+    return kappa
 
 
 def solve_temporary(
@@ -337,13 +309,7 @@ def _solve_block(beq, order, econ, paths, keep=False):
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
     desc = asc[:, ::-1]
-    kappa, found = _scan_active_sets(desc, z, total, delta, xnn)
-    for i in np.flatnonzero(ok & ~found):
-        args = (income[i], float(z[i, 0]), float(total[i, 0]), float(delta[i, 0]), float(xnn[i, 0]))
-        try:
-            kappa[i] = fixed_point_bisection(*args)
-        except JonesesError as exc:
-            paths[rows[i]].error, ok[i], kappa[i] = exc, False, 0.0  # 0: filler
+    kappa = _scan_active_sets(desc, z, total, delta, xnn)
 
     bequests_next = delta * income
     bequests_next -= delta * z * (total - kappa[:, None])
@@ -354,7 +320,7 @@ def _solve_block(beq, order, econ, paths, keep=False):
     consumptions = income - bequests_next
     avg = consumptions.sum(axis=1) / n
     floor = z[:, 0] * avg
-    short = ~(k_next > 0.0)
+    short = ~(k_next > 0.0)  # a root <= 0 leaves no head positive, a non-finite one NaN heads
     for i in np.flatnonzero(ok & (short | ~(income > floor[:, None]).all(axis=1))):
         if short[i]:
             error = NoPositiveRoot("next-period capital intensity is not positive")

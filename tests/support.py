@@ -5,12 +5,15 @@ paths: the Gini oracles are the O(N^2) pairwise sum and the scalar
 sorted-rank formula the package's block form replaced, utility optimality is
 checked by brute-force grid search on the budget line, one period is
 solved by a scalar one-vector solver whose fixed point comes from the
-scalar candidate loop ``active_set_oracle`` (or the package's bisection), and
-equilibrium paths are audited against the conservation laws and
-monotonicity statements recomputed from raw quantities.
+scalar candidate loop ``active_set_oracle``, fixed points are also found
+by bisection and in exact rational arithmetic, and equilibrium paths are
+audited against the conservation laws and monotonicity statements
+recomputed from raw quantities.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -28,7 +31,7 @@ from joneses import (
 )
 from joneses.core import factor_prices, tax_rates
 from joneses.envy import as_distribution
-from joneses.equilibrium import _scan_active_sets, fixed_point_bisection
+from joneses.equilibrium import _scan_active_sets
 from joneses.errors import DomainError, EnvyTooStrong, JonesesError, NoPositiveRoot
 
 BASELINE = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4)
@@ -89,54 +92,124 @@ def gini_oracle(values) -> float:
     return float(min(max(g, 0.0), (n - 1.0) / n))
 
 
-def active_set_oracle(income, z, total, delta, xi_over_nu_next):
-    """Scalar candidate loop over income-prefix active sets, the solver's oracle.
+def candidate_roots(income, z, total, delta, xi_over_nu_next):
+    """Scalar loop over the income-prefix active sets a = 1..N.
 
-    Tries a = 1..N in turn and returns the root of the first consistent
-    candidate, or None when none is; the kernel's block scan,
-    ``_scan_active_sets``, must agree with it exactly.
+    Returns ``(kappa, consistent)`` per candidate: its root, and whether the
+    root lies in (0, total) with the poorest active dynasty saving and the
+    richest inactive one not.
     """
     n = income.size
     inc = np.sort(income)[::-1]
     csum = np.cumsum(inc)
+    out = []
     for a in range(1, n + 1):
         denom = n * (1.0 + delta) - a * (delta * z - xi_over_nu_next)
         kappa = (delta * csum[a - 1] - a * delta * z * total) / denom
-        if not 0.0 < kappa < total:
-            continue
         tail = delta * z * (total - kappa) + xi_over_nu_next * kappa
-        if not delta * inc[a - 1] > tail:
-            continue
-        if a < n and delta * inc[a] > tail:
-            continue
-        return float(kappa)
-    return None
+        consistent = (
+            0.0 < kappa < total
+            and delta * inc[a - 1] > tail
+            and not (a < n and delta * inc[a] > tail)
+        )
+        out.append((float(kappa), consistent))
+    return out
+
+
+def active_set_oracle(income, z, total, delta, xi_over_nu_next):
+    """The solver's oracle: the root of the first consistent candidate.
+
+    Where rounding leaves no candidate consistent, the largest candidate
+    root, which is the root of the fixed-point map (see ``exact_root``).
+    The kernel's block scan, ``_scan_active_sets``, must agree with it
+    exactly.
+    """
+    roots = candidate_roots(income, z, total, delta, xi_over_nu_next)
+    first = next((kappa for kappa, consistent in roots if consistent), None)
+    return float(np.max([kappa for kappa, _ in roots])) if first is None else first
+
+
+def exact_root(income, z, total, delta, xi_over_nu_next) -> Fraction:
+    """The largest candidate root in exact rational arithmetic on the float inputs.
+
+    Every head delta*I_j - delta*z*(total - kappa) - xi/nu_next*kappa has
+    the same slope in kappa, so the sum of their positive parts is the
+    largest top-``a`` sum, and the fixed-point map is the upper envelope of
+    the candidates' lines.  Each line crosses the diagonal from above, so
+    the map's root is the largest candidate root, or 0 where that is not
+    positive.  The exact residual there is asserted to be 0.
+    """
+    inc = sorted(map(Fraction, income.tolist()), reverse=True)
+    z, total, delta, xnn = (Fraction(float(v)) for v in (z, total, delta, xi_over_nu_next))
+    n, slope, csum, roots = len(inc), delta * z - xnn, Fraction(0), []
+    for a, x in enumerate(inc, 1):
+        csum += x
+        roots.append((delta * csum - a * delta * z * total) / (n * (1 + delta) - a * slope))
+    root = max(roots)
+    fixed = max(root, Fraction(0))
+    heads = (delta * x - delta * z * (total - fixed) - xnn * fixed for x in inc)
+    assert sum(max(h, 0) for h in heads) / (n * (1 + delta)) == fixed
+    return root
+
+
+def fixed_point_bisection(
+    income: np.ndarray,
+    z: float,
+    total: float,
+    delta: float,
+    xi_over_nu_next: float,
+) -> float:
+    """Bisection root of the bequest fixed point on (0, total).
+
+    The residual mean_j max(0, .)/(1+delta) - kappa is strictly
+    decreasing; it is negative at kappa = total (average consumption
+    must stay positive), so a root exists iff the residual at 0 is
+    positive.  Independent of the active-set path: a cross-check oracle.
+    """
+    n = income.size
+
+    def residual(kappa: float) -> float:
+        heads = delta * income - delta * z * (total - kappa) - xi_over_nu_next * kappa
+        return float(np.maximum(0.0, heads).sum() / ((1.0 + delta) * n)) - kappa
+
+    if not residual(0.0) > 0.0:
+        raise NoPositiveRoot(
+            "no dynasty saves even at zero next-period capital; the economy "
+            "exits the model domain"
+        )
+    lo, hi = 0.0, total
+    width_tol = 1e-12 * max(1.0, total)
+    for _ in range(200):
+        if hi - lo < width_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def scan_row(income, z, total, delta, xi_over_nu_next):
     """The kernel's block scan, ``_scan_active_sets``, on one income vector.
 
     Not an oracle: this is the code under test, which sorts ``income``
-    descending and returns the root, or None where the scan finds no set.
+    descending and returns the root.
     """
     desc = np.sort(income)[::-1][None]
     columns = (np.array([[v]], dtype=float) for v in (z, total, delta, xi_over_nu_next))
-    kappa, found = _scan_active_sets(desc, *columns)
-    return float(kappa[0]) if found[0] else None
+    return float(_scan_active_sets(desc, *columns)[0])
 
 
-def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
-    """The scalar period solver, one bequest vector at a time: the kernel's oracle.
+def period_inputs(beq, order, nu_t, nu_next, params, envy):
+    """The scalar period's prices and the arguments of its fixed point.
 
     ``beq`` is validated and ``order`` should sort it ascending.  The
     order is checked in O(N); a stale one is overwritten in place by a
     stable argsort, so a caller carrying it from period to period stays
     valid.  The tilts are priced as Python floats, as the kernel prices
-    them.  The fixed point comes from the scalar ``active_set_oracle``,
-    not the kernel's block scan, and from the package's bisection where
-    no candidate is consistent.  Each row of the lockstep kernel must
-    equal this record bit for bit, and raise where it raises with the
-    same message.
+    them.  Returns ``(k, gini, gamma, prices, taxes)`` and ``(income, z,
+    total, delta, xi/nu_next)``.
     """
     asc = beq[order]
     if not (asc[:-1] <= asc[1:]).all():
@@ -155,14 +228,23 @@ def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibri
     net_return = (1.0 - taxes.tau_s) * prices.gross_return
     income = net_return * (params.xi / nu_t * k + beq)
     total = net_return * (params.xi / nu_t + 1.0) * k  # = (1-phi) * k**alpha
-    xnn = params.xi / nu_next
+    return (k, g, gamma, prices, taxes), (income, z, total, params.delta, params.xi / nu_next)
 
-    kappa = active_set_oracle(income, z, total, params.delta, xnn)
-    if kappa is None:
-        kappa = fixed_point_bisection(income, z, total, params.delta, xnn)
 
-    heads = params.delta * income - params.delta * z * (total - kappa) - xnn * kappa
-    bequests_next = np.maximum(0.0, heads) / (1.0 + params.delta)
+def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
+    """The scalar period solver, one bequest vector at a time: the kernel's oracle.
+
+    The inputs are ``period_inputs``'s, and the fixed point comes from the
+    scalar ``active_set_oracle``, not the kernel's block scan.  Each row of
+    the lockstep kernel must equal this record bit for bit, and raise where
+    it raises with the same message.
+    """
+    (k, g, gamma, prices, taxes), args = period_inputs(beq, order, nu_t, nu_next, params, envy)
+    income, z, total, delta, xnn = args
+    kappa = active_set_oracle(*args)
+
+    heads = delta * income - delta * z * (total - kappa) - xnn * kappa
+    bequests_next = np.maximum(0.0, heads) / (1.0 + delta)
     k_next = float(bequests_next.mean())
     if not k_next > 0.0:
         raise NoPositiveRoot("next-period capital intensity is not positive")
@@ -275,9 +357,9 @@ def household_utility(c, s, gamma, cbar, delta, xi_over_nu_next, k_next):
     """
     arg1 = np.asarray(c + gamma * (c - cbar), dtype=float)
     arg2 = np.asarray(xi_over_nu_next * k_next + s, dtype=float)
-    out = np.full(arg1.shape, -np.inf)
     ok = (arg1 > 0.0) & (arg2 > 0.0)
-    out[ok] = np.log(arg1[ok]) + delta * np.log(arg2[ok])
+    out = np.log(arg1, where=ok, out=np.full(ok.shape, -np.inf))
+    out += delta * np.log(arg2, where=ok, out=np.zeros(ok.shape))
     return out
 
 

@@ -34,7 +34,6 @@ from joneses.equilibrium import (
     _solve_one,
     _tilt_runs,
     final_capitals,
-    fixed_point_bisection,
 )
 from joneses.errors import (
     DomainError,
@@ -50,11 +49,15 @@ from support import (
     TOL_SOLVER,
     UNIT_ENVY,
     active_set_oracle,
+    candidate_roots,
     chained_oracle,
     check_path_invariants,
     convergence_oracle,
+    exact_root,
+    fixed_point_bisection,
     gini_vectors,
     grid_search_best_utility,
+    period_inputs,
     period_oracle,
     random_envy,
     random_initial,
@@ -155,7 +158,7 @@ class TestSolveTemporary:
             )
             xnn = p.xi / nu_next
             exact = scan_row(income, z, total, p.delta, xnn)
-            assert exact is not None
+            assert 0.0 < exact < total
             approx = fixed_point_bisection(income, z, total, p.delta, xnn)
             assert abs(exact - approx) < TOL_SOLVER * max(1.0, exact)
 
@@ -166,11 +169,12 @@ class TestSolveTemporary:
             )
 
     def test_no_positive_root_guard(self):
-        # synthetic inputs where nobody saves even at zero next capital
+        # synthetic inputs where nobody saves even at zero next capital: the scan's
+        # root is not positive, and the bisection oracle refuses them
+        args = (np.array([0.1, 0.1]), 0.9, 1.0, 1.0, 2.0)
+        assert scan_row(*args) < 0.0
         with pytest.raises(NoPositiveRoot):
-            fixed_point_bisection(
-                np.array([0.1, 0.1]), z=0.9, total=1.0, delta=1.0, xi_over_nu_next=2.0
-            )
+            fixed_point_bisection(*args)
 
     def test_state_validation(self):
         # the inherited vector is validated where it enters the solver
@@ -196,9 +200,9 @@ def _active_count(income, z, total, delta, xnn, kappa):
 
 
 @st.composite
-def fixed_point_instances(draw):
+def fixed_point_instances(draw, max_n=4096):
     """Income vectors with ties, zeros and any order, plus solver coefficients."""
-    n = draw(st.one_of(st.integers(2, 40), st.integers(2, 4096)))
+    n = draw(st.one_of(st.integers(2, min(40, max_n)), st.integers(2, max_n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     income = rng.lognormal(sigma=draw(st.floats(0.0, 3.0)), size=n)
     levels = draw(st.integers(0, 6))
@@ -217,11 +221,63 @@ def fixed_point_instances(draw):
     return income, z, total, delta, xnn
 
 
-@given(instance=fixed_point_instances())
+@st.composite
+def kink_instances(draw):
+    """Incomes with one or two tied dynasties exactly at a kink of the fixed-point map.
+
+    The top ``a`` incomes and the coefficients are drawn, and the candidate
+    root kappa of those ``a`` is computed.  The next one or two incomes are
+    the income whose head is zero at kappa, I = z*(total - kappa) +
+    (xi/nu_next)*kappa/delta, and the rest lie below it.  Rounding then
+    often leaves no candidate set consistent.
+    """
+    n = draw(st.integers(3, 8))
+    tied = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        a = int(rng.integers(1, n - tied + 1))
+        z, delta, xnn = rng.uniform(0.0, 0.95), rng.uniform(0.2, 3.0), rng.uniform(0.05, 4.0)
+        top = rng.lognormal(size=a)
+        total = float(top.mean()) * rng.uniform(0.2, 1.5)
+        denom = n * (1.0 + delta) - a * (delta * z - xnn)
+        kappa = (delta * top.sum() - a * delta * z * total) / denom
+        kink = z * (total - kappa) + xnn * kappa / delta
+        if 0.0 < kappa < total and 0.0 <= kink <= top.min():
+            break
+    income = np.concatenate([top, [kink] * tied, rng.uniform(0.0, 1.0, n - a - tied) * kink])
+    return rng.permutation(income), z, total, delta, xnn
+
+
+def _root_scale(income, z, total, delta, xnn):
+    """Size of the terms whose difference makes the largest candidate root.
+
+    The root is (delta*sum_active(I) - a*delta*z*total) / denominator; this
+    is the same ratio with the terms added.  It equals the root where
+    z*total = 0 and exceeds it by the cancellation in the numerator.
+    """
+    desc = np.sort(income)[::-1]
+    a = np.arange(1.0, desc.size + 1.0)
+    csum = np.cumsum(desc)
+    denom = desc.size * (1.0 + delta) - a * (delta * z - xnn)
+    kappa = (delta * csum - a * delta * z * total) / denom
+    return ((delta * csum + a * delta * z * total) / denom)[np.argmax(kappa)]
+
+
+@given(instance=st.one_of(fixed_point_instances(), kink_instances()))
 @settings(max_examples=300, deadline=None)
 def test_block_scan_equals_scalar_oracle(instance):
     income, z, total, delta, xnn = instance
     assert scan_row(income, z, total, delta, xnn) == active_set_oracle(income, z, total, delta, xnn)
+
+
+@given(instance=st.one_of(fixed_point_instances(max_n=40), kink_instances()))
+@settings(max_examples=300, deadline=None)
+def test_scan_root_is_the_exact_root_to_rounding(instance):
+    # exact_root is the largest candidate root in Fractions, its residual asserted 0.
+    # The bound is relative to the root's terms, which is the root itself unless the
+    # numerator cancels; at N in the thousands the scan's running sum rounds further.
+    exact = exact_root(*instance)
+    assert abs(scan_row(*instance) - exact) <= 1e-14 * _root_scale(*instance)
 
 
 BLOCK_EDGES = [1, 15, 16, 17, 143, 144, 145, 1167, 1168, 1169]
@@ -241,10 +297,10 @@ def test_block_scan_on_block_edges(m):
     total = desc.mean(axis=1)
     before = desc.copy()
     z, delta, xnn = (np.full((len(counts), 1), v) for v in (0.5, 1.0, 0.5))
-    kappa, found = _scan_active_sets(desc, z, total[:, None], delta, xnn)
+    kappa = _scan_active_sets(desc, z, total[:, None], delta, xnn)
     np.testing.assert_array_equal(desc, before)
-    assert found.all()
     for row, r, t, got in zip(desc, counts, total, kappa):
+        assert any(consistent for _, consistent in candidate_roots(row, 0.5, t, 1.0, 0.5))
         assert got == active_set_oracle(row, 0.5, t, 1.0, 0.5)
         assert _active_count(row, 0.5, t, 1.0, 0.5, got) == r
 
@@ -258,12 +314,13 @@ def _assert_same_records(a, b):
             assert x == y, field.name
 
 
-class TestBisectionFallback:
-    """Valid inputs on which no active set is consistent, so bisection must run.
+class TestKink:
+    """Valid inputs on which no active set is consistent: a dynasty at a kink.
 
     At the root one dynasty sits exactly at a kink of the fixed-point map.
     Rounding then rejects both candidate sets that meet there: the set
     without that dynasty finds it saving, and the set with it finds it not.
+    The scan then takes the largest candidate root, which is the root.
     """
 
     # one period of solve_temporary([0.0600..., 0.0597..., 0.0382..., 0.0], nu=1.0,
@@ -275,44 +332,40 @@ class TestBisectionFallback:
     BEQUESTS = [0.06000480590980038, 0.05978661408086293, 0.03827261931010785, 0.0]
     NU_NEXT = 0.7164648121528091
 
-    def test_scan_finds_no_set_and_bisection_finds_the_root(self):
+    def test_no_set_is_consistent_and_the_scan_takes_the_exact_root(self):
         args = (self.INCOME, self.Z, self.TOTAL, self.DELTA, self.XNN)
-        assert scan_row(*args) is None
-        assert active_set_oracle(*args) is None
-        kappa = fixed_point_bisection(*args)
+        assert not any(consistent for _, consistent in candidate_roots(*args))
+        kappa = scan_row(*args)
+        assert kappa == active_set_oracle(*args)
         assert 0.0 < kappa < self.TOTAL
+        assert abs(kappa - exact_root(*args)) <= 1e-14 * kappa
         heads = self.DELTA * (self.INCOME - self.Z * (self.TOTAL - kappa)) - self.XNN * kappa
         residual = np.maximum(0.0, heads).sum() / ((1.0 + self.DELTA) * self.INCOME.size) - kappa
         assert abs(residual) < 1e-12
         assert abs(heads[-1]) < 1e-12  # the poorest dynasty sits at its kink
+        assert abs(fixed_point_bisection(*args) - kappa) < 1e-12  # the independent route
 
-    def test_kernel_falls_back_and_matches_the_oracle(self, monkeypatch):
+    def test_kernel_takes_the_kink_root_and_matches_the_oracle(self):
         # The Gini's BLAS dot may round differently on another host, which moves
         # the kink by an ulp or so: search the announced tilt ulp by ulp.
-        import joneses.equilibrium as equilibrium
-
-        calls = []
-        bisection = equilibrium.fixed_point_bisection
-        monkeypatch.setattr(
-            equilibrium,
-            "fixed_point_bisection",
-            lambda *args: calls.append(args) or bisection(*args),
-        )
         beq = np.array(self.BEQUESTS)
+        order = np.argsort(beq, kind="stable")
         nu_next = up = down = self.NU_NEXT
         for step in range(2000):
-            record = solve_temporary(beq, 1.0, nu_next, BASELINE, UNIT_ENVY)
-            if calls:
+            _, args = period_inputs(beq, order, 1.0, nu_next, BASELINE, UNIT_ENVY)
+            if not any(consistent for _, consistent in candidate_roots(*args)):
                 break
             if step % 2:
                 nu_next = down = np.nextafter(down, 0.0)
             else:
                 nu_next = up = np.nextafter(up, 2.0)
-        assert calls, "no announced tilt near the kink made the scan fall back"
-        want = period_oracle(beq, np.argsort(beq, kind="stable"), 1.0, nu_next, BASELINE, UNIT_ENVY)
+        else:
+            pytest.fail("no announced tilt near the kink left every candidate inconsistent")
+        record = solve_temporary(beq, 1.0, nu_next, BASELINE, UNIT_ENVY)
+        want = period_oracle(beq, order, 1.0, nu_next, BASELINE, UNIT_ENVY)
         _assert_same_records(record, want)
         assert record.bequests_next.tobytes() == want.bequests_next.tobytes()
-        assert record.k_next == pytest.approx(0.0510915353643, abs=1e-12)
+        assert abs(record.k_next - exact_root(*args)) <= 1e-14 * record.k_next
 
 
 def _chain_of_solves(initial, nus, horizon, params, envy):

@@ -276,7 +276,11 @@ def _oracle_sweep_csv(grid, path) -> bytes:
 # Extreme but valid starts: their cells parse and classify, then some paths
 # raise DomainError, NoPositiveRoot or EnvyTooStrong on the way.
 EXTREME_STARTS = ([5e-324, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0], [1e200, 1e100, 1.0, 0.0])
-PATH_ERRORS = ("capital intensity must be > 0", "no dynasty saves", "leaves a dynasty with income")
+PATH_ERRORS = (
+    "capital intensity must be > 0",
+    "next-period capital intensity is not positive",
+    "leaves a dynasty with income",
+)
 
 
 def _extreme_grid(initial):
