@@ -656,11 +656,26 @@ def classify(
     dynasties tied at the highest initial bequest (counted by exact
     value equality) end up holding everything.  Within 1e-12 of the
     threshold the long-run limit is not claimed ("boundary").
-    ``gamma0`` is bit for bit ``envy.weight(initial)``, computed on the
-    sorted vector without validating it a second time.
+    ``gamma0`` is bit for bit ``envy.weight(initial)``.
     """
     beq = as_distribution(initial, params.n_agents)
-    gamma0 = float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1][0])
+    return _regime(_start_weight(beq, envy), _rich_count(beq), nu, params, envy)
+
+
+def _start_weight(beq: np.ndarray, envy: EnvySpec) -> float:
+    """``envy.weight(beq)`` of a validated start, without validating it a second time."""
+    return float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1][0])
+
+
+def _rich_count(beq: np.ndarray) -> int:
+    """How many dynasties tie at the start's highest bequest (exact value equality)."""
+    return int(np.count_nonzero(beq == beq.max()))
+
+
+def _regime(
+    gamma0: float, rich: int, nu: float, params: EconomyParams, envy: EnvySpec
+) -> Regime:
+    """:func:`classify` of a start of weight ``gamma0`` with ``rich`` dynasties at its top."""
     threshold = gamma_star(nu, params)
     n = params.n_agents
     if abs(gamma0 - threshold) < IDENTITY_TOL:
@@ -669,7 +684,7 @@ def classify(
         kind, top = "egalitarian", None
         limit = steady_capital(gamma_uniform_top(envy, n, n), 1.0, nu, params)
     else:
-        kind, top = "polarised", int(np.count_nonzero(beq == beq.max()))
+        kind, top = "polarised", rich
         limit = steady_capital(gamma_uniform_top(envy, top, n), top / n, nu, params)
     return Regime(
         kind=kind, limit_k=limit, rich_count=top, gamma0=gamma0, gamma_threshold=threshold

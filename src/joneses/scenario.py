@@ -37,6 +37,9 @@ from .policy import FiscalSchedule, build_schedule
 
 DEFAULT_TOL = 1e-8
 
+#: A scenario's sections, in the order a missing one is reported.
+SECTIONS = ("params", "envy", "initial", "schedule", "run")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -55,7 +58,7 @@ def _require_map(obj, path: str) -> dict:
     return obj
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown(obj, allowed: set[str], path: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
@@ -69,18 +72,21 @@ def _number(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
         if default is _REQUIRED:
             raise ValidationError(f"{path}.{key}", "missing required field")
         return default
-    v = obj[key]
+    return _float(obj[key], f"{path}.{key}", "a number")
+
+
+def numbers(values: list, path: str) -> list[float]:
+    """``values`` as floats, if every entry is an int or a float (bools are not)."""
+    return [_float(v, path, "numbers") for v in values]
+
+
+def _float(v, path: str, expected: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
-
-
-def numbers(values: list, path: str) -> list:
-    """``values`` unchanged if every entry is an int or a float (bools are not)."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(path, f"expected numbers, got {v!r}")
-    return values
+        raise ValidationError(path, f"expected {expected}, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError(path, "integer is too large for a float") from None
 
 
 def _integer(obj: dict, key: str, path: str, default=_REQUIRED):
@@ -169,7 +175,7 @@ def _parse_initial(obj, params: EconomyParams, seed) -> np.ndarray:
         values = section["values"]
         if not isinstance(values, list):
             raise ValidationError("initial.values", "expected a list of numbers")
-        numbers(values, "initial.values")
+        values = numbers(values, "initial.values")
         try:
             return as_distribution(values, params.n_agents)
         except InputError as exc:
@@ -199,16 +205,8 @@ def _parse_schedule(obj, params: EconomyParams) -> FiscalSchedule:
         raise ValidationError("schedule.segments", str(exc)) from exc
 
 
-def parse_scenario(obj, source: str = "<config>") -> Scenario:
-    """Validate a JSON-compatible object model into a Scenario."""
-    root = _require_map(obj, source)
-    _reject_unknown(root, {"params", "envy", "initial", "schedule", "run"}, source)
-    for key in ("params", "envy", "initial", "schedule", "run"):
-        if key not in root:
-            raise ValidationError(key, "missing required section")
-    params = _parse_params(root["params"])
-    envy = _parse_envy(root["envy"], params)
-    run = _require_map(root["run"], "run")
+def _parse_run(obj) -> tuple[int, float, int | None]:
+    run = _require_map(obj, "run")
     _reject_unknown(run, {"horizon", "tol", "seed"}, "run")
     horizon = _integer(run, "horizon", "run")
     if horizon < 1:
@@ -219,6 +217,24 @@ def parse_scenario(obj, source: str = "<config>") -> Scenario:
     seed = _integer(run, "seed", "run", default=None)
     if seed is not None and seed < 0:
         raise ValidationError("run.seed", f"must be >= 0, got {seed}")
+    return horizon, tol, seed
+
+
+def _check_sections(names, source: str) -> None:
+    """The root check of a scenario whose sections are ``names``: no unknown one, none missing."""
+    _reject_unknown(names, set(SECTIONS), source)
+    for key in SECTIONS:
+        if key not in names:
+            raise ValidationError(key, "missing required section")
+
+
+def parse_scenario(obj, source: str = "<config>") -> Scenario:
+    """Validate a JSON-compatible object model into a Scenario."""
+    root = _require_map(obj, source)
+    _check_sections(root, source)
+    params = _parse_params(root["params"])
+    envy = _parse_envy(root["envy"], params)
+    horizon, tol, seed = _parse_run(root["run"])
     initial = _parse_initial(root["initial"], params, seed)
     schedule = _parse_schedule(root["schedule"], params)
     return Scenario(
@@ -238,7 +254,7 @@ def read_json(path):
         text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal past the digit limit
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -1,40 +1,66 @@
 """Parameter sweep harness: regime maps over grids of scenario knobs.
 
-A grid is a scenario template plus named axes.  Every cell is an
-independent pure computation (classify + simulate).  Cells are parsed
-and classified in grid order; their paths then advance in lockstep, a
-block of cells at a time, through the period kernel that
-:func:`~joneses.equilibrium.simulate` runs on one row.  No axis changes
-the horizon or the number of dynasties, so the cells of a grid share one
-block shape, and ``BLOCK_VALUES`` caps cells x dynasties per block.  Each
-row of a block is rounded as its own ``simulate`` would round it, so a
-cell's ``k_final`` is bit for bit that of ``simulate``, and identical
-grids give byte-identical output CSVs.  A cell that fails, at parse, in
-``classify`` or partway along its path, is recorded in its row with the
-exception message intact (csv quoting); the other cells go on.
+A grid is a scenario template plus named axes; each axis sets one field of
+one scenario section (``AXES``).  Cells are built and classified in grid
+order from shared parts: each section is parsed once per distinct value of
+the axes that set it, each start is weighed once per envy functional, and
+a part that fails is kept as its error, so every cell gets the scenario,
+regime or error message that parsing and classifying it whole would give.
+Their paths then advance in lockstep, a block of cells at a time, through
+the period kernel that :func:`~joneses.equilibrium.simulate` runs on one
+row.  No axis changes the horizon or the number of dynasties, so the cells
+of a grid share one block shape, and ``BLOCK_VALUES`` caps cells x
+dynasties per block.  Each row of a block is rounded as its own
+``simulate`` would round it, so a cell's ``k_final`` is bit for bit that of
+``simulate``, and identical grids give byte-identical output CSVs.  A cell
+that fails, at parse, in its classification or partway along its path, is
+recorded in its row with the exception message intact (csv quoting); the
+other cells go on.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import itertools
 import os
 from dataclasses import dataclass
 
 from .core import IDENTITY_TOL, EconomyParams, nu_for_gamma
-from .envy import EnvySpec
-from .equilibrium import classify, final_capitals
+from .envy import EnvySpec, as_distribution
+from .equilibrium import _regime, _rich_count, _start_weight, classify, final_capitals
 from .errors import JonesesError, ValidationError
 from .output import fmt
-from .scenario import Scenario, numbers, parse_scenario, read_json
+from .scenario import (
+    SECTIONS,
+    Scenario,
+    _check_sections,
+    _parse_envy,
+    _parse_initial,
+    _parse_params,
+    _parse_run,
+    _parse_schedule,
+    numbers,
+    read_json,
+)
 
 DEFAULT_CELL_CAP = 10**6
 
 #: Cap on cells * n_agents in one lockstep block of paths.
 BLOCK_VALUES = 1 << 14
 
-AXIS_NAMES = ("nu", "alpha", "delta", "phi", "envy_base", "envy_scale", "gini0")
+#: Each axis's scenario section and the field it sets there.  A ``nu`` or
+#: ``gini0`` axis replaces its section: a one-segment schedule, or a
+#: ``gini_target`` start with the template's total.
+AXES = {
+    "nu": ("schedule", "nu"),
+    "alpha": ("params", "alpha"),
+    "delta": ("params", "delta"),
+    "phi": ("params", "phi"),
+    "envy_base": ("envy", "base"),
+    "envy_scale": ("envy", "scale"),
+    "gini0": ("initial", "gini"),
+}
+AXIS_NAMES = tuple(AXES)
 
 
 @dataclass(frozen=True)
@@ -75,7 +101,7 @@ def parse_grid(obj, source: str = "<grid>") -> SweepGrid:
         values = axis["values"]
         if not isinstance(values, list) or not values:
             raise ValidationError(f"{path}.values", "expected a nonempty list of numbers")
-        axes.append((name, tuple(float(v) for v in numbers(values, f"{path}.values"))))
+        axes.append((name, tuple(numbers(values, f"{path}.values"))))
     cap = obj.get("cap", DEFAULT_CELL_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ValidationError("cap", f"expected a positive integer, got {cap!r}")
@@ -100,30 +126,80 @@ def _template_total(template: dict):
     return 1.0
 
 
-def _apply_axis(obj: dict, name: str, value: float) -> None:
-    if name == "nu":
-        obj["schedule"] = {"segments": [{"start": 0, "nu": value}]}
-    elif name in ("alpha", "delta", "phi"):
-        obj.setdefault("params", {})[name] = value
-    elif name == "envy_base":
-        obj.setdefault("envy", {})["base"] = value
-    elif name == "envy_scale":
-        obj.setdefault("envy", {})["scale"] = value
-    elif name == "gini0":
-        obj["initial"] = {
-            "generator": "gini_target",
-            "gini": value,
-            "total": _template_total(obj),
-        }
-    else:  # pragma: no cover - guarded by parse_grid
-        raise ValidationError("axes", f"unknown axis {name!r}")
+def _cell_section(template: dict, name: str, fields: dict):
+    """Section ``name`` of a cell whose axes set ``fields`` in it; the template is not changed."""
+    if not fields:
+        return template[name]
+    if name == "schedule":
+        return {"segments": [{"start": 0, **fields}]}
+    if name == "initial":
+        return {"generator": "gini_target", **fields, "total": _template_total(template)}
+    section = template.get(name, {})  # a section that is not an object is left to its parser
+    return {**section, **fields} if isinstance(section, dict) else section
 
 
-def cell_scenario(grid: SweepGrid, values: tuple[float, ...]) -> Scenario:
-    obj = copy.deepcopy(grid.template)
-    for (name, _), value in zip(grid.axes, values):
-        _apply_axis(obj, name, value)
-    return parse_scenario(obj, source="<cell>")
+class _Parts:
+    """The parts a grid's cells are built from, each made once per key; a failure is kept.
+
+    A section's key is the indices of the values of the axes that set it,
+    after the params key for the sections parsed against ``params``.
+    """
+
+    def __init__(self, grid: SweepGrid):
+        self.template, self.axes, self.memo = grid.template, grid.axes, {}
+        self.owners = [AXES[name][0] for name, _ in grid.axes]
+        self.at = {s: [i for i, owner in enumerate(self.owners) if owner == s] for s in SECTIONS}
+
+    def _get(self, key, make):
+        """``make()`` once per key; if it raised, its message is raised again each time.
+
+        The memo keeps the message, not the exception: a raised exception's
+        traceback holds the frames that hold this memo, a cycle that only
+        the garbage collector would free.
+        """
+        if key not in self.memo:
+            try:
+                self.memo[key] = make()
+            except JonesesError as exc:
+                self.memo[key] = str(exc)  # no part is a str
+        part = self.memo[key]
+        if isinstance(part, str):
+            raise JonesesError(part)
+        return part
+
+    def _check_root(self) -> None:
+        if "initial" in self.owners:  # a gini0 start takes the template's total first
+            _template_total(self.template)
+        _check_sections({*self.template, *self.owners}, "<cell>")
+
+    def _section(self, name, idx, after, parse, *args):
+        """Key and part of section ``name`` in the cell at axis value indices ``idx``."""
+        at = self.at[name]
+        key = (name, after, *(idx[i] for i in at))
+
+        def make():
+            fields = {AXES[self.axes[i][0]][1]: self.axes[i][1][idx[i]] for i in at}
+            return parse(_cell_section(self.template, name, fields), *args)
+
+        return key, self._get(key, make)
+
+    def cell(self, idx: tuple[int, ...]):
+        """Scenario and regime of the cell at axis value indices ``idx``; raises its first error.
+
+        The errors come in the order ``parse_scenario`` and ``classify``
+        raise them on the cell's whole scenario.
+        """
+        self._get("root", self._check_root)
+        pkey, params = self._section("params", idx, (), _parse_params)
+        ekey, envy = self._section("envy", idx, pkey, _parse_envy, params)
+        _, (horizon, tol, seed) = self._section("run", idx, (), _parse_run)
+        ikey, initial = self._section("initial", idx, pkey, _parse_initial, params, seed)
+        _, schedule = self._section("schedule", idx, pkey, _parse_schedule, params)
+        n = params.n_agents  # classify checks the start first: a generated one is not yet checked
+        rich = self._get(("rich", ikey), lambda: _rich_count(as_distribution(initial, n)))
+        gamma0 = self._get(("gamma0", ikey, ekey), lambda: _start_weight(initial, envy))
+        regime = _regime(gamma0, rich, schedule.nu_at(0), params, envy)
+        return Scenario(params, envy, initial, schedule, horizon, tol, seed), regime
 
 
 @dataclass(frozen=True)
@@ -179,18 +255,18 @@ def sweep_csv_rows(grid: SweepGrid, results) -> list[list]:
 def run_sweep(grid: SweepGrid, out_dir) -> list[CellResult]:
     """Evaluate every cell and write <out_dir>/sweep.csv in grid order.
 
-    Each cell is parsed and classified in turn; a failure there is the
-    cell's error.  The parsed cells then run their paths in lockstep
-    blocks of at most ``BLOCK_VALUES // n_agents`` cells, and a path that
-    raises gives its cell the error message the cell's own
+    Each cell is built from its parts and classified in turn; a failure
+    there is the cell's error.  The parsed cells then run their paths in
+    lockstep blocks of at most ``BLOCK_VALUES // n_agents`` cells, and a
+    path that raises gives its cell the error message the cell's own
     :func:`simulate` would raise.
     """
-    results, block = [], []
-    cells = itertools.product(*(vals for _, vals in grid.axes))
-    for index, values in enumerate(cells):
+    results, block, parts = [], [], _Parts(grid)
+    cells = itertools.product(*(range(len(vals)) for _, vals in grid.axes))
+    for index, idx in enumerate(cells):
+        values = tuple(vals[i] for (_, vals), i in zip(grid.axes, idx))
         try:
-            sc = cell_scenario(grid, values)
-            regime = classify(sc.initial, sc.schedule.nu_at(0), sc.params, sc.envy)
+            sc, regime = parts.cell(idx)
         except JonesesError as exc:
             results.append(CellResult(index, values, "error", error=str(exc)))
             continue

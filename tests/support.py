@@ -6,13 +6,15 @@ sorted-rank formula the package's block form replaced, utility optimality is
 checked by brute-force grid search on the budget line, one period is
 solved by a scalar one-vector solver whose fixed point comes from the
 scalar candidate loop ``active_set_oracle``, fixed points are also found
-by bisection and in exact rational arithmetic, and equilibrium paths are
-audited against the conservation laws and monotonicity statements
-recomputed from raw quantities.
+by bisection and in exact rational arithmetic, sweep cells are built whole
+by ``cell_scenario``, and equilibrium paths are audited against the
+conservation laws and monotonicity statements recomputed from raw
+quantities.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +35,8 @@ from joneses.core import factor_prices, tax_rates
 from joneses.envy import as_distribution
 from joneses.equilibrium import _scan_active_sets
 from joneses.errors import DomainError, EnvyTooStrong, JonesesError, NoPositiveRoot
+from joneses.scenario import parse_scenario
+from joneses.sweep import _template_total
 
 BASELINE = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4)
 UNIT_ENVY = EnvySpec(base=0.0, scale=1.0)
@@ -290,6 +294,33 @@ def chained_oracle(initial, nus, horizon, params, envy):
             return records, exc
         beq = records[-1].bequests_next
     return records, None
+
+
+def cell_scenario(grid, values):
+    """A sweep cell's scenario built whole: the template deep-copied, each axis set, all parsed.
+
+    ``run_sweep`` builds its cells from parts parsed once per distinct
+    axis value; each cell must equal this one, its error included.  A
+    section that is not an object is left for the parser to reject.
+    """
+    obj = copy.deepcopy(grid.template)
+    for (name, _), value in zip(grid.axes, values):
+        if name == "nu":
+            obj["schedule"] = {"segments": [{"start": 0, "nu": value}]}
+        elif name == "gini0":
+            total = _template_total(obj)
+            obj["initial"] = {"generator": "gini_target", "gini": value, "total": total}
+        else:
+            section, field = {
+                "alpha": ("params", "alpha"),
+                "delta": ("params", "delta"),
+                "phi": ("params", "phi"),
+                "envy_base": ("envy", "base"),
+                "envy_scale": ("envy", "scale"),
+            }[name]
+            if isinstance(obj.setdefault(section, {}), dict):
+                obj[section][field] = value
+    return parse_scenario(obj, source="<cell>")
 
 
 def convergence_oracle(traj, tol):

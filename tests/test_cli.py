@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, stream discipline."""
 
+import csv
 import json
+import sys
 
 import pytest
 
@@ -175,6 +177,72 @@ class TestSweep:
         assert main(["sweep", str(grid_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "sweep.csv").exists()
         assert "swept 2 cells" in capsys.readouterr().err
+
+
+    def test_axis_on_a_section_that_is_not_an_object(self, scenario_file, tmp_path, capsys):
+        grid = {
+            "template": {**json.loads(open(scenario_file()).read()), "params": [1, 2]},
+            "axes": [{"name": "alpha", "values": [0.3, 0.4]}],
+        }
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert main(["sweep", str(grid_path), "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert "swept 2 cells (2 errors)" in err and "Traceback" not in err
+        with open(tmp_path / "out" / "sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1:] for row in rows] == [
+            ["error", "", "", "", "", "params: expected an object, got list"]
+        ] * 2
+
+
+HUGE = 10**400  # an integer literal past the float range
+
+
+class TestIntegerPastTheFloatRange:
+    @pytest.mark.parametrize("command", ["validate", "simulate", "classify"])
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"params": {"alpha": 1 / 3, "delta": HUGE, "phi": 0.1, "n_agents": 4}}, "params.delta"),
+            ({"initial": {"values": [HUGE, 0, 0, 0]}}, "initial.values"),
+            ({"run": {"horizon": 10, "tol": -HUGE}}, "run.tol"),
+        ],
+    )
+    def test_in_a_scenario(self, scenario_file, capsys, command, override, path):
+        assert main([command, scenario_file(**override)]) == 1
+        assert f"error: {path}: integer is too large for a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "template, axis, rc, message",
+        [
+            ({}, {"name": "nu", "values": [1.0, HUGE]}, 1, "error: axes[0].values: "),
+            ({"params": {"alpha": 1 / 3, "delta": HUGE, "phi": 0.1, "n_agents": 4}},
+             {"name": "nu", "values": [1.0]}, 0, "swept 1 cells (1 errors)"),
+            ({"initial": {"values": [HUGE, 0, 0, 0]}},
+             {"name": "gini0", "values": [0.2, 0.5]}, 0, "swept 2 cells (2 errors)"),
+        ],
+    )
+    def test_in_a_grid(self, scenario_file, tmp_path, capsys, template, axis, rc, message):
+        grid = {
+            "template": {**json.loads(open(scenario_file()).read()), **template},
+            "axes": [axis],
+        }
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert main(["sweep", str(grid_path), "--out", str(tmp_path / "out")]) == rc
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_literal_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "digits.json"
+        path.write_text('{"params": %s}' % ("9" * 5000))
+        args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "sweep" else [])
+        assert main(args) == 1
+        limited = hasattr(sys, "get_int_max_str_digits")  # added with the digit limit
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: Exceeds the limit" if limited else "error: "
+        )
 
 
 class TestPlots:

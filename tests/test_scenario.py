@@ -92,6 +92,28 @@ class TestParsing:
             parse_scenario(obj)
         assert exc.value.path == path
 
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (lambda o: o["params"].update(delta=10**400), "params.delta"),
+            (lambda o: o["params"].update(alpha=-(10**309)), "params.alpha"),
+            (lambda o: o["envy"].update(scale=10**400), "envy.scale"),
+            (lambda o: o["initial"].update(values=[0, 10**400, 0, 0]), "initial.values"),
+            (
+                lambda o: o.update(initial={"generator": "random", "total": 10**400}),
+                "initial.total",
+            ),
+            (lambda o: o["schedule"]["segments"][0].update(nu=10**400), "schedule.segments[0].nu"),
+            (lambda o: o["run"].update(tol=10**400), "run.tol"),
+        ],
+    )
+    def test_integer_past_the_float_range(self, mutate, path):
+        obj = minimal_obj()
+        mutate(obj)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(obj)
+        assert str(exc.value) == f"{path}: integer is too large for a float"
+
     def test_missing_section(self):
         obj = minimal_obj()
         del obj["schedule"]

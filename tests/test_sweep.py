@@ -1,23 +1,26 @@
 """Sweep harness: grid parsing, cell evaluation, CSV quoting, flip location."""
 
+import copy
 import csv
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joneses import EnvySpec, classify, constant_schedule, locate_regime_flip, simulate, sweep
 from joneses.errors import JonesesError, ParseError, ValidationError
 from joneses.scenario import load_scenario, parse_scenario
 from joneses.sweep import (
+    AXIS_NAMES,
     CellResult,
-    cell_scenario,
     load_grid,
     parse_grid,
     run_sweep,
     sweep_csv_rows,
 )
-from support import BASELINE, UNIT_ENVY, chained_oracle
+from support import BASELINE, UNIT_ENVY, cell_scenario, chained_oracle
 
 
 def template(initial=None):
@@ -249,8 +252,81 @@ class TestRunSweep:
         assert [row[-1] for row in rows] == ["error", "", error]
 
 
-def _oracle_sweep_csv(grid, path) -> bytes:
-    """sweep.csv from a per-cell evaluation, each path chained through period_oracle."""
+HUGE = 10**400  # an integer literal past the float range
+
+
+class TestMalformedGrids:
+    @pytest.mark.parametrize(
+        "section, value, axes",
+        [
+            ("params", [1, 2], [("alpha", [0.3, 0.4])]),
+            ("params", "x", [("delta", [1.0]), ("phi", [0.1, 0.2])]),
+            ("envy", None, [("envy_scale", [0.5]), ("nu", [0.8, 1.0])]),
+            ("envy", [], [("envy_base", [0.0, 0.1])]),
+        ],
+    )
+    def test_axis_on_a_section_that_is_not_an_object(self, tmp_path, section, value, axes):
+        obj = template()
+        obj[section] = value
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(obj)
+        grid = parse_grid(
+            {"template": obj, "axes": [{"name": n, "values": v} for n, v in axes]}
+        )
+        results = run_sweep(grid, tmp_path)
+        assert len(results) == grid.n_cells
+        assert {(r.regime, r.error) for r in results} == {("error", str(exc.value))}
+        assert str(exc.value).startswith(f"{section}: expected an object, got ")
+
+    def test_integer_axis_value_past_the_float_range(self):
+        axes = [{"name": "nu", "values": [1.0]}, {"name": "delta", "values": [1.0, HUGE]}]
+        with pytest.raises(ValidationError) as exc:
+            parse_grid({"template": template(), "axes": axes})
+        assert str(exc.value) == "axes[1].values: integer is too large for a float"
+
+    @pytest.mark.parametrize(
+        "mutate, error",
+        [
+            (
+                lambda o: o["params"].update(delta=HUGE),
+                "params.delta: integer is too large for a float",
+            ),
+            (
+                lambda o: o["initial"].update(values=[HUGE, 0, 0, 0]),
+                "initial.values: integer is too large for a float",
+            ),
+        ],
+    )
+    def test_integer_past_the_float_range_in_the_template(self, tmp_path, mutate, error):
+        obj = template()
+        mutate(obj)
+        axes = [{"name": "nu", "values": [0.8, 1.0]}, {"name": "gini0", "values": [0.2]}]
+        results = run_sweep(parse_grid({"template": obj, "axes": axes}), tmp_path)
+        assert [(r.regime, r.error) for r in results] == [("error", error)] * 2
+
+
+    @pytest.mark.filterwarnings("error")  # a start is checked before it is weighed
+    @pytest.mark.parametrize(
+        "total, first",
+        [
+            (5e-324, ("error", "total wealth must be finite and positive")),
+            (1e-323, ("egalitarian", None)),
+        ],
+    )
+    def test_gini_axis_on_a_subnormal_template_total(self, tmp_path, total, first):
+        # the gini_target starts of so small a total round some entries, or all, to zero
+        axes = [{"name": "gini0", "values": [0.0, 0.2, 0.5]}, {"name": "nu", "values": [0.8, 1.0]}]
+        grid = parse_grid({"template": template([total, 0.0, 0.0, 0.0]), "axes": axes})
+        results = run_sweep(grid, tmp_path / "parts")
+        expected, expected_csv = _oracle_sweep(grid, tmp_path / "oracle.csv")
+        assert results == expected
+        assert (tmp_path / "parts" / "sweep.csv").read_bytes() == expected_csv
+        assert (results[0].regime, results[0].error) == first
+        assert any(r.error == "capital intensity must be > 0, got 0.0" for r in results)
+
+
+def _oracle_sweep(grid, path) -> tuple[list, bytes]:
+    """Results and sweep.csv from a per-cell evaluation, each path chained through period_oracle."""
     results = []
     for index, values in enumerate(itertools.product(*(vals for _, vals in grid.axes))):
         try:
@@ -270,7 +346,7 @@ def _oracle_sweep_csv(grid, path) -> bytes:
         )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(sweep_csv_rows(grid, results))
-    return path.read_bytes()
+    return results, path.read_bytes()
 
 
 # Extreme but valid starts: their cells parse and classify, then some paths
@@ -300,7 +376,7 @@ class TestLockstepSweep:
     def test_path_failures_match_a_per_cell_oracle(self, tmp_path, initial):
         grid = _extreme_grid(initial)
         results = run_sweep(grid, tmp_path / "lockstep")
-        expected = _oracle_sweep_csv(grid, tmp_path / "oracle.csv")
+        _, expected = _oracle_sweep(grid, tmp_path / "oracle.csv")
         assert (tmp_path / "lockstep" / "sweep.csv").read_bytes() == expected
         # some cells fail in their path, not at parse, with the message intact
         failed = [r.error for r in results if r.error and r.error.startswith(PATH_ERRORS)]
@@ -319,6 +395,71 @@ class TestLockstepSweep:
         assert grid.n_cells * 4 > 12  # more cells than one block of the smaller cap holds
         assert outputs[0] == outputs[1] == outputs[2]
         assert any(r.error for r in outputs[0][0]) and any(r.k_final for r in outputs[0][0])
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid``, and one in four from the list ``invalid``."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(invalid) if k == 0 else valid)
+
+
+# Axis values for the property below, invalid ones included: nu outside the
+# segment (about [0.7, 1.6] at the template's alpha and phi), alpha/phi pairs
+# that break assumption 0, envy scales above the existence ceiling, and
+# gini0 outside [0, 3/4).  Signed zeros check that cells share no part by
+# value equality, since an error message prints -0 and 0 apart.
+AXIS_VALUES = {
+    "nu": _mostly(st.floats(0.72, 1.55), [0.5, 1.8, 0.0, -0.0]),
+    "alpha": _mostly(st.floats(0.15, 0.85), [0.05, 0.95]),
+    "delta": _mostly(st.floats(0.2, 3.0), [0.0, -0.0]),
+    "phi": _mostly(st.floats(0.0, 0.3), [-0.0, 0.4]),
+    "envy_base": _mostly(st.floats(0.0, 0.5), [-0.0, 2.0]),
+    "envy_scale": _mostly(st.floats(0.0, 1.5), [3.2, -0.0]),
+    "gini0": _mostly(st.floats(0.0, 0.74), [-0.0, -0.1, 0.75, 0.9]),
+}
+
+# Templates whose errors come before, among and after the axes' parts.
+TEMPLATE_CHANGES = (
+    lambda o: None,
+    lambda o: o["initial"].update(values=[0.1, 0.2, 0.3, 0.4]),
+    lambda o: o["initial"].update(values=["a", 1, 1, 1]),  # caught first under a gini0 axis
+    lambda o: o["initial"].update(values=[5e-324, 0, 0, 0]),  # gini_target starts of zeros
+    lambda o: o["initial"].update(values=[1e-323, 0, 0, 0]),
+    lambda o: o["initial"].update(values=[1.7976931348623157e308, 0, 0, 0]),  # sum overflows
+    lambda o: o.update(initial={"generator": "top_share", "share": 0.9, "rich": 2, "total": 2}),
+    lambda o: o.update(initial={"generator": "random", "total": 0.3}, run={"horizon": 8, "seed": 5}),
+    lambda o: o.pop("schedule"),  # a nu axis supplies it
+    lambda o: o["schedule"]["segments"].append({"start": 4, "nu": 1.2}),
+    lambda o: o.update(envy=None),
+    lambda o: o["params"].update(n_agents=3),
+    lambda o: o["run"].update(horizon=0),
+)
+
+
+@st.composite
+def sweep_grids(draw):
+    obj = template()
+    obj["run"]["horizon"] = 8
+    draw(st.one_of(st.just(TEMPLATE_CHANGES[0]), st.sampled_from(TEMPLATE_CHANGES)))(obj)
+    names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=3, unique=True))
+    axes = [
+        {"name": name, "values": draw(st.lists(AXIS_VALUES[name], min_size=1, max_size=3))}
+        for name in names
+    ]
+    return {"template": obj, "axes": axes}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(obj=sweep_grids())
+@settings(max_examples=300, deadline=None)
+def test_cells_from_parts_equal_cells_parsed_whole(tmp_path_factory, obj):
+    grid = parse_grid(obj)
+    before = copy.deepcopy(grid.template)
+    out = tmp_path_factory.mktemp("sweep")
+    results = run_sweep(grid, out / "parts")
+    expected, expected_csv = _oracle_sweep(grid, out / "oracle.csv")
+    assert results == expected
+    assert (out / "parts" / "sweep.csv").read_bytes() == expected_csv
+    assert grid.template == before
 
 
 class TestLocateRegimeFlip:
