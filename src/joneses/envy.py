@@ -26,6 +26,8 @@ from .errors import DomainError, ExistenceBoundViolated, LengthMismatch
 
 ArrayLike = Sequence[float] | np.ndarray
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 def as_distribution(values: ArrayLike, n_agents: int | None = None) -> np.ndarray:
     """Validate a wealth distribution: 1-D, finite, nonnegative, finite positive total."""
@@ -76,13 +78,22 @@ def _gini_weights(asc: np.ndarray, base, scale) -> tuple[np.ndarray, np.ndarray]
     ``base`` and ``scale`` are floats or one value per row.  One rank dot
     per row (a batched product rounds differently), so a row gets the
     bytes it would get alone.  All equal (N=1 included) takes precedence
-    over a single positive holder.
+    over a single positive holder.  A row whose ``n * total`` would
+    overflow, which bounds its rank dot, is weighed divided by its largest
+    entry, since the Gini does not depend on scale.
     """
     c, n = asc.shape
+    with np.errstate(over="ignore"):  # a sorted row's total can overflow where the row's did not
+        total = asc.sum(axis=1)
+    huge = total > _FLOAT_MAX / n
+    if huge.any():
+        asc = asc.copy()
+        asc[huge] /= asc[huge, -1:]
+        total[huge] = asc[huge].sum(axis=1)
     ranks = np.arange(1.0, n + 1.0)
     dots = np.fromiter(map(ranks.dot, asc), float, c)
     top = (n - 1.0) / n
-    g = np.minimum(np.maximum(2.0 * dots / (n * asc.sum(axis=1)) - (n + 1.0) / n, 0.0), top)
+    g = np.minimum(np.maximum(2.0 * dots / (n * total) - (n + 1.0) / n, 0.0), top)
     g[asc[:, -min(n, 2)] == 0.0] = top
     g[asc[:, 0] == asc[:, -1]] = 0.0
     return g, base + scale * g

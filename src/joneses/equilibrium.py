@@ -16,16 +16,22 @@ where ``z = gamma / (1 + gamma)`` and average consumption satisfies
 ``cbar = C - k_next`` with ``C = (1 - tau_s)(1 + r)(xi/nu + 1) k``
 (everything not bequeathed is consumed).  Substituting ``cbar`` out
 makes ``k_next = mean_j s_j`` the root of a piecewise-linear map whose
-slopes are all below one, so the root is unique.  It is found exactly
-by scanning candidate active sets (the top-``a`` incomes) in vectorised
-blocks for the first consistent one.  The map is the upper envelope of
-the candidates' lines, so its root is also the largest candidate root;
-a row takes that one where rounding leaves no set consistent (a dynasty
-exactly at a kink).  Richer parents leave weakly richer heirs, so a path
-sorts its initial vector once and then only checks that order, in O(N),
-each period.  A wealth vector is validated once, where it enters: the
-public functions here take plain vectors, and nothing behind them
-validates the same vector again.
+slopes are all below one, so the root is unique.  It is the root of the
+first consistent candidate active set (the top-``a`` incomes).  Each row
+first tries one guess, its number of positive inherited bequests, which
+along a path is the last period's active set: the guess is certified in
+O(1) beyond one prefix sum when it is consistent and its poorest active
+dynasty saves by more than a bound on the rounding, which proves that no
+earlier candidate is consistent in floating point.  The rows it does not
+certify (a first period, a kink, NaN) are found exactly by scanning the
+candidates in vectorised blocks.  Either way a row gets the same bytes.
+The map is the upper envelope of the candidates' lines, so its root is
+also the largest candidate root; a row takes that one where rounding
+leaves no set consistent (a dynasty exactly at a kink).  Richer parents
+leave weakly richer heirs, so a path sorts its initial vector once and
+then only checks that order, in O(N), each period.  A wealth vector is
+validated once, where it enters: the public functions here take plain
+vectors, and nothing behind them validates the same vector again.
 
 There is one period kernel, and it solves a (C x N) block of bequest
 rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
@@ -179,6 +185,72 @@ def _scan_active_sets(desc, z, total, delta, xnn):
     return kappa
 
 
+_UNIT = np.finfo(float).eps / 2.0  # unit roundoff u
+
+
+def _certify(desc, guess, z, total, delta, xnn):
+    """Try the active set of size ``guess`` on each row; returns ``(kappa, certified)``.
+
+    The arguments are those of :func:`_scan_active_sets` plus ``guess``, an
+    integer in 1..N per row.  Candidate g = ``guess`` is computed with the
+    scan's own IEEE operations in its order (its prefix sum from one
+    sequential cumsum, which the scan's block-continued running sum
+    equals).  A row is certified when g passes the scan's three tests and
+    the poorest active dynasty's float margin m = delta*I_g - tail_g
+    exceeds E = err*(1 + 1/rho); then no a < g passes the scan's tests, and
+    ``kappa`` is bit for bit the root the scan returns.  The proof, in
+    exact arithmetic on the float inputs, with s = delta*z - xi/nu_next,
+    the heads h_j(kappa) = delta*I_j - delta*z*total + s*kappa, D_a =
+    N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
+
+    * the incomes descend, so h_j is non-increasing in j; and D_a >=
+      N(1+delta) - N*delta*z > 0, as z < 1 and xi/nu_next >= 0;
+    * kappa_a solves N(1+delta)*kappa = sum_{j<=a} h_j(kappa), so
+      kappa_g - kappa_a = sum_{j=a+1..g} h_j(kappa_g) / D_a;
+    * so for a < g, h_{a+1}(kappa_a) = h_{a+1}(kappa_g) - s*(kappa_g -
+      kappa_a) >= rho*h_g(kappa_g): for s > 0 the sum is at most
+      (g-a)*h_{a+1}(kappa_g), and D_a - (g-a)*s = D_g;
+    * for a <= g, D_a >= rho*N(1+delta) and |kappa_a| <= K = 2*total/rho.
+      With P = delta*I_1 + delta*z*total + (1 + delta + delta*z +
+      xi/nu_next)*K, err = 2(g+16)*u*P*(1 + (delta*z + xi/nu_next) /
+      (rho*(1+delta))) bounds the float error of m and of any candidate's
+      test "the richest inactive dynasty does not save", delta*I_{a+1} >
+      tail_a: the recursive-summation bound (a-1)*u*S_a on the prefix sum
+      S_a <= N*I_1 and a few ulps of kappa_a's other terms, carried into
+      the tail by |s|, plus a few ulps of the tail's and the head's terms;
+    * so m > E gives h_g(kappa_g) > m - err and h_{a+1}(kappa_a) >=
+      rho*(m - err) > err: every a < g fails that test in float, and g
+      is the scan's first consistent candidate.
+
+    The proof holds for any g, so a wrong guess costs only a scan.  A row
+    with NaN or inf fails the tests and is not certified.
+    """
+    c, n = desc.shape
+    rows, g, a = np.arange(c), guess, guess.astype(float)
+    z, total, delta, xnn = z[:, 0], total[:, 0], delta[:, 0], xnn[:, 0]
+    csum = np.cumsum(desc[:, : g.max()], axis=1)[rows, g - 1]
+    base, dz = n * (1.0 + delta), delta * z
+    den = base - a * (dz - xnn)
+    kappa = (delta * csum - a * delta * z * total) / den
+    tail = dz * (total - kappa) + xnn * kappa
+    head = delta * desc[rows, g - 1]
+    ok = (0.0 < kappa) & (kappa < total) & (head > tail)
+    ok &= (g == n) | ~(delta * desc[rows, g % n] > tail)  # the richest inactive, if any
+    rho = np.minimum(1.0, den / base)
+    p = delta * desc[:, 0] + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
+    err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
+    return kappa, ok & (head - tail > err + err / rho)
+
+
+def _roots(desc, guess, z, total, delta, xnn):
+    """The scan's root of every row: certified from ``guess`` where it can be, scanned elsewhere."""
+    kappa, certified = _certify(desc, guess, z, total, delta, xnn)
+    if not certified.all():
+        rest = ~certified
+        kappa[rest] = _scan_active_sets(desc[rest], z[rest], total[rest], delta[rest], xnn[rest])
+    return kappa
+
+
 def solve_temporary(
     bequests: Sequence[float] | np.ndarray,
     nu_t: float,
@@ -276,7 +348,8 @@ def _solve_block(beq, order, econ, paths, keep=False):
         asc[i] = beq[i, order[i]]
     k = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
     ok, rows = np.ones(c, dtype=bool), econ["path"]
-    bad = ~((0.0 < k) & (k < np.inf))
+    # the ascending sum, which the Gini takes, can overflow where the row's own sum does not
+    bad = ~((0.0 < k) & (k < np.inf) & (asc.sum(axis=1) < np.inf))
     for i in np.flatnonzero(bad | ~econ["priced"]):
         p = paths[rows[i]]
         try:
@@ -306,10 +379,10 @@ def _solve_block(beq, order, econ, paths, keep=False):
     net, xnn = net[:, None], econ["xnn"][:, None]
     income = xi_k + beq
     income *= net
+    guess = n - (asc > 0.0).argmax(axis=1)  # positive bequests: on a path, the last active set
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
-    desc = asc[:, ::-1]
-    kappa = _scan_active_sets(desc, z, total, delta, xnn)
+    kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn)
 
     bequests_next = delta * income
     bequests_next -= delta * z * (total - kappa[:, None])

@@ -133,6 +133,10 @@ def _parse_envy(obj, params: EconomyParams) -> EnvySpec:
 
 def _generate_initial(section: dict, params: EconomyParams, seed) -> np.ndarray:
     n = params.n_agents
+    try:
+        values = np.empty(n)
+    except (ValueError, MemoryError) as exc:  # past the largest array, or past memory
+        raise ValidationError("params.n_agents", f"too many dynasties for a start: {exc}") from None
     name = section["generator"]
     total = _number(section, "total", "initial", default=1.0)
     if not 0.0 < total < np.inf:
@@ -145,7 +149,7 @@ def _generate_initial(section: dict, params: EconomyParams, seed) -> np.ndarray:
             raise ValidationError("initial.share", f"share must lie in [0, 1], got {share}")
         if not 1 <= rich <= n - 1:
             raise ValidationError("initial.rich", f"rich must lie in 1..{n - 1}, got {rich}")
-        values = np.full(n, (1.0 - share) * total / (n - rich))
+        values[:] = (1.0 - share) * total / (n - rich)
         values[:rich] = share * total / rich
         return values
     if name == "gini_target":
@@ -157,14 +161,14 @@ def _generate_initial(section: dict, params: EconomyParams, seed) -> np.ndarray:
             )
         # one dynasty holding share g + 1/N yields Gini exactly g
         top = g + 1.0 / n
-        values = np.full(n, (1.0 - top) * total / (n - 1))
+        values[:] = (1.0 - top) * total / (n - 1)
         values[0] = top * total
         return values
     if name == "random":
         _reject_unknown(section, {"generator", "total"}, "initial")
         rng = np.random.default_rng(0 if seed is None else seed)
-        raw = rng.random(n)
-        return raw / raw.sum() * total
+        rng.random(out=values)
+        return values / values.sum() * total
     raise ValidationError("initial.generator", f"unknown generator {name!r}")
 
 

@@ -91,6 +91,8 @@ def gini_oracle(values) -> float:
         return 0.0
     if x[-2] == 0.0:
         return (n - 1.0) / n
+    if x.sum() > np.finfo(float).max / n:  # n * total would overflow; the Gini is scale-free
+        x = x / x[-1]
     ranks = np.arange(1, n + 1, dtype=float)
     g = 2.0 * (ranks @ x) / (n * x.sum()) - (n + 1.0) / n
     return float(min(max(g, 0.0), (n - 1.0) / n))

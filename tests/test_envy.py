@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from joneses import (
     EnvySpec,
     as_distribution,
+    classify,
     dominates,
     gamma_hat,
     gamma_uniform_top,
@@ -85,6 +86,28 @@ class TestGini:
             reversed_view = asc[::-1].copy()[::-1]  # ascending, negative stride
             assert gini(asc) == gini(values)
             assert gini(reversed_view) == gini(values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_start_near_the_float_maximum_is_weighed_like_its_shape():
+    # n * total overflows, so the row is weighed divided by its largest entry;
+    # an ordinary row in the same block keeps the bytes it gets alone
+    huge, small = [1e308, 5e307, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0]
+    assert np.isfinite(gini(huge))
+    assert gini(huge) == pytest.approx(gini(small), rel=1e-15, abs=0.0)
+    regime, want = (classify(x, 1.0, BASELINE, EnvySpec()) for x in (huge, small))
+    assert np.isfinite(regime.gamma0)
+    assert regime.gamma0 == pytest.approx(want.gamma0, rel=1e-15, abs=0.0)
+    assert regime.kind == want.kind == "egalitarian"
+    # a gini_target start at the float maximum: only its ascending total overflows
+    edge = np.full(4, 0.5 * np.finfo(float).max / 3)
+    edge[0] = 0.5 * np.finfo(float).max
+    assert gini(edge) == pytest.approx(0.25, rel=1e-15, abs=0.0)
+    with np.errstate(over="ignore"):  # the oracle sums the ascending row unguarded
+        assert gini(huge) == gini_oracle(huge) and gini(edge) == gini_oracle(edge)
+    ordinary = np.sort(np.random.default_rng(7).lognormal(size=4))
+    g, _ = _gini_weights(np.stack([np.sort(huge), ordinary]), 0.0, 1.0)
+    assert g[1] == gini(ordinary) and g[0] == gini(huge)
 
 
 @given(

@@ -27,7 +27,9 @@ from joneses import (
 )
 from joneses.equilibrium import (
     _Path,
+    _certify,
     _economy,
+    _roots,
     _run_paths,
     _scan_active_sets,
     _solve_block,
@@ -366,6 +368,107 @@ class TestKink:
         _assert_same_records(record, want)
         assert record.bequests_next.tobytes() == want.bequests_next.tobytes()
         assert abs(record.k_next - exact_root(*args)) <= 1e-14 * record.k_next
+
+
+@st.composite
+def block_edge_instances(draw):
+    """A row like those of ``test_block_scan_on_block_edges``: m rich dynasties, the rest at 0."""
+    m = draw(st.sampled_from(BLOCK_EDGES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    income = np.zeros(m + draw(st.integers(0, 7)))
+    income[:m] = 1.0 + 0.2 * rng.random(m)
+    return income, 0.5, float(income.mean()), 1.0, 0.5
+
+
+def _one_row(income, z, total, delta, xnn):
+    """``income`` descending as a one-row block, and the coefficients as (1 x 1) columns."""
+    columns = (np.array([[v]], dtype=float) for v in (z, total, delta, xnn))
+    return np.sort(income)[::-1][None], *columns
+
+
+@given(
+    instance=st.one_of(fixed_point_instances(), kink_instances(), block_edge_instances()),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_certified_root_is_the_oracle_root(instance, data):
+    # any guess in 1..N: the oracle's own active set half the time, so rows get certified
+    want = active_set_oracle(*instance)
+    n = instance[0].size
+    active = min(max(_active_count(*instance, want), 1), n)
+    guess = np.array([data.draw(st.one_of(st.just(active), st.integers(1, n)), label="guess")])
+    row = _one_row(*instance)
+    kappa, certified = _certify(row[0], guess, *row[1:])
+    if certified[0]:
+        assert kappa[0] == want
+    assert _roots(row[0], guess, *row[1:])[0] == want
+
+
+@pytest.mark.parametrize("m", BLOCK_EDGES)
+def test_block_edge_rows_are_certified_at_their_active_set(m):
+    income = np.zeros(m + 7)
+    income[:m] = 1.0 + 0.2 * np.random.default_rng(m).random(m)
+    row = _one_row(income, 0.5, float(income.mean()), 1.0, 0.5)
+    kappa, certified = _certify(row[0], np.array([m]), *row[1:])
+    assert certified[0]
+    assert kappa[0] == active_set_oracle(income, 0.5, float(income.mean()), 1.0, 0.5)
+
+
+def test_kink_row_is_not_certified_at_any_guess():
+    row = _one_row(TestKink.INCOME, TestKink.Z, TestKink.TOTAL, TestKink.DELTA, TestKink.XNN)
+    for g in range(1, TestKink.INCOME.size + 1):  # the kernel guesses 3, its positive bequests
+        assert not _certify(row[0], np.array([g]), *row[1:])[1][0]
+
+
+def test_a_consistent_guess_after_an_earlier_consistent_set_is_not_certified():
+    # a dynasty at a kink: rounding leaves both a = 2 and a = 3 consistent, and the
+    # root is the first one's, so a guess of 3 passes the scan's tests but not the margin
+    args = (
+        np.array([7.101161175001415, 6.059545939908129, 3.1139907879377042, 2.4510168787211186]),
+        0.37203805050175315, 8.438891454327369, 2.6927681856134185, 0.94727249445685,
+    )
+    assert [a for a, (_, ok) in enumerate(candidate_roots(*args), 1) if ok] == [2, 3]
+    row = _one_row(*args)
+    kappa, certified = _certify(row[0], np.array([3]), *row[1:])
+    assert not certified[0] and kappa[0] != active_set_oracle(*args)
+    assert _roots(row[0], np.array([3]), *row[1:])[0] == active_set_oracle(*args)
+
+
+def test_a_saving_path_is_certified_in_every_period(monkeypatch):
+    # every dynasty of a uniform start keeps saving, so each period's guess, the
+    # active set it inherits, is certified and no row reaches the scan
+    p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
+    initial = np.random.default_rng(4096).random(p.n_agents)
+    scanned = []
+
+    def spy(desc, *columns):
+        scanned.append(desc.shape[0])
+        return _scan_active_sets(desc, *columns)
+
+    monkeypatch.setattr("joneses.equilibrium._scan_active_sets", spy)
+    traj = simulate(initial, constant_schedule(1.0, p), 20, p, UNIT_ENVY)
+    assert sum(scanned) == 0
+    assert np.all(traj.m_counts == p.n_agents)
+    # with nothing certified, every row is scanned and the path keeps its bytes
+    monkeypatch.setattr(
+        "joneses.equilibrium._certify", lambda desc, *_: (np.zeros(len(desc)), np.zeros(len(desc), bool))
+    )
+    scanned_path = simulate(initial, constant_schedule(1.0, p), 20, p, UNIT_ENVY)
+    assert sum(scanned) == 20
+    for a, b in zip(traj.records, scanned_path.records):
+        _assert_same_records(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sum
+def test_a_start_whose_ascending_total_overflows_raises_as_the_oracle_does():
+    # the unsorted total is finite and the ascending one is not: the oracle's Gini rejects it
+    start = np.full(4, 0.5 * np.finfo(float).max / 3)
+    start[0] = 0.5 * np.finfo(float).max
+    records, error = chained_oracle(start, [1.0] * 3, 2, BASELINE, UNIT_ENVY)
+    assert not records and str(error) == "total wealth must be finite and positive"
+    with pytest.raises(DomainError) as exc:
+        simulate(start, [1.0] * 3, 2, BASELINE, UNIT_ENVY)
+    assert str(exc.value) == str(error)
 
 
 def _chain_of_solves(initial, nus, horizon, params, envy):

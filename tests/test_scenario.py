@@ -163,6 +163,40 @@ class TestGenerators:
             parse_scenario(obj)
         assert exc.value.path == "initial.generator"
 
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"generator": "random"},
+            {"generator": "gini_target", "gini": 0.5},
+            {"generator": "top_share", "share": 0.9, "rich": 1},
+        ],
+    )
+    def test_more_dynasties_than_an_array_can_hold(self, generator):
+        obj = minimal_obj()
+        obj["params"]["n_agents"] = 10**400
+        obj["initial"] = generator
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(obj)
+        assert exc.value.path == "params.n_agents"
+
+    def test_more_dynasties_than_memory_holds(self, monkeypatch):
+        # a start of 10**12 dynasties needs 7.28 TiB: its allocation is faked to fail
+        empty = np.empty
+
+        def fake_empty(shape, *args, **kwargs):
+            if shape == 10**12:
+                raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", fake_empty)
+        obj = minimal_obj()
+        obj["params"]["n_agents"] = 10**12
+        obj["initial"] = {"generator": "random"}
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(obj)
+        assert exc.value.path == "params.n_agents"
+        assert "7.28 TiB" in str(exc.value)
+
     def test_share_and_rich_ranges(self):
         obj = minimal_obj()
         obj["initial"] = {"generator": "top_share", "share": 1.5, "rich": 1}
