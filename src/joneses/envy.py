@@ -17,6 +17,7 @@ one row per path, so each row gets the bytes it would get alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -72,31 +73,40 @@ def _ascending(values: ArrayLike) -> np.ndarray:
     return np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
 
 
-def _gini_weights(asc: np.ndarray, base, scale) -> tuple[np.ndarray, np.ndarray]:
+def _gini_weights(asc: np.ndarray, base, scale, total=None) -> tuple[np.ndarray, np.ndarray]:
     """Gini and envy weight of each ascending, C-contiguous row of ``asc``.
 
-    ``base`` and ``scale`` are floats or one value per row.  One rank dot
-    per row (a batched product rounds differently), so a row gets the
-    bytes it would get alone.  All equal (N=1 included) takes precedence
-    over a single positive holder.  A row whose ``n * total`` would
-    overflow, which bounds its rank dot, is weighed divided by its largest
-    entry, since the Gini does not depend on scale.
+    ``base`` and ``scale`` are floats or one value per row; ``total``, if
+    given, is ``asc.sum(axis=1)``, which may be inf.  One rank dot per row
+    (a batched product rounds differently), so a row gets the bytes it
+    would get alone.  All equal (N=1 included) takes precedence over a
+    single positive holder.  A row whose ``n * total`` would overflow,
+    which bounds its rank dot, is weighed divided by its largest entry,
+    since the Gini does not depend on scale.
     """
     c, n = asc.shape
-    with np.errstate(over="ignore"):  # a sorted row's total can overflow where the row's did not
-        total = asc.sum(axis=1)
+    if total is None:
+        with np.errstate(over="ignore"):  # a sorted row's total can overflow where its own did not
+            total = asc.sum(axis=1)
     huge = total > _FLOAT_MAX / n
     if huge.any():
-        asc = asc.copy()
+        asc, total = asc.copy(), total.copy()
         asc[huge] /= asc[huge, -1:]
         total[huge] = asc[huge].sum(axis=1)
-    ranks = np.arange(1.0, n + 1.0)
-    dots = np.fromiter(map(ranks.dot, asc), float, c)
+    dots = np.fromiter(map(_ranks(n).dot, asc), float, c)
     top = (n - 1.0) / n
     g = np.minimum(np.maximum(2.0 * dots / (n * total) - (n + 1.0) / n, 0.0), top)
     g[asc[:, -min(n, 2)] == 0.0] = top
     g[asc[:, 0] == asc[:, -1]] = 0.0
     return g, base + scale * g
+
+
+@lru_cache(maxsize=8)
+def _ranks(n: int) -> np.ndarray:
+    """The ranks 1.0, ..., n, built once per N: a path weighs one row of N each period."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def lorenz_shares(values: ArrayLike) -> np.ndarray:

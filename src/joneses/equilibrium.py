@@ -29,9 +29,12 @@ The map is the upper envelope of the candidates' lines, so its root is
 also the largest candidate root; a row takes that one where rounding
 leaves no set consistent (a dynasty exactly at a kink).  Richer parents
 leave weakly richer heirs, so a path sorts its initial vector once and
-then only checks that order, in O(N), each period.  A wealth vector is
-validated once, where it enters: the public functions here take plain
-vectors, and nothing behind them validates the same vector again.
+then only checks that order, in O(N), each period.  Any sort will do:
+tied entries are equal values, and a tie of -0.0 with 0.0 changes no
+sum, dot or comparison, since every row holds a positive entry.  A
+wealth vector is validated once, where it enters: the public functions
+here take plain vectors, and nothing behind them validates the same
+vector again.
 
 There is one period kernel, and it solves a (C x N) block of bequest
 rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
@@ -40,10 +43,12 @@ sweep uses, runs a block of cells that share the horizon and the number
 of dynasties, each row's economy held as columns.  Every row is rounded
 exactly as it would be alone: row-wise means, sums and cumulative sums
 equal the 1-D calls bit for bit, the Gini and weight come from the
-function that ``gini`` runs, and the column arithmetic repeats the
-scalar operations; the only per-row Python work is one power and one dot.
-Every tilt is priced as a Python float.  A row that raises is frozen
-with the error, and message, its own path raises; the other rows go on.
+function that ``gini`` runs, and the per-row values repeat the scalar
+operations.  They are columns, or in a one-row block numpy scalars, so a
+path pays numpy's per-call overhead only where it does O(N) work; the
+only per-row Python work is one power and one dot.  Every tilt is priced
+as a Python float.  A row that raises is frozen with the error, and
+message, its own path raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -66,6 +71,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -96,20 +102,30 @@ from .errors import (
 
 @dataclass(frozen=True)
 class TemporaryEquilibrium:
-    """One period's market-clearing allocation and its diagnostics."""
+    """One period's market-clearing allocation and its diagnostics.
+
+    Its one vector of its own is ``bequests_next``: ``bequests`` is the
+    inherited one, and ``consumptions`` is recomputed on each read.
+    """
 
     k: float  # inherited capital intensity
     output: float  # k**alpha
     gamma: float  # envy weight governing the period
     gini: float  # Gini of the inherited distribution
     bequests: np.ndarray  # inherited s_prev
-    consumptions: np.ndarray
     bequests_next: np.ndarray
     k_next: float
     avg_consumption: float
     prices: FactorPrices
     taxes: TaxRates
     m_count: int  # dynasties leaving positive bequests
+    xi_k: float  # xi/nu_t * k, which each income adds to the inherited bequest
+    net: float  # (1 - tau_s)(1 + r), which scales each income
+
+    @property
+    def consumptions(self) -> np.ndarray:
+        """c_j = (xi/nu_t * k + s_prev_j) * net - s_j: the kernel's operations, so its bytes."""
+        return (self.xi_k + self.bequests) * self.net - self.bequests_next
 
     @property
     def savings_realized(self) -> float:
@@ -132,7 +148,8 @@ def _scan_active_sets(desc, z, total, delta, xnn):
     """The fixed point of every row of ``desc`` (incomes, descending).
 
     ``z``, ``total``, ``delta`` and ``xnn`` (xi/nu_next) are (C x 1) columns
-    of per-row values.  The top ``a`` incomes are a candidate set; its root
+    of per-row values, or numpy scalars when ``desc`` has one row.  The top
+    ``a`` incomes are a candidate set; its root
 
         kappa_a = (delta * sum_active(I) - a*delta*z*total)
                   / (N*(1+delta) - a*(delta*z - xi/nu_next))
@@ -192,13 +209,14 @@ def _certify(desc, guess, z, total, delta, xnn):
     """Try the active set of size ``guess`` on each row; returns ``(kappa, certified)``.
 
     The arguments are those of :func:`_scan_active_sets` plus ``guess``, an
-    integer in 1..N per row.  Candidate g = ``guess`` is computed with the
-    scan's own IEEE operations in its order (its prefix sum from one
-    sequential cumsum, which the scan's block-continued running sum
-    equals).  A row is certified when g passes the scan's three tests and
-    the poorest active dynasty's float margin m = delta*I_g - tail_g
-    exceeds E = err*(1 + 1/rho); then no a < g passes the scan's tests, and
-    ``kappa`` is bit for bit the root the scan returns.  The proof, in
+    integer in 1..N per row; the results are vectors of C entries, or
+    scalars when the per-row values are.  Candidate g = ``guess`` is
+    computed with the scan's own IEEE operations in its order (its prefix
+    sum from one sequential cumsum, which the scan's block-continued
+    running sum equals).  A row is certified when g passes the scan's three
+    tests and the poorest active dynasty's float margin m = delta*I_g -
+    tail_g exceeds E = err*(1 + 1/rho); then no a < g passes the scan's
+    tests, and ``kappa`` is bit for bit the root the scan returns.  The proof, in
     exact arithmetic on the float inputs, with s = delta*z - xi/nu_next,
     the heads h_j(kappa) = delta*I_j - delta*z*total + s*kappa, D_a =
     N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
@@ -226,9 +244,14 @@ def _certify(desc, guess, z, total, delta, xnn):
     with NaN or inf fails the tests and is not certified.
     """
     c, n = desc.shape
-    rows, g, a = np.arange(c), guess, guess.astype(float)
-    z, total, delta, xnn = z[:, 0], total[:, 0], delta[:, 0], xnn[:, 0]
-    csum = np.cumsum(desc[:, : g.max()], axis=1)[rows, g - 1]
+    if z.ndim:  # (C x 1) columns, worked as vectors: 2-D arithmetic costs more per call
+        rows, g = np.arange(c), guess.reshape(c)
+        z, total, delta, xnn = z[:, 0], total[:, 0], delta[:, 0], xnn[:, 0]
+        top = g.max()
+    else:  # one row, its values numpy scalars
+        rows, g, top = 0, guess, guess
+    a = g.astype(float)
+    csum = desc[:, :top].cumsum(axis=1)[rows, g - 1]
     base, dz = n * (1.0 + delta), delta * z
     den = base - a * (dz - xnn)
     kappa = (delta * csum - a * delta * z * total) / den
@@ -237,18 +260,20 @@ def _certify(desc, guess, z, total, delta, xnn):
     ok = (0.0 < kappa) & (kappa < total) & (head > tail)
     ok &= (g == n) | ~(delta * desc[rows, g % n] > tail)  # the richest inactive, if any
     rho = np.minimum(1.0, den / base)
-    p = delta * desc[:, 0] + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
+    p = delta * desc[rows, 0] + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
     err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
     return kappa, ok & (head - tail > err + err / rho)
 
 
 def _roots(desc, guess, z, total, delta, xnn):
-    """The scan's root of every row: certified from ``guess`` where it can be, scanned elsewhere."""
+    """The scan's root of each row, shaped like ``z``: certified from ``guess``, or else scanned."""
     kappa, certified = _certify(desc, guess, z, total, delta, xnn)
+    if not z.ndim:  # one row, its values scalars
+        return kappa if certified else _scan_active_sets(desc, z, total, delta, xnn)[0]
     if not certified.all():
         rest = ~certified
         kappa[rest] = _scan_active_sets(desc[rest], z[rest], total[rest], delta[rest], xnn[rest])
-    return kappa
+    return kappa[:, None]
 
 
 def solve_temporary(
@@ -269,8 +294,8 @@ def solve_temporary(
     z times average consumption) is guarded here regardless and raises
     :class:`EnvyTooStrong` when violated.
     """
-    beq = as_distribution(bequests, params.n_agents)
-    return _solve_one(beq, np.argsort(beq, kind="stable"), nu_t, nu_next, params, envy)
+    beq = as_distribution(bequests, params.n_agents).copy()  # the record reads it again
+    return _solve_one(beq, np.argsort(beq), nu_t, nu_next, params, envy)
 
 
 class _Path:
@@ -323,6 +348,11 @@ def _economy(paths) -> np.ndarray:
     return np.array([(i, *f, 0.0, 0.0, 0.0, False) for i, f in enumerate(fixed)], dtype=_ECONOMY)
 
 
+def _rows(mask):
+    """The rows where a per-row mask holds; a numpy bool is the mask of one row."""
+    return np.flatnonzero(mask) if mask.ndim else (0,) if mask else ()
+
+
 def _solve_block(beq, order, econ, paths, keep=False):
     """Solve one period for every row of ``beq``, a (C x N) block of bequests.
 
@@ -332,30 +362,35 @@ def _solve_block(beq, order, econ, paths, keep=False):
     tilts are not priced is priced in place.  Each row is rounded as the
     one-row case would round it: row-wise means, sums and cumulative sums
     equal the 1-D calls, the Gini and weight come from ``_gini_weights``,
-    and the columns repeat the scalar IEEE operations in order.  The power
-    ``k ** (alpha - 1)`` stays a scalar call, since numpy's elementwise
-    power rounds differently.  A row that raises records the error on its
-    path and computes finite filler from then on; the other rows go on.
+    and the per-row values, (C x 1) columns or for C = 1 numpy scalars,
+    repeat the scalar IEEE operations in order.  The power ``k ** (alpha -
+    1)`` stays a scalar call, since numpy's elementwise power rounds
+    differently.  A row that raises records the error on its path and
+    computes finite filler from then on; the other rows go on.
 
-    Returns ``(bequests_next, k, k_next, ok, records)``: ``ok`` marks the
-    rows that did not raise, and ``records`` (only with ``keep``) holds
-    their :class:`TemporaryEquilibrium` records.
+    Returns ``(bequests_next, k, k_next, ok, records)``, the middle three
+    with C entries: ``ok`` marks the rows that did not raise, and
+    ``records`` (only with ``keep``) holds their :class:`TemporaryEquilibrium`.
     """
     c, n = beq.shape
-    asc = beq.take(order + np.arange(0, c * n, n)[:, None])
-    for i in np.flatnonzero(~(asc[:, :-1] <= asc[:, 1:]).all(axis=1)):
+    one = c == 1  # then each per-row value is a numpy scalar, not a (1 x 1) column
+    row = itemgetter(0) if one else itemgetter((slice(None), None))
+    asc = beq.take(order if one else order + np.arange(0, c * n, n)[:, None])
+    for i in _rows(row(~(asc[:, :-1] <= asc[:, 1:]).all(axis=1))):
         order[i] = np.argsort(beq[i], kind="stable")
         asc[i] = beq[i, order[i]]
-    k = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
+    kv = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
+    k = row(kv)
+    with np.errstate(over="ignore"):  # a sorted row's total can overflow where its own did not
+        asc_total = asc.sum(axis=1)
     ok, rows = np.ones(c, dtype=bool), econ["path"]
-    # the ascending sum, which the Gini takes, can overflow where the row's own sum does not
-    bad = ~((0.0 < k) & (k < np.inf) & (asc.sum(axis=1) < np.inf))
-    for i in np.flatnonzero(bad | ~econ["priced"]):
+    bad = ~((0.0 < k) & (k < np.inf) & (row(asc_total) < np.inf))
+    for i in _rows(bad | ~row(econ["priced"])):
         p = paths[rows[i]]
         try:
-            if bad[i]:
+            if bad.item(i):
                 as_distribution(asc[i])  # the Gini rejects a non-finite row,
-                factor_prices(float(k[i]), p.params)  # the prices a mean that is not > 0
+                factor_prices(kv.item(i), p.params)  # the prices a mean that is not > 0
             p.taxes, xi = tax_rates(p.nu_t, p.params), p.params.xi
             if not p.nu_next > 0.0:
                 raise DomainError(f"nu_next must be > 0, got {p.nu_next}")
@@ -365,42 +400,42 @@ def _solve_block(beq, order, econ, paths, keep=False):
         except JonesesError as exc:
             p.error, ok[i] = exc, False
 
-    g, gamma = _gini_weights(asc, econ["base"], econ["scale"])
-    gamma, delta = gamma[:, None], econ["delta"][:, None]  # per-row columns
+    g, gamma = _gini_weights(asc, econ["base"], econ["scale"], asc_total)
+    gamma, delta = row(gamma), row(econ["delta"])
     z = gamma / (1.0 + gamma)
 
     if not ok.all():
-        k = np.where(ok, k, 1.0)  # filler for the rows that raised
-    kl = k.tolist()
-    gross = np.fromiter(map(gross_return, kl, econ["alpha"].tolist()), float, c)
-    net = (1.0 - econ["tau_s"]) * gross
-    xi_k = (econ["xi_nu"] * k)[:, None]
-    total = (net * (econ["xi_nu"] + 1.0) * k)[:, None]  # = (1-phi) * k**alpha
-    net, xnn = net[:, None], econ["xnn"][:, None]
+        kv = np.where(ok, kv, 1.0)  # filler for the rows that raised
+        k = row(kv)
+    kl = kv.tolist()
+    gross = row(np.fromiter(map(gross_return, kl, econ["alpha"].tolist()), float, c))
+    net, xi_nu, xnn = (1.0 - row(econ["tau_s"])) * gross, row(econ["xi_nu"]), row(econ["xnn"])
+    xi_k = xi_nu * k
+    total = net * (xi_nu + 1.0) * k  # = (1-phi) * k**alpha
     income = xi_k + beq
     income *= net
-    guess = n - (asc > 0.0).argmax(axis=1)  # positive bequests: on a path, the last active set
+    guess = row(n - (asc > 0.0).argmax(axis=1))  # positive bequests: on a path, the last active set
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
     kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn)
 
     bequests_next = delta * income
-    bequests_next -= delta * z * (total - kappa[:, None])
-    bequests_next -= xnn * kappa[:, None]
+    bequests_next -= delta * z * (total - kappa)
+    bequests_next -= xnn * kappa
     np.maximum(0.0, bequests_next, out=bequests_next)
     bequests_next /= 1.0 + delta
     k_next = bequests_next.sum(axis=1) / n
-    consumptions = income - bequests_next
-    avg = consumptions.sum(axis=1) / n
-    floor = z[:, 0] * avg
-    short = ~(k_next > 0.0)  # a root <= 0 leaves no head positive, a non-finite one NaN heads
-    for i in np.flatnonzero(ok & (short | ~(income > floor[:, None]).all(axis=1))):
-        if short[i]:
+    consumptions = np.subtract(income, bequests_next, out=asc)  # records recompute theirs
+    avg = row(consumptions.sum(axis=1)) / n
+    floor = z * avg
+    short = ~(row(k_next) > 0.0)  # a root <= 0 leaves no head positive, a non-finite one NaN heads
+    for i in _rows(row(ok) & (short | ~row((income > floor).all(axis=1)))):
+        if short.item(i):
             error = NoPositiveRoot("next-period capital intensity is not positive")
         else:
             error = EnvyTooStrong(
-                f"envy weight {float(gamma[i, 0])} leaves a dynasty with income "
-                f"{income[i].min()} at or below the consumption floor {float(floor[i])}"
+                f"envy weight {gamma.item(i)} leaves a dynasty with income "
+                f"{income[i].min()} at or below the consumption floor {floor.item(i)}"
             )
         paths[rows[i]].error, ok[i] = error, False
 
@@ -408,23 +443,24 @@ def _solve_block(beq, order, econ, paths, keep=False):
     if keep:
         m = (bequests_next > 0.0).sum(axis=1)
         records = [None] * c
-        for i in np.flatnonzero(ok):
+        for i in _rows(row(ok)):
             p = paths[rows[i]]
             records[i] = TemporaryEquilibrium(
                 k=kl[i],
                 output=kl[i] ** p.params.alpha,
-                gamma=float(gamma[i, 0]),
-                gini=float(g[i]),
+                gamma=gamma.item(i),
+                gini=g.item(i),
                 bequests=beq[i],
-                consumptions=consumptions[i],
                 bequests_next=bequests_next[i],
-                k_next=float(k_next[i]),
-                avg_consumption=float(avg[i]),
+                k_next=k_next.item(i),
+                avg_consumption=avg.item(i),
                 prices=factor_prices(kl[i], p.params),
                 taxes=p.taxes,
-                m_count=int(m[i]),
+                m_count=m.item(i),
+                xi_k=xi_k.item(i),
+                net=net.item(i),
             )
-    return bequests_next, k, k_next, ok, records
+    return bequests_next, kv, k_next, ok, records
 
 
 def _solve_one(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
@@ -511,7 +547,7 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
     """
     c = len(paths)
     keep = paths[0].records is not None
-    order = np.argsort(beq, axis=1, kind="stable")
+    order = np.argsort(beq, axis=1)
     econ = _economy(paths)
     changes = {}
     for i, p in enumerate(paths):
@@ -581,7 +617,7 @@ def simulate(
     period for it.  Tilts are equal when their float values are.
     """
     runs = _tilt_runs(schedule, horizon)
-    beq = as_distribution(initial, params.n_agents)
+    beq = as_distribution(initial, params.n_agents).copy()  # the first record reads it again
     path = _Path(params, envy, runs, keep=True)
     _run_paths(beq[None], [path], horizon)
     if path.error is not None:

@@ -33,12 +33,12 @@ def trajectory_csv_lines(traj: Trajectory, per_agent: bool = False) -> Iterator[
     last = row = None
     for t, r in enumerate(traj.records):
         if r is not last:  # a repeated record differs from its last row only in t
-            row = _record_cells(r, n, per_agent)
+            row = _record_cells(r, per_agent)
             last = r
         yield f"{t},{row}"
 
 
-def _record_cells(r, n: int, per_agent: bool) -> str:
+def _record_cells(r, per_agent: bool) -> str:
     """The cells of a record's CSV row after ``t``, comma-joined."""
     cells = [
         fmt(r.k),
@@ -51,10 +51,9 @@ def _record_cells(r, n: int, per_agent: bool) -> str:
         fmt(r.taxes.tau_s),
         fmt(r.avg_consumption),
     ]
-    if per_agent:
-        for j in range(n):
-            cells.append(fmt(r.bequests_next[j]))
-            cells.append(fmt(r.consumptions[j]))
+    if per_agent:  # a record recomputes its consumptions on each read: read them once
+        for s, c in zip(r.bequests_next.tolist(), r.consumptions.tolist()):
+            cells += (fmt(s), fmt(c))
     return ",".join(cells)
 
 

@@ -178,7 +178,7 @@ def plan_reform(
     tax_rates(stage1_nu, params)  # bounds check
     tax_rates(stage2_nu, params)
     beq = as_distribution(initial, params.n_agents)
-    order = np.argsort(beq, kind="stable")
+    order = np.argsort(beq)
     gamma0 = float(envy.weight(beq[order]))
     stage1_threshold = gamma_star(stage1_nu, params)
     if not gamma0 < stage1_threshold:

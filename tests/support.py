@@ -15,6 +15,7 @@ quantities.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -237,7 +238,14 @@ def period_inputs(beq, order, nu_t, nu_next, params, envy):
     return (k, g, gamma, prices, taxes), (income, z, total, params.delta, params.xi / nu_next)
 
 
-def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
+@dataclass(frozen=True)
+class OracleRecord(TemporaryEquilibrium):
+    """A ``period_oracle`` record, whose ``consumptions`` are the oracle's own array."""
+
+    consumptions: np.ndarray = None
+
+
+def period_oracle(beq, order, nu_t, nu_next, params, envy) -> OracleRecord:
     """The scalar period solver, one bequest vector at a time: the kernel's oracle.
 
     The inputs are ``period_inputs``'s, and the fixed point comes from the
@@ -264,19 +272,21 @@ def period_oracle(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibri
             f"{income.min()} at or below the consumption floor {floor}"
         )
 
-    return TemporaryEquilibrium(
+    return OracleRecord(
         k=k,
         output=k**params.alpha,
         gamma=gamma,
         gini=g,
         bequests=beq,
-        consumptions=consumptions,
         bequests_next=bequests_next,
         k_next=k_next,
         avg_consumption=avg_consumption,
         prices=prices,
         taxes=taxes,
         m_count=int(np.count_nonzero(bequests_next > 0.0)),
+        xi_k=params.xi / float(nu_t) * k,
+        net=(1.0 - taxes.tau_s) * prices.gross_return,
+        consumptions=consumptions,
     )
 
 

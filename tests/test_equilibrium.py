@@ -1,6 +1,8 @@
 """Period solver, path iteration, steady states and regime classification."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from joneses import (
     gamma_star,
     gamma_uniform_top,
     gini,
+    plan_reform,
     polarised_steady,
     savings_rate,
     simulate,
@@ -386,6 +389,11 @@ def _one_row(income, z, total, delta, xnn):
     return np.sort(income)[::-1][None], *columns
 
 
+def _one_row_scalars(income, z, total, delta, xnn):
+    """The same one-row block with numpy-scalar coefficients, as the kernel passes one row."""
+    return np.sort(income)[::-1][None], *(np.float64(v) for v in (z, total, delta, xnn))
+
+
 @given(
     instance=st.one_of(fixed_point_instances(), kink_instances(), block_edge_instances()),
     data=st.data(),
@@ -402,6 +410,14 @@ def test_certified_root_is_the_oracle_root(instance, data):
     if certified[0]:
         assert kappa[0] == want
     assert _roots(row[0], guess, *row[1:])[0] == want
+    # the one-row form: the same row with its guess and coefficients as numpy scalars
+    row = _one_row_scalars(*instance)
+    kappa_s, certified_s = _certify(row[0], np.int64(guess[0]), *row[1:])
+    assert np.ndim(kappa_s) == np.ndim(certified_s) == 0
+    assert certified_s == certified[0]
+    if certified_s:
+        assert kappa_s == want
+    assert _roots(row[0], np.int64(guess[0]), *row[1:]) == want
 
 
 @pytest.mark.parametrize("m", BLOCK_EDGES)
@@ -459,16 +475,86 @@ def test_a_saving_path_is_certified_in_every_period(monkeypatch):
         _assert_same_records(a, b)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing sum
 def test_a_start_whose_ascending_total_overflows_raises_as_the_oracle_does():
     # the unsorted total is finite and the ascending one is not: the oracle's Gini rejects it
     start = np.full(4, 0.5 * np.finfo(float).max / 3)
     start[0] = 0.5 * np.finfo(float).max
-    records, error = chained_oracle(start, [1.0] * 3, 2, BASELINE, UNIT_ENVY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's overflowing sums
+        records, error = chained_oracle(start, [1.0] * 3, 2, BASELINE, UNIT_ENVY)
     assert not records and str(error) == "total wealth must be finite and positive"
-    with pytest.raises(DomainError) as exc:
-        simulate(start, [1.0] * 3, 2, BASELINE, UNIT_ENVY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the kernel takes the ascending total once, silently
+        with pytest.raises(DomainError) as exc:
+            simulate(start, [1.0] * 3, 2, BASELINE, UNIT_ENVY)
     assert str(exc.value) == str(error)
+
+
+def test_a_path_keeps_one_vector_per_solved_period():
+    # a record keeps its bequests_next; its consumptions are recomputed on each read
+    p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
+    initial = np.random.default_rng(4096).random(p.n_agents)
+    schedule = constant_schedule(1.0, p)
+    simulate(initial, schedule, 2, p, UNIT_ENVY)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate(initial, schedule, 20, p, UNIT_ENVY)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len({id(r) for r in traj.records}) == 20  # every period solved
+    assert kept <= 20 * 1.2 * 8 * p.n_agents
+
+
+def test_consumptions_read_twice_give_the_same_bytes():
+    beq = np.array([0.4, 0.1, 0.0, 0.25])
+    record = solve_temporary(beq, 1.0, 1.1, BASELINE, UNIT_ENVY)
+    first, second = record.consumptions, record.consumptions
+    assert first is not second and first.tobytes() == second.tobytes()
+    want = period_oracle(beq, np.argsort(beq, kind="stable"), 1.0, 1.1, BASELINE, UNIT_ENVY)
+    assert first.tobytes() == want.consumptions.tobytes()
+    # records read their inherited vector again, so they keep their own copy of the caller's
+    traj = simulate(beq, [1.0, 1.1], 1, BASELINE, UNIT_ENVY)
+    beq[:] = 9.0
+    for r in (record, traj.records[0]):
+        assert r.bequests[0] == 0.4 and r.consumptions.tobytes() == first.tobytes()
+
+
+def _tied_start(rng, n, kind):
+    """A start full of ties: -0.0 next to 0.0, a few repeated values, or one value throughout."""
+    if kind == "tied":
+        return np.full(n, 0.25)
+    start = rng.choice([0.0, -0.0, 0.1, 0.3] if kind == "repeats" else [0.0, -0.0], n)
+    if kind == "signed zeros":
+        rich = rng.random(n) < 0.5
+        start[rich] = rng.random(np.count_nonzero(rich))
+    start[0] = 0.3  # a positive total
+    return start
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 4096])
+@pytest.mark.parametrize("kind", ["signed zeros", "repeats", "tied"])
+def test_a_start_with_ties_gives_the_stably_sorted_oracle_bytes(n, kind):
+    # a path takes its first order from the default argsort, the oracle from a stable one:
+    # tied entries are equal values, and a -0.0/0.0 tie changes no sum, dot or comparison
+    p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=n)
+    envy = EnvySpec(0.0, 0.5)
+    start = _tied_start(np.random.default_rng(n), n, kind)
+    horizon = 8 if n > 64 else 40
+    nus = [0.7] * (horizon + 1)
+    records, error = chained_oracle(start, nus, horizon, p, envy)
+    assert error is None
+    _assert_bitwise_paths(simulate(start, nus, horizon, p, envy), Trajectory(tuple(records)))
+    first = solve_temporary(start, 0.7, 0.7, p, envy)
+    _assert_bitwise_paths(Trajectory((first,)), Trajectory(tuple(records[:1])))
+    # the reform planner: the trigger is where the oracle's weight first falls below
+    # the target, here set at the weight of period 2 (or near 0 for the tied start)
+    margin = gamma_star(1.1, p) - max(records[2].gamma, 1e-3)
+    target = gamma_star(1.1, p) - margin
+    trigger = next(t for t, r in enumerate(records) if r.gamma < target)
+    plan = plan_reform(start, p, envy, 0.7, 1.1, margin, max_horizon=horizon)
+    assert (plan.trigger_period, plan.gamma_at_trigger) == (trigger, records[trigger].gamma)
 
 
 def _chain_of_solves(initial, nus, horizon, params, envy):
