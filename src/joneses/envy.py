@@ -11,7 +11,8 @@ The functional, :class:`EnvySpec`, is affine in the Gini coefficient,
 Both formulas live in one place, :func:`_gini_weights`, which works on a
 block of ascending rows: :func:`gini` and :meth:`EnvySpec.weight` run it
 on one row, and the lockstep period kernel runs it on its whole block,
-one row per path, so each row gets the bytes it would get alone.
+one row per path.  Its one ``np.vecdot`` runs BLAS's dot once per row,
+as ``ndarray.dot`` does, so each row gets the bytes it would get alone.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def gini(values: ArrayLike) -> float:
 
 
 def _ascending(values: ArrayLike) -> np.ndarray:
-    """Validated ``values``, ascending and contiguous (the dot rounds strided input differently)."""
+    """Validated ``values``, ascending and contiguous (a strided row would hand BLAS a stride)."""
     arr = as_distribution(values)
     return np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
 
@@ -77,14 +78,14 @@ def _gini_weights(asc: np.ndarray, base, scale, total=None) -> tuple[np.ndarray,
     """Gini and envy weight of each ascending, C-contiguous row of ``asc``.
 
     ``base`` and ``scale`` are floats or one value per row; ``total``, if
-    given, is ``asc.sum(axis=1)``, which may be inf.  One rank dot per row
-    (a batched product rounds differently), so a row gets the bytes it
-    would get alone.  All equal (N=1 included) takes precedence over a
-    single positive holder.  A row whose ``n * total`` would overflow,
-    which bounds its rank dot, is weighed divided by its largest entry,
-    since the Gini does not depend on scale.
+    given, is ``asc.sum(axis=1)``, which may be inf.  ``np.vecdot`` runs
+    BLAS's dot once per row, as ``ndarray.dot`` does, so a row gets the
+    bytes it would get alone.  All equal (N=1 included) takes precedence
+    over a single positive holder.  A row whose ``n * total`` would
+    overflow, which bounds its rank dot, is weighed divided by its largest
+    entry, since the Gini does not depend on scale.
     """
-    c, n = asc.shape
+    n = asc.shape[1]
     if total is None:
         with np.errstate(over="ignore"):  # a sorted row's total can overflow where its own did not
             total = asc.sum(axis=1)
@@ -93,7 +94,7 @@ def _gini_weights(asc: np.ndarray, base, scale, total=None) -> tuple[np.ndarray,
         asc, total = asc.copy(), total.copy()
         asc[huge] /= asc[huge, -1:]
         total[huge] = asc[huge].sum(axis=1)
-    dots = np.fromiter(map(_ranks(n).dot, asc), float, c)
+    dots = np.vecdot(asc, _ranks(n))
     top = (n - 1.0) / n
     g = np.minimum(np.maximum(2.0 * dots / (n * total) - (n + 1.0) / n, 0.0), top)
     g[asc[:, -min(n, 2)] == 0.0] = top

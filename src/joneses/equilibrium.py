@@ -46,9 +46,10 @@ equal the 1-D calls bit for bit, the Gini and weight come from the
 function that ``gini`` runs, and the per-row values repeat the scalar
 operations.  They are columns, or in a one-row block numpy scalars, so a
 path pays numpy's per-call overhead only where it does O(N) work; the
-only per-row Python work is one power and one dot.  Every tilt is priced
-as a Python float.  A row that raises is frozen with the error, and
-message, its own path raises; the other rows go on.
+only per-row Python work is one power, and the Gini's rank dots are one
+``np.vecdot`` over the block.  Every tilt is priced as a Python float.  A
+row that raises is frozen with the error, and message, its own path
+raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -71,8 +72,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -361,12 +363,12 @@ def _solve_block(beq, order, econ, paths, keep=False):
     order is overwritten in place by a stable argsort, and a row whose
     tilts are not priced is priced in place.  Each row is rounded as the
     one-row case would round it: row-wise means, sums and cumulative sums
-    equal the 1-D calls, the Gini and weight come from ``_gini_weights``,
-    and the per-row values, (C x 1) columns or for C = 1 numpy scalars,
-    repeat the scalar IEEE operations in order.  The power ``k ** (alpha -
-    1)`` stays a scalar call, since numpy's elementwise power rounds
-    differently.  A row that raises records the error on its path and
-    computes finite filler from then on; the other rows go on.
+    equal the 1-D calls, the Gini and weight come from ``_gini_weights``
+    (one ``np.vecdot``), and the per-row values, (C x 1) columns or for
+    C = 1 numpy scalars, repeat the scalar IEEE operations in order.  Only
+    the power ``k ** (alpha - 1)`` is a scalar call per row, since numpy's
+    elementwise power rounds differently.  A row that raises records the
+    error on its path and computes finite filler from then on; the rest go on.
 
     Returns ``(bequests_next, k, k_next, ok, records)``, the middle three
     with C entries: ``ok`` marks the rows that did not raise, and
@@ -768,7 +770,8 @@ def classify(
     ``gamma0`` is bit for bit ``envy.weight(initial)``.
     """
     beq = as_distribution(initial, params.n_agents)
-    return _regime(_start_weight(beq, envy), _rich_count(beq), nu, params, envy)
+    weight = partial(gamma_uniform_top, envy, n_agents=params.n_agents)
+    return _regime(_start_weight(beq, envy), _rich_count(beq), nu, params, weight)
 
 
 def _start_weight(beq: np.ndarray, envy: EnvySpec) -> float:
@@ -782,19 +785,22 @@ def _rich_count(beq: np.ndarray) -> int:
 
 
 def _regime(
-    gamma0: float, rich: int, nu: float, params: EconomyParams, envy: EnvySpec
+    gamma0: float, rich: int, nu: float, params: EconomyParams, weight: Callable[[int], float]
 ) -> Regime:
-    """:func:`classify` of a start of weight ``gamma0`` with ``rich`` dynasties at its top."""
+    """:func:`classify` of a start of weight ``gamma0`` with ``rich`` dynasties at its top.
+
+    ``weight(top)`` is :func:`gamma_uniform_top` of the functional at ``top``.
+    """
     threshold = gamma_star(nu, params)
     n = params.n_agents
     if abs(gamma0 - threshold) < IDENTITY_TOL:
         kind, limit, top = "boundary", None, None
     elif gamma0 < threshold:
         kind, top = "egalitarian", None
-        limit = steady_capital(gamma_uniform_top(envy, n, n), 1.0, nu, params)
+        limit = steady_capital(weight(n), 1.0, nu, params)
     else:
         kind, top = "polarised", rich
-        limit = steady_capital(gamma_uniform_top(envy, top, n), top / n, nu, params)
+        limit = steady_capital(weight(top), top / n, nu, params)
     return Regime(
         kind=kind, limit_k=limit, rich_count=top, gamma0=gamma0, gamma_threshold=threshold
     )

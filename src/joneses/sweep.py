@@ -3,8 +3,9 @@
 A grid is a scenario template plus named axes; each axis sets one field of
 one scenario section (``AXES``).  Cells are built and classified in grid
 order from shared parts: each section is parsed once per distinct value of
-the axes that set it, each start is weighed once per envy functional, and
-a part that fails is kept as its error, so every cell gets the scenario,
+the axes that set it, each start is weighed once per envy functional, each
+regime limit's weight once per envy functional and top count, and a part
+that fails is kept as its error, so every cell gets the scenario,
 regime or error message that parsing and classifying it whole would give.
 Their paths then advance in lockstep, a block of cells at a time, through
 the period kernel that :func:`~joneses.equilibrium.simulate` runs on one
@@ -26,7 +27,7 @@ import os
 from dataclasses import dataclass
 
 from .core import IDENTITY_TOL, EconomyParams, nu_for_gamma
-from .envy import EnvySpec, as_distribution
+from .envy import EnvySpec, as_distribution, gamma_uniform_top
 from .equilibrium import _regime, _rich_count, _start_weight, classify, final_capitals
 from .errors import JonesesError, ValidationError
 from .output import fmt
@@ -198,7 +199,9 @@ class _Parts:
         n = params.n_agents  # classify checks the start first: a generated one is not yet checked
         rich = self._get(("rich", ikey), lambda: _rich_count(as_distribution(initial, n)))
         gamma0 = self._get(("gamma0", ikey, ekey), lambda: _start_weight(initial, envy))
-        regime = _regime(gamma0, rich, schedule.nu_at(0), params, envy)
+        def weight(top):  # keyed by the envy part's index, so -0.0 and 0.0 never share one
+            return self._get(("top", ekey, top), lambda: gamma_uniform_top(envy, top, n))
+        regime = _regime(gamma0, rich, schedule.nu_at(0), params, weight)
         return Scenario(params, envy, initial, schedule, horizon, tol, seed), regime
 
 

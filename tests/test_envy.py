@@ -136,6 +136,44 @@ def test_gini_and_weight_equal_the_scalar_oracle_bit_for_bit(values, base, scale
         assert float(weights[i]).hex() == (b + s * want).hex()
 
 
+def _oracle_block(rng, n, rows):
+    """``rows`` ascending rows of length n: lognormal, ties, zeros, single holders and,
+    where n > 1, one whose ``n * total`` overflows."""
+    block = []
+    for i in range(rows):
+        values = rng.lognormal(sigma=rng.uniform(0.0, 3.0), size=n)
+        kind = i % 5
+        if kind == 1:
+            values = values[rng.integers(0, min(3, n), size=n)]
+        elif kind == 2:
+            values[rng.random(n) < 0.6] = 0.0
+            values[rng.integers(0, n)] = 1.5
+        elif kind == 3:
+            values = np.zeros(n)
+            values[-1] = rng.uniform(1e-300, 1e300)
+        elif kind == 4:
+            values *= 10.0 ** rng.integers(-300, 290)
+        block.append(np.sort(values))
+    if n > 1:
+        huge = np.sort(rng.lognormal(size=n))
+        block[-1] = huge * (1.5 / n * (np.finfo(float).max / huge.sum()))
+    return np.stack(block)
+
+
+@pytest.mark.parametrize("n, rows", [*((n, 256) for n in (1, 2, 3, 4, 5, 8, 17, 64)), (16384, 3)])
+def test_large_blocks_equal_the_scalar_oracle_row_by_row(n, rows):
+    # sweep blocks hold hundreds of rows; each must round as the 1-D oracle's own dot
+    rng = np.random.default_rng(n)
+    block = _oracle_block(rng, n, rows)
+    bases, scales = rng.uniform(0.0, 2.0, rows), rng.uniform(0.0, 5.0, rows)
+    assert n == 1 or block[-1].sum() > np.finfo(float).max / n
+    g, weights = _gini_weights(block, bases, scales)
+    for row, b, s, got, weight in zip(block, bases, scales, g, weights):
+        want = gini_oracle(row)
+        assert float(got).hex() == want.hex()
+        assert float(weight).hex() == (b + s * want).hex()
+
+
 @given(
     base=st.floats(0.0, 2.0),
     scale=st.floats(0.0, 5.0),

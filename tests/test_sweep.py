@@ -462,6 +462,80 @@ def test_cells_from_parts_equal_cells_parsed_whole(tmp_path_factory, obj):
     assert grid.template == before
 
 
+def _count_limit_weights(monkeypatch):
+    """Spy on the sweep's ``gamma_uniform_top``: the list of its (envy, top) calls."""
+    calls, real = [], sweep.gamma_uniform_top
+
+    def spy(envy, top, n_agents):
+        calls.append((envy.base.hex(), envy.scale.hex(), top))
+        return real(envy, top, n_agents)
+
+    monkeypatch.setattr(sweep, "gamma_uniform_top", spy)
+    return calls
+
+
+def _limit_weight_keys(grid):
+    """(envy axis value indices, top) of each classified cell, from cells built whole."""
+    envy_axes = [i for i, (name, _) in enumerate(grid.axes) if name.startswith("envy_")]
+    keys = set()
+    for idx in itertools.product(*(range(len(vals)) for _, vals in grid.axes)):
+        try:
+            sc = cell_scenario(grid, [vals[i] for (_, vals), i in zip(grid.axes, idx)])
+            regime = classify(sc.initial, sc.schedule.nu_at(0), sc.params, sc.envy)
+        except JonesesError:
+            continue
+        if regime.kind != "boundary":
+            top = sc.params.n_agents if regime.kind == "egalitarian" else regime.rich_count
+            keys.add((tuple(idx[i] for i in envy_axes), top))
+    return keys
+
+
+class TestLimitWeightMemo:
+    def test_one_call_per_envy_part_and_top(self, tmp_path, monkeypatch):
+        obj = template()
+        obj["run"]["horizon"] = 12
+        grid = parse_grid({"template": obj, "axes": [
+            {"name": "nu", "values": [0.75, 0.9, 1.05, 1.15]},
+            {"name": "gini0", "values": [0.05, 0.3, 0.5, 0.74]},
+            {"name": "envy_scale", "values": [0.25, 1.0, 3.2, 1.5]},  # 3.2 breaks the ceiling
+        ]})
+        results = run_sweep(grid, tmp_path / "plain")
+        calls = _count_limit_weights(monkeypatch)
+        assert run_sweep(grid, tmp_path / "spied") == results
+        keys = _limit_weight_keys(grid)
+        assert len(calls) == len(set(calls)) == len(keys)
+        assert {top for _, top in keys} >= {1, 4}  # polarised and egalitarian limits
+        assert len(keys) < sum(r.regime in ("egalitarian", "polarised") for r in results)
+        spied = (tmp_path / "spied" / "sweep.csv").read_bytes()
+        assert spied == (tmp_path / "plain" / "sweep.csv").read_bytes()
+
+    def test_signed_zero_envy_parts_keep_their_own_weights(self, tmp_path, monkeypatch):
+        obj = template([0.4, 0.1, 0.0, 0.0])
+        obj["run"]["horizon"] = 12
+        grid = parse_grid({"template": obj, "axes": [
+            {"name": "envy_base", "values": [0.0, -0.0, 0.25]},
+            {"name": "envy_scale", "values": [-0.0, 0.0, 1.0]},
+            {"name": "nu", "values": [0.75, 1.15]},
+        ]})
+        calls = _count_limit_weights(monkeypatch)
+        results = run_sweep(grid, tmp_path / "parts")
+        assert len(calls) == len(set(calls)) == len(_limit_weight_keys(grid))
+        assert {(b, s) for b, s, _ in calls} >= {((-0.0).hex(), (-0.0).hex()), ((0.0).hex(), (0.0).hex())}
+        parts = sweep._Parts(grid)
+        for idx in itertools.product(*(range(len(vals)) for _, vals in grid.axes)):
+            values = [vals[i] for (_, vals), i in zip(grid.axes, idx)]
+            sc = cell_scenario(grid, values)
+            want = classify(sc.initial, sc.schedule.nu_at(0), sc.params, sc.envy)
+            got = parts.cell(idx)[1]
+            assert (got.kind, got.rich_count) == (want.kind, want.rich_count)
+            for a, b in ((got.limit_k, want.limit_k), (got.gamma0, want.gamma0),
+                         (got.gamma_threshold, want.gamma_threshold)):
+                assert (a is None and b is None) or a.hex() == b.hex()
+        _, expected_csv = _oracle_sweep(grid, tmp_path / "oracle.csv")
+        assert (tmp_path / "parts" / "sweep.csv").read_bytes() == expected_csv
+        assert all(r.regime != "error" for r in results)
+
+
 class TestLocateRegimeFlip:
     def test_finds_analytic_breakpoint(self):
         init = np.array([0.95, 0.05 / 3, 0.05 / 3, 0.05 / 3])
