@@ -32,11 +32,13 @@ which a temporary equilibrium is guaranteed to exist.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
+    AltruismOverflow,
     AssumptionZeroViolated,
     DomainError,
     EnvyBoundWarning,
@@ -53,7 +55,7 @@ class EconomyParams:
     """Technology, preference and government primitives.
 
     alpha     capital share of output, in (0, 1)
-    delta     parental altruism weight, > 0
+    delta     parental altruism weight, > 0, with n_agents * (1 + delta) finite
     phi       government spending share of output, in [0, 1)
     n_agents  number of dynasties, integer >= 2
     """
@@ -72,6 +74,14 @@ class EconomyParams:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.delta < float("inf"):
             raise DomainError(f"delta must be finite and > 0, got {self.delta}")
+        # the period solver's products of delta with parameters alone, N*(1 + delta) and the
+        # smaller a*delta*z (a <= N, z < 1) and 2*(1 + delta), are then finite; more dynasties
+        # than any array holds never reach it, and are rejected where a start is built
+        if self.n_agents <= sys.maxsize and not self.n_agents * (1.0 + self.delta) < float("inf"):
+            raise AltruismOverflow(
+                f"delta={self.delta} overflows n_agents * (1 + delta), the period "
+                f"solver's denominator, at n_agents={self.n_agents}"
+            )
         if not 0.0 <= self.phi < 1.0:
             raise DomainError(f"phi must lie in [0, 1), got {self.phi}")
         if self.phi >= self.alpha or self.phi >= 1.0 - self.alpha:

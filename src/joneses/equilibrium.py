@@ -106,8 +106,10 @@ from .errors import (
 class TemporaryEquilibrium:
     """One period's market-clearing allocation and its diagnostics.
 
-    Its one vector of its own is ``bequests_next``: ``bequests`` is the
-    inherited one, and ``consumptions`` is recomputed on each read.
+    Its one vector of its own is ``bequests_next``, which along a path is
+    a row of the path's slab (see :func:`_run_paths`) and the next record's
+    ``bequests``.  ``bequests`` is the inherited vector, and
+    ``consumptions`` is recomputed on each read.
     """
 
     k: float  # inherited capital intensity
@@ -262,8 +264,9 @@ def _certify(desc, guess, z, total, delta, xnn):
     ok = (0.0 < kappa) & (kappa < total) & (head > tail)
     ok &= (g == n) | ~(delta * desc[rows, g % n] > tail)  # the richest inactive, if any
     rho = np.minimum(1.0, den / base)
-    p = delta * desc[rows, 0] + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
-    err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
+    with np.errstate(over="ignore"):  # near the largest delta: an infinite bound certifies nothing
+        p = delta * desc[rows, 0] + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
+        err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
     return kappa, ok & (head - tail > err + err / rho)
 
 
@@ -355,7 +358,7 @@ def _rows(mask):
     return np.flatnonzero(mask) if mask.ndim else (0,) if mask else ()
 
 
-def _solve_block(beq, order, econ, paths, keep=False):
+def _solve_block(beq, order, econ, paths, keep=False, out=None):
     """Solve one period for every row of ``beq``, a (C x N) block of bequests.
 
     Row i is the inherited vector of ``paths[econ["path"][i]]``, whose
@@ -373,6 +376,8 @@ def _solve_block(beq, order, econ, paths, keep=False):
     Returns ``(bequests_next, k, k_next, ok, records)``, the middle three
     with C entries: ``ok`` marks the rows that did not raise, and
     ``records`` (only with ``keep``) holds their :class:`TemporaryEquilibrium`.
+    ``bequests_next`` is written into ``out``, a (C x N) array, when one is
+    given, else into a new one; each record keeps its row of it.
     """
     c, n = beq.shape
     one = c == 1  # then each per-row value is a numpy scalar, not a (1 x 1) column
@@ -421,7 +426,7 @@ def _solve_block(beq, order, econ, paths, keep=False):
     asc *= net
     kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn)
 
-    bequests_next = delta * income
+    bequests_next = np.multiply(delta, income, out=out)
     bequests_next -= delta * z * (total - kappa)
     bequests_next -= xnn * kappa
     np.maximum(0.0, bequests_next, out=bequests_next)
@@ -535,6 +540,14 @@ def _tilt_runs(schedule, horizon: int) -> list:
     return runs
 
 
+# The least size of a kept path's slab.  numpy asks for huge pages for any block of 4 MiB or
+# more, so a fresh slab faults about once per 2 MiB, not once per 4 KiB page.  And glibc,
+# once it has freed one block this large, serves the next from its heap and keeps it there
+# when it is freed; a path's 128 KiB vectors (N = 16384) it trims from the heap top, so each
+# path used to fault all of its vectors in again.
+_SLAB_BYTES = 8 << 20
+
+
 def _run_paths(beq, paths, horizon: int) -> np.ndarray:
     """Advance row i of ``beq`` (C x N) along ``paths[i]`` for ``horizon`` periods.
 
@@ -546,6 +559,12 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
     after it, so a row leaves only while its tilt holds.  Tilts are
     looked up only in those periods.  Returns the last block of bequests:
     row i's mean is the final capital intensity of path i.
+
+    When the paths keep records, each solved period writes its
+    ``bequests_next`` into the next (C x N) page of a slab, one array of
+    at least ``_SLAB_BYTES`` and at most as many pages as periods are
+    left, and its records keep rows of that page.  A record's vector thus
+    keeps its slab alive.
     """
     c = len(paths)
     keep = paths[0].records is not None
@@ -556,6 +575,7 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
         for t in p.changes(horizon):
             changes.setdefault(t, set()).add(i)
     live, n_live = np.ones(c, dtype=bool), c
+    slab, used, page = (), 0, None
     for t in range(horizon):
         for i in changes.get(t, ()):
             p = paths[i]
@@ -573,7 +593,12 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
         whole = idx.size == c
         # take and put: indexing a structured array with idx is ~5x slower
         b, o, e = (beq, order, econ) if whole else (beq[idx], order[idx], econ.take(idx))
-        nxt, k, k_next, ok, records = _solve_block(b, o, e, paths, keep)
+        if keep:
+            if used == len(slab):
+                pages = min(-(-_SLAB_BYTES // beq.nbytes), horizon - t)
+                slab, used = np.empty((pages, *beq.shape)), 0
+            page, used = slab[used, : idx.size], used + 1
+        nxt, k, k_next, ok, records = _solve_block(b, o, e, paths, keep, page)
         if not whole:
             order[idx] = o
             np.put(econ, idx, e)
@@ -834,7 +859,9 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
     last = None
     for t, r in enumerate(traj.records):
         if r is not last:  # a repeated record has the delta it had the period before
-            d = max(abs(r.k_next - r.k), float(np.abs(r.bequests_next - r.bequests).max()))
+            d = abs(r.k_next - r.k)
+            if not d >= tol:  # else the step is not below tol, whatever the vector's part
+                d = max(d, float(np.abs(r.bequests_next - r.bequests).max()))
             last = r
         deltas[t] = d
     below = deltas < tol

@@ -24,6 +24,10 @@ class AssumptionZeroViolated(DomainError):
     """Spending share too large for the factor shares (phi/alpha or phi/(1-alpha) >= 1)."""
 
 
+class AltruismOverflow(DomainError):
+    """Altruism weight delta so large that n_agents * (1 + delta) overflows."""
+
+
 class NuOutOfBounds(DomainError):
     """Tax-tilt ratio nu outside the admissible segment [nu_lower, nu_upper]."""
 

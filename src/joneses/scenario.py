@@ -26,6 +26,7 @@ import numpy as np
 from .core import EconomyParams
 from .envy import EnvySpec, as_distribution, validate_envy
 from .errors import (
+    AltruismOverflow,
     AssumptionZeroViolated,
     DomainError,
     ExistenceBoundViolated,
@@ -111,6 +112,8 @@ def _parse_params(obj) -> EconomyParams:
         return EconomyParams(alpha=alpha, delta=delta, phi=phi, n_agents=n_agents)
     except AssumptionZeroViolated as exc:
         raise ValidationError("params.phi", str(exc)) from exc
+    except AltruismOverflow as exc:
+        raise ValidationError("params.delta", str(exc)) from exc
     except DomainError as exc:
         raise ValidationError("params", str(exc)) from exc
 

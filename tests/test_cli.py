@@ -90,6 +90,17 @@ class TestSimulate:
         assert main(["simulate", path]) == 1
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "simulate", "steady-state", "classify"])
+    def test_delta_overflowing_the_solver_denominator_is_an_input_error(
+        self, scenario_file, capsys, command
+    ):
+        # 4 * (1 + 1e308) is inf: the period solver's N*(1 + delta) would overflow
+        path = scenario_file(
+            "huge.json", params={"alpha": 1 / 3, "delta": 1e308, "phi": 0.1, "n_agents": 4}
+        )
+        assert main([command, path]) == 1
+        assert "error: params.delta: delta=1e+308 overflows" in capsys.readouterr().err
+
     def test_non_finite_tol_is_an_input_error(self, scenario_file, capsys):
         path = scenario_file("inf.json", run={"horizon": 120, "tol": float("inf")})
         assert main(["simulate", path]) == 1

@@ -1,6 +1,8 @@
 """Period solver, path iteration, steady states and regime classification."""
 
 import dataclasses
+import math
+import sys
 import tracemalloc
 import warnings
 
@@ -41,6 +43,7 @@ from joneses.equilibrium import (
     final_capitals,
 )
 from joneses.errors import (
+    AltruismOverflow,
     DomainError,
     EnvyTooStrong,
     LengthMismatch,
@@ -490,6 +493,23 @@ def test_a_start_whose_ascending_total_overflows_raises_as_the_oracle_does():
     assert str(exc.value) == str(error)
 
 
+def test_delta_is_bounded_by_the_solver_denominator():
+    # the largest delta admitted at N dynasties is the largest with N*(1 + delta) finite,
+    # and a path there runs without an overflow warning
+    for n in (2, 4, 16384):
+        delta = math.nextafter(sys.float_info.max / n, math.inf)
+        while not n * (1.0 + delta) < math.inf:
+            delta = math.nextafter(delta, 0.0)
+        params = validate_params(alpha=1 / 3, delta=delta, phi=0.1, n_agents=n)
+        with pytest.raises(AltruismOverflow, match=r"n_agents \* \(1 \+ delta\)"):
+            validate_params(alpha=1 / 3, delta=math.nextafter(delta, math.inf), phi=0.1, n_agents=n)
+        start = np.zeros(n)
+        start[: n // 2] = 0.2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(start, [1.0] * 31, 30, params, EnvySpec(0.0, 1.0))
+
+
 def test_a_path_keeps_one_vector_per_solved_period():
     # a record keeps its bequests_next; its consumptions are recomputed on each read
     p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
@@ -505,6 +525,76 @@ def test_a_path_keeps_one_vector_per_solved_period():
         tracemalloc.stop()
     assert len({id(r) for r in traj.records}) == 20  # every period solved
     assert kept <= 20 * 1.2 * 8 * p.n_agents
+
+
+def _distinct(records):
+    """The records of a path in order, each repeated record once."""
+    return [r for t, r in enumerate(records) if not t or r is not records[t - 1]]
+
+
+def _assert_slab_records(records, horizon):
+    """Each record's vector is its own row of a slab that fits the periods left."""
+    distinct = _distinct(records)
+    for i, r in enumerate(distinct):
+        assert not any(np.shares_memory(r.bequests_next, s.bequests_next) for s in distinct[:i])
+    first = {}
+    for t, r in enumerate(records):
+        first.setdefault(id(r.bequests_next.base), (t, r.bequests_next.base))
+    for t, slab in first.values():
+        assert slab.ndim == 3 and slab.flags.c_contiguous
+        assert slab.shape[0] <= horizon - t
+
+
+def test_a_path_writes_its_vectors_into_slabs():
+    p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
+    initial = np.random.default_rng(4096).random(p.n_agents)
+    for horizon in (1, 20, 300):  # one slab of 1 or 20 pages, or slabs of 256 and 44
+        traj = simulate(initial, constant_schedule(1.0, p), horizon, p, UNIT_ENVY)
+        _assert_slab_records(traj.records, horizon)
+        slabs = {id(r.bequests_next.base): r.bequests_next.base for r in traj.records}
+        assert sorted(s.shape[0] for s in slabs.values()) == {1: [1], 20: [20], 300: [44, 256]}[horizon]
+        # each record inherits the record before's vector, not a copy of it
+        distinct = _distinct(traj.records)
+        for prev, r in zip(distinct, distinct[1:]):
+            assert np.shares_memory(r.bequests, prev.bequests_next)
+            assert r.bequests.tobytes() == prev.bequests_next.tobytes()
+
+
+@pytest.mark.parametrize("pages", [1, 2, 3, 5])
+def test_a_path_across_several_slabs_equals_a_chain_of_solves(monkeypatch, pages):
+    # [0.4, 0, 0, 0] sits at its exact fixed point from period `fixed` on (34); a new tilt
+    # is announced in period fixed + 5, which the path solves on the page after its last
+    initial = [0.4, 0.0, 0.0, 0.0]
+    monkeypatch.setattr("joneses.equilibrium._SLAB_BYTES", pages * 8 * 4)
+    fixed = _first_repeat(simulate(initial, [1.0] * 201, 200, BASELINE, UNIT_ENVY))
+    horizon = fixed + 40
+    nus = [1.0] * (fixed + 6) + [0.9] * (horizon - fixed - 5)
+    traj = simulate(initial, nus, horizon, BASELINE, UNIT_ENVY)
+    _assert_bitwise_paths(traj, _chain_of_solves(initial, nus, horizon, BASELINE, UNIT_ENVY))
+    _assert_slab_records(traj.records, horizon)
+    last = traj.records[fixed - 1]
+    assert all(r is last for r in traj.records[fixed : fixed + 5])  # the stationary stretch
+    resumed = traj.records[fixed + 5].bequests_next
+    assert (resumed.base is last.bequests_next.base) == (fixed % pages != 0)  # mid-slab, unless full
+    assert len({id(r.bequests_next.base) for r in traj.records}) > 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows
+@pytest.mark.parametrize("pages", [1, 3, 64])
+def test_block_rows_across_slabs_equal_their_chained_oracle(monkeypatch, pages):
+    # rows that leave the block take no page; the rows solved in a period share one
+    rng = np.random.default_rng(89)
+    horizon, rows = 60, 5
+    cases = [_block_row(rng, 4, horizon) for _ in range(rows)]
+    monkeypatch.setattr("joneses.equilibrium._SLAB_BYTES", pages * rows * 8 * 4)
+    paths = [_Path(p, envy, _tilt_runs(nus, horizon), keep=True) for p, envy, _, nus in cases]
+    _run_paths(np.stack([initial for _, _, initial, _ in cases]), paths, horizon)
+    for path, case in zip(paths, cases):
+        _assert_row_matches_oracle(path.records, path.error, case, horizon)
+    records = [r for path in paths for r in _distinct(path.records)]
+    for i, r in enumerate(records):
+        assert not any(np.shares_memory(r.bequests_next, s.bequests_next) for s in records[:i])
+        assert r.bequests_next.base.shape[1:] == (rows, 4)
 
 
 def test_consumptions_read_twice_give_the_same_bytes():
@@ -1003,6 +1093,44 @@ class TestClassify:
             assert classify(x, 1.0, p, envy).gamma0.hex() == envy.weight(x).hex()
 
 
+def _drawn_steps_path(rng, length, steps=None):
+    """A trajectory of records whose k and vector steps are drawn, not solved.
+
+    A step is zero, NaN, or of a size between 1e-12 and 0.1, and some
+    records repeat the one before; ``steps`` fixes the (k, vector) step
+    of each record instead.
+    """
+    base = solve_temporary([0.4, 0.1, 0.0, 0.25], 1.0, 1.0, BASELINE, UNIT_ENVY)
+
+    def drawn():
+        return rng.choice([0.0, np.nan, 1.0, 1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+
+    records = []
+    for t in range(length):
+        if steps is None and t and rng.random() < 0.2:
+            records.append(records[-1])
+            continue
+        dk, dv = steps[t] if steps is not None else (drawn(), drawn())
+        bequests = rng.random(4)
+        bequests_next = bequests.copy()
+        bequests_next[rng.integers(4)] -= dv
+        k = rng.uniform(0.05, 0.2)
+        records.append(dataclasses.replace(
+            base, k=k, k_next=k + dk, bequests=bequests, bequests_next=bequests_next
+        ))
+    return Trajectory(records=tuple(records))
+
+
+def _assert_report_equals_oracle(traj, tol):
+    got, want = detect_convergence(traj, tol), convergence_oracle(traj, tol)
+    if want is None:
+        assert got is None
+        return
+    assert (got.period, got.reentered) == (want.period, want.reentered)
+    assert repr(got.k) == repr(want.k)
+    assert got.bequests.tobytes() == want.bequests.tobytes()
+
+
 class TestDetectConvergence:
     def test_steady_trajectory_converges_at_period_one(self):
         state = egalitarian_steady(BASELINE, 1.0, UNIT_ENVY)
@@ -1029,6 +1157,24 @@ class TestDetectConvergence:
             [0.1] * 4, constant_schedule(1.0, BASELINE), 3, BASELINE, UNIT_ENVY
         )
         assert detect_convergence(traj, 1e-14) is None
+
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_report_equals_the_formula_on_random_paths(self, seed, length):
+        rng = np.random.default_rng(seed)
+        traj = _drawn_steps_path(rng, length)
+        for tol in (1e-9, 1e-6, 1e-3):
+            _assert_report_equals_oracle(traj, tol)
+
+    def test_a_reentering_path_reports_as_the_formula(self):
+        # step sizes by period: below tol, above it in k alone, below, above it in the
+        # vector alone, NaN in k, NaN in the vector with k above, then below
+        steps = [(0.0, 1e-9), (1e-3, 0.0), (1e-9, 0.0), (0.0, 1e-3), (np.nan, 0.0),
+                 (1e-3, np.nan), (1e-9, 1e-9), (1e-9, 1e-9)]
+        traj = _drawn_steps_path(np.random.default_rng(5), len(steps), steps)
+        report = detect_convergence(traj, 1e-6)
+        assert (report.period, report.reentered) == (7, True)
+        _assert_report_equals_oracle(traj, 1e-6)
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, tol):
