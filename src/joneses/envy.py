@@ -11,8 +11,8 @@ The functional, :class:`EnvySpec`, is affine in the Gini coefficient,
 Both formulas live in one place, :func:`_gini_weights`, which works on a
 block of ascending rows: :func:`gini` and :meth:`EnvySpec.weight` run it
 on one row, and the lockstep period kernel runs it on its whole block,
-one row per path.  Its one ``np.vecdot`` runs BLAS's dot once per row,
-as ``ndarray.dot`` does, so each row gets the bytes it would get alone.
+one row per path.  Its ``np.vecdot`` runs BLAS's dot once per row, as
+``ndarray.dot`` does, so each row gets the bytes it would get alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import DomainError, ExistenceBoundViolated, LengthMismatch
 
 ArrayLike = Sequence[float] | np.ndarray
 
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = np.finfo(float).max.item()  # a Python float, as the one-row route works in
 
 
 def as_distribution(values: ArrayLike, n_agents: int | None = None) -> np.ndarray:
@@ -65,7 +65,7 @@ def gini(values: ArrayLike) -> float:
     exactly; everything else is clipped to the mathematical range, which
     the rank formula can overshoot by an ulp.
     """
-    return float(_gini_weights(_ascending(values)[None], 0.0, 1.0)[0][0])
+    return float(_gini_weights(_ascending(values)[None], 0.0, 1.0)[0])
 
 
 def _ascending(values: ArrayLike) -> np.ndarray:
@@ -74,28 +74,44 @@ def _ascending(values: ArrayLike) -> np.ndarray:
     return np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
 
 
-def _gini_weights(asc: np.ndarray, base, scale, total=None) -> tuple[np.ndarray, np.ndarray]:
+def _gini_weights(asc: np.ndarray, base, scale, total=None):
     """Gini and envy weight of each ascending, C-contiguous row of ``asc``.
 
-    ``base`` and ``scale`` are floats or one value per row; ``total``, if
-    given, is ``asc.sum(axis=1)``, which may be inf.  ``np.vecdot`` runs
-    BLAS's dot once per row, as ``ndarray.dot`` does, so a row gets the
-    bytes it would get alone.  All equal (N=1 included) takes precedence
-    over a single positive holder.  A row whose ``n * total`` would
-    overflow, which bounds its rank dot, is weighed divided by its largest
-    entry, since the Gini does not depend on scale.
+    ``total``, if given, is the rows' ``sum(axis=1)``, which may be inf.
+    For one row, ``base``, ``scale``, ``total`` and the results are Python
+    floats, whose IEEE operations are numpy's; for C rows they are floats
+    or per-row values, C entries or (C x 1) columns, shaped like ``total``.
+    ``np.vecdot`` runs BLAS's dot once per row, as ``ndarray.dot`` does, so
+    a row gets the bytes it would get alone.  All equal (N=1 included)
+    takes precedence over a single positive holder.  A row whose ``n *
+    total`` would overflow, which bounds its rank dot, is weighed divided
+    by its largest entry, since the Gini does not depend on scale.
     """
-    n = asc.shape[1]
+    c, n = asc.shape
     if total is None:
         with np.errstate(over="ignore"):  # a sorted row's total can overflow where its own did not
             total = asc.sum(axis=1)
+        if c == 1:
+            total = total.item(0)
+    top = (n - 1.0) / n
+    if c == 1:
+        if total > _FLOAT_MAX / n:
+            asc = asc / asc[:, -1:]
+            total = asc.sum(axis=1).item(0)
+        if asc.item(0) == asc.item(-1):
+            g = 0.0
+        elif asc.item(-min(n, 2)) == 0.0:
+            g = top
+        else:  # two positive entries: n * total > 0
+            dot = np.vecdot(asc, _ranks(n)).item(0)
+            g = min(max(2.0 * dot / (n * total) - (n + 1.0) / n, 0.0), top)
+        return g, base + scale * g
     huge = total > _FLOAT_MAX / n
     if huge.any():
-        asc, total = asc.copy(), total.copy()
-        asc[huge] /= asc[huge, -1:]
-        total[huge] = asc[huge].sum(axis=1)
-    dots = np.vecdot(asc, _ranks(n))
-    top = (n - 1.0) / n
+        rows, asc, total = huge.reshape(c), asc.copy(), total.copy()
+        asc[rows] /= asc[rows, -1:]
+        total[huge] = asc[rows].sum(axis=1)
+    dots = np.vecdot(asc, _ranks(n)).reshape(total.shape)
     g = np.minimum(np.maximum(2.0 * dots / (n * total) - (n + 1.0) / n, 0.0), top)
     g[asc[:, -min(n, 2)] == 0.0] = top
     g[asc[:, 0] == asc[:, -1]] = 0.0
@@ -150,7 +166,7 @@ class EnvySpec:
             raise DomainError(f"envy scale must be finite and >= 0, got {self.scale}")
 
     def weight(self, values: ArrayLike) -> float:
-        return float(_gini_weights(_ascending(values)[None], self.base, self.scale)[1][0])
+        return float(_gini_weights(_ascending(values)[None], self.base, self.scale)[1])
 
     def max_weight(self, n_agents: int) -> float:
         # Gini peaks at (N-1)/N when a single dynasty holds everything
@@ -174,7 +190,7 @@ def gamma_uniform_top(spec: EnvySpec, n: int, n_agents: int) -> float:
         raise DomainError(f"rich count must lie in 1..{n_agents}, got {n}")
     values = np.zeros(n_agents)
     values[n_agents - n :] = 1.0 / n
-    return float(_gini_weights(values[None], spec.base, spec.scale)[1][0])
+    return float(_gini_weights(values[None], spec.base, spec.scale)[1])
 
 
 def validate_envy(spec: EnvySpec, params: EconomyParams) -> EnvySpec:

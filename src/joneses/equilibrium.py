@@ -44,12 +44,12 @@ of dynasties, each row's economy held as columns.  Every row is rounded
 exactly as it would be alone: row-wise means, sums and cumulative sums
 equal the 1-D calls bit for bit, the Gini and weight come from the
 function that ``gini`` runs, and the per-row values repeat the scalar
-operations.  They are columns, or in a one-row block numpy scalars, so a
-path pays numpy's per-call overhead only where it does O(N) work; the
-only per-row Python work is one power, and the Gini's rank dots are one
-``np.vecdot`` over the block.  Every tilt is priced as a Python float.  A
-row that raises is frozen with the error, and message, its own path
-raises; the other rows go on.
+operations.  They are columns, or in a one-row block Python floats, so a
+path calls numpy only for its O(N) passes; the only per-row Python call
+is one power, and the Gini's rank dots are one ``np.vecdot`` over the
+block.  Every tilt is priced as a Python float.  A row that raises is
+frozen with the error, and message, its own path raises; the other rows
+go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -71,9 +71,10 @@ period solver.
 from __future__ import annotations
 
 import bisect
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,7 +91,7 @@ from .core import (
     steady_capital,
     tax_rates,
 )
-from .envy import EnvySpec, _gini_weights, as_distribution, gamma_uniform_top
+from .envy import _FLOAT_MAX, EnvySpec, _gini_weights, as_distribution, gamma_uniform_top
 from .errors import (
     DomainError,
     EnvyTooStrong,
@@ -152,7 +153,7 @@ def _scan_active_sets(desc, z, total, delta, xnn):
     """The fixed point of every row of ``desc`` (incomes, descending).
 
     ``z``, ``total``, ``delta`` and ``xnn`` (xi/nu_next) are (C x 1) columns
-    of per-row values, or numpy scalars when ``desc`` has one row.  The top
+    of per-row values, or scalars when ``desc`` has one row.  The top
     ``a`` incomes are a candidate set; its root
 
         kappa_a = (delta * sum_active(I) - a*delta*z*total)
@@ -206,7 +207,7 @@ def _scan_active_sets(desc, z, total, delta, xnn):
     return kappa
 
 
-_UNIT = np.finfo(float).eps / 2.0  # unit roundoff u
+_UNIT = np.finfo(float).eps.item() / 2.0  # unit roundoff u, a Python float
 
 
 def _certify(desc, guess, z, total, delta, xnn):
@@ -214,13 +215,14 @@ def _certify(desc, guess, z, total, delta, xnn):
 
     The arguments are those of :func:`_scan_active_sets` plus ``guess``, an
     integer in 1..N per row; the results are vectors of C entries, or
-    scalars when the per-row values are.  Candidate g = ``guess`` is
-    computed with the scan's own IEEE operations in its order (its prefix
-    sum from one sequential cumsum, which the scan's block-continued
-    running sum equals).  A row is certified when g passes the scan's three
-    tests and the poorest active dynasty's float margin m = delta*I_g -
-    tail_g exceeds E = err*(1 + 1/rho); then no a < g passes the scan's
-    tests, and ``kappa`` is bit for bit the root the scan returns.  The proof, in
+    scalars when the per-row values are (Python floats in a one-row
+    block).  Candidate g = ``guess`` is computed with the scan's own IEEE
+    operations in its order (its prefix sum from one sequential cumsum,
+    which the scan's block-continued running sum equals).  A row is
+    certified when g passes the scan's three tests and the poorest active
+    dynasty's float margin m = delta*I_g - tail_g exceeds E = err*(1 +
+    1/rho); then no a < g passes the scan's tests, and ``kappa`` is bit for
+    bit the root the scan returns.  The proof, in
     exact arithmetic on the float inputs, with s = delta*z - xi/nu_next,
     the heads h_j(kappa) = delta*I_j - delta*z*total + s*kappa, D_a =
     N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
@@ -245,27 +247,35 @@ def _certify(desc, guess, z, total, delta, xnn):
       is the scan's first consistent candidate.
 
     The proof holds for any g, so a wrong guess costs only a scan.  A row
-    with NaN or inf fails the tests and is not certified.
+    with NaN or inf fails the tests and is not certified, and so does a
+    one-row block whose D_g rounds to 0 (delta and gamma both past 2**53),
+    which Python floats would not divide by.
     """
     c, n = desc.shape
-    if z.ndim:  # (C x 1) columns, worked as vectors: 2-D arithmetic costs more per call
+    vectors = isinstance(z, np.ndarray)
+    if vectors:  # (C x 1) columns, worked as vectors: 2-D arithmetic costs more per call
         rows, g = np.arange(c), guess.reshape(c)
         z, total, delta, xnn = z[:, 0], total[:, 0], delta[:, 0], xnn[:, 0]
-        top = g.max()
-    else:  # one row, its values numpy scalars
-        rows, g, top = 0, guess, guess
-    a = g.astype(float)
-    csum = desc[:, :top].cumsum(axis=1)[rows, g - 1]
+        csum = desc[:, : g.max()].cumsum(axis=1)[rows, g - 1]
+        richest, poorest, inactive = (desc[rows, j] for j in (0, g - 1, g % n))
+        least, bound = np.minimum, np.errstate(over="ignore")  # an infinite bound certifies nothing
+    else:  # one row, its values scalars: Python floats overflow to inf silently
+        g, csum = guess, desc[:, :guess].cumsum(axis=1).item(guess - 1)
+        richest, poorest, inactive = map(desc.item, (0, g - 1, g % n))
+        least, bound = min, nullcontext()
+    a = g * 1.0
     base, dz = n * (1.0 + delta), delta * z
     den = base - a * (dz - xnn)
+    if not (vectors or den > 0.0):
+        return 0.0, False
     kappa = (delta * csum - a * delta * z * total) / den
     tail = dz * (total - kappa) + xnn * kappa
-    head = delta * desc[rows, g - 1]
-    ok = (0.0 < kappa) & (kappa < total) & (head > tail)
-    ok &= (g == n) | ~(delta * desc[rows, g % n] > tail)  # the richest inactive, if any
-    rho = np.minimum(1.0, den / base)
-    with np.errstate(over="ignore"):  # near the largest delta: an infinite bound certifies nothing
-        p = delta * desc[rows, 0] + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
+    head = delta * poorest
+    # the richest inactive, if any; a NaN there has already failed the root's tests
+    ok = (0.0 < kappa) & (kappa < total) & (head > tail) & ((g == n) | (delta * inactive <= tail))
+    rho = least(den / base, 1.0)
+    with bound:
+        p = delta * richest + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
         err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
     return kappa, ok & (head - tail > err + err / rho)
 
@@ -273,8 +283,8 @@ def _certify(desc, guess, z, total, delta, xnn):
 def _roots(desc, guess, z, total, delta, xnn):
     """The scan's root of each row, shaped like ``z``: certified from ``guess``, or else scanned."""
     kappa, certified = _certify(desc, guess, z, total, delta, xnn)
-    if not z.ndim:  # one row, its values scalars
-        return kappa if certified else _scan_active_sets(desc, z, total, delta, xnn)[0]
+    if not isinstance(z, np.ndarray):  # one row, its values scalars
+        return kappa if certified else _scan_active_sets(desc, z, total, delta, xnn).item(0)
     if not certified.all():
         rest = ~certified
         kappa[rest] = _scan_active_sets(desc[rest], z[rest], total[rest], delta[rest], xnn[rest])
@@ -353,9 +363,17 @@ def _economy(paths) -> np.ndarray:
     return np.array([(i, *f, 0.0, 0.0, 0.0, False) for i, f in enumerate(fixed)], dtype=_ECONOMY)
 
 
-def _rows(mask):
-    """The rows where a per-row mask holds; a numpy bool is the mask of one row."""
-    return np.flatnonzero(mask) if mask.ndim else (0,) if mask else ()
+# A block's per-row values are Python scalars for one row, else (C x 1) columns.  Each pair
+# reads a C-vector's per-row value and row i of a per-row value.
+_ONE_ROW = (methodcaller("item", 0), lambda v, i: v)
+_COLUMNS = (itemgetter((slice(None), None)), np.ndarray.item)
+
+
+def _rows(mask, holds=True):
+    """The rows where a per-row mask is ``holds``; a bool is the mask of one row."""
+    if isinstance(mask, np.ndarray):
+        return np.flatnonzero(mask if holds else ~mask)
+    return (0,) if mask == holds else ()
 
 
 def _solve_block(beq, order, econ, paths, keep=False, out=None):
@@ -368,34 +386,42 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
     one-row case would round it: row-wise means, sums and cumulative sums
     equal the 1-D calls, the Gini and weight come from ``_gini_weights``
     (one ``np.vecdot``), and the per-row values, (C x 1) columns or for
-    C = 1 numpy scalars, repeat the scalar IEEE operations in order.  Only
-    the power ``k ** (alpha - 1)`` is a scalar call per row, since numpy's
+    C = 1 Python floats, repeat the scalar IEEE operations in order.  So a
+    one-row block calls numpy only for its O(N) passes.  Only the power
+    ``k ** (alpha - 1)`` is a scalar call per row, since numpy's
     elementwise power rounds differently.  A row that raises records the
     error on its path and computes finite filler from then on; the rest go on.
 
-    Returns ``(bequests_next, k, k_next, ok, records)``, the middle three
-    with C entries: ``ok`` marks the rows that did not raise, and
-    ``records`` (only with ``keep``) holds their :class:`TemporaryEquilibrium`.
+    Returns ``(bequests_next, ok, same, records)``.  ``ok`` marks the rows
+    that did not raise and ``same`` those of them with ``k_next == k``,
+    both per-row values.  ``records`` (only with ``keep``) holds their
+    :class:`TemporaryEquilibrium`; the library keeps records of one-row
+    blocks only (``simulate`` and ``solve_temporary``), but any block can.
     ``bequests_next`` is written into ``out``, a (C x N) array, when one is
     given, else into a new one; each record keeps its row of it.
     """
     c, n = beq.shape
-    one = c == 1  # then each per-row value is a numpy scalar, not a (1 x 1) column
-    row = itemgetter(0) if one else itemgetter((slice(None), None))
+    one = c == 1
+    row, at = _ONE_ROW if one else _COLUMNS
     asc = beq.take(order if one else order + np.arange(0, c * n, n)[:, None])
-    for i in _rows(row(~(asc[:, :-1] <= asc[:, 1:]).all(axis=1))):
+    for i in _rows(row((asc[:, :-1] <= asc[:, 1:]).all(axis=1)), False):
         order[i] = np.argsort(beq[i], kind="stable")
         asc[i] = beq[i, order[i]]
     kv = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
     k = row(kv)
-    with np.errstate(over="ignore"):  # a sorted row's total can overflow where its own did not
-        asc_total = asc.sum(axis=1)
+    # a sorted row's total can overflow where its own did not, but not while n times its
+    # largest entry stays below half the largest float
+    if one and n * asc.item(-1) < 0.5 * _FLOAT_MAX:
+        asc_total = asc.sum(axis=1).item(0)
+    else:
+        with np.errstate(over="ignore"):
+            asc_total = row(asc.sum(axis=1))
     ok, rows = np.ones(c, dtype=bool), econ["path"]
-    bad = ~((0.0 < k) & (k < np.inf) & (row(asc_total) < np.inf))
-    for i in _rows(bad | ~row(econ["priced"])):
+    good = (0.0 < k) & (k < np.inf) & (asc_total < np.inf)
+    for i in _rows(good & row(econ["priced"]), False):
         p = paths[rows[i]]
         try:
-            if bad.item(i):
+            if not at(good, i):
                 as_distribution(asc[i])  # the Gini rejects a non-finite row,
                 factor_prices(kv.item(i), p.params)  # the prices a mean that is not > 0
             p.taxes, xi = tax_rates(p.nu_t, p.params), p.params.xi
@@ -405,23 +431,24 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
                 p.taxes.tau_s, xi / p.nu_t, xi / p.nu_next, True
             )
         except JonesesError as exc:
-            p.error, ok[i] = exc, False
+            p.error, ok[i], kv[i] = exc, False, 1.0  # the mean's filler
 
-    g, gamma = _gini_weights(asc, econ["base"], econ["scale"], asc_total)
-    gamma, delta = row(gamma), row(econ["delta"])
+    g, gamma = _gini_weights(asc, row(econ["base"]), row(econ["scale"]), asc_total)
+    delta = row(econ["delta"])
     z = gamma / (1.0 + gamma)
 
-    if not ok.all():
-        kv = np.where(ok, kv, 1.0)  # filler for the rows that raised
-        k = row(kv)
-    kl = kv.tolist()
+    k, kl = row(kv), kv.tolist()
     gross = row(np.fromiter(map(gross_return, kl, econ["alpha"].tolist()), float, c))
     net, xi_nu, xnn = (1.0 - row(econ["tau_s"])) * gross, row(econ["xi_nu"]), row(econ["xnn"])
     xi_k = xi_nu * k
     total = net * (xi_nu + 1.0) * k  # = (1-phi) * k**alpha
     income = xi_k + beq
     income *= net
-    guess = row(n - (asc > 0.0).argmax(axis=1))  # positive bequests: on a path, the last active set
+    guess = n - row((asc > 0.0).argmax(axis=1))  # positive bequests: on a path, the last active set
+    # the least bequest's income, income[order[0]] bit for bit (the same two operations, and
+    # addition commutes); both are monotone, so it is the least income.  A NaN income fails
+    # as short before the floor test reads it.
+    poorest = (row(asc[:, 0]) + xi_k) * net
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
     kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn)
@@ -431,43 +458,44 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
     bequests_next -= xnn * kappa
     np.maximum(0.0, bequests_next, out=bequests_next)
     bequests_next /= 1.0 + delta
-    k_next = bequests_next.sum(axis=1) / n
+    k_next = row(bequests_next.sum(axis=1)) / n
     consumptions = np.subtract(income, bequests_next, out=asc)  # records recompute theirs
     avg = row(consumptions.sum(axis=1)) / n
     floor = z * avg
-    short = ~(row(k_next) > 0.0)  # a root <= 0 leaves no head positive, a non-finite one NaN heads
-    for i in _rows(row(ok) & (short | ~row((income > floor).all(axis=1)))):
-        if short.item(i):
+    for i in _rows((k_next > 0.0) & (poorest > floor), False):
+        if not ok[i]:
+            continue
+        # a root <= 0 leaves no head positive, a non-finite one NaN heads
+        if not at(k_next, i) > 0.0:
             error = NoPositiveRoot("next-period capital intensity is not positive")
         else:
             error = EnvyTooStrong(
-                f"envy weight {gamma.item(i)} leaves a dynasty with income "
-                f"{income[i].min()} at or below the consumption floor {floor.item(i)}"
+                f"envy weight {at(gamma, i)} leaves a dynasty with income "
+                f"{income[i].min()} at or below the consumption floor {at(floor, i)}"
             )
         paths[rows[i]].error, ok[i] = error, False
 
-    records = None
+    ok, records = row(ok), None
     if keep:
-        m = (bequests_next > 0.0).sum(axis=1)
         records = [None] * c
-        for i in _rows(row(ok)):
+        for i in _rows(ok):
             p = paths[rows[i]]
             records[i] = TemporaryEquilibrium(
                 k=kl[i],
                 output=kl[i] ** p.params.alpha,
-                gamma=gamma.item(i),
-                gini=g.item(i),
+                gamma=at(gamma, i),
+                gini=at(g, i),
                 bequests=beq[i],
                 bequests_next=bequests_next[i],
-                k_next=k_next.item(i),
-                avg_consumption=avg.item(i),
+                k_next=at(k_next, i),
+                avg_consumption=at(avg, i),
                 prices=factor_prices(kl[i], p.params),
                 taxes=p.taxes,
-                m_count=m.item(i),
-                xi_k=xi_k.item(i),
-                net=net.item(i),
+                m_count=int(np.count_nonzero(bequests_next[i] > 0.0)),
+                xi_k=at(xi_k, i),
+                net=at(net, i),
             )
-    return bequests_next, kv, k_next, ok, records
+    return bequests_next, ok, ok & (k_next == k), records
 
 
 def _solve_one(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
@@ -589,16 +617,16 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
                     p.records.append(p.repeat)
         if not n_live:
             continue
-        idx = np.flatnonzero(live)
-        whole = idx.size == c
+        whole = n_live == c
+        idx = range(c) if whole else np.flatnonzero(live)
         # take and put: indexing a structured array with idx is ~5x slower
         b, o, e = (beq, order, econ) if whole else (beq[idx], order[idx], econ.take(idx))
         if keep:
             if used == len(slab):
                 pages = min(-(-_SLAB_BYTES // beq.nbytes), horizon - t)
                 slab, used = np.empty((pages, *beq.shape)), 0
-            page, used = slab[used, : idx.size], used + 1
-        nxt, k, k_next, ok, records = _solve_block(b, o, e, paths, keep, page)
+            page, used = slab[used, :n_live], used + 1
+        nxt, ok, same, records = _solve_block(b, o, e, paths, keep, page)
         if not whole:
             order[idx] = o
             np.put(econ, idx, e)
@@ -606,12 +634,12 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
             for i, r in zip(idx, records):
                 if r is not None:
                     paths[i].records.append(r)
-        for j in np.flatnonzero(ok & (k_next == k)):
+        for j in _rows(same):
             if nxt[j].tobytes() == b[j].tobytes():
                 paths[idx[j]].repeat = records[j] if keep else True
-                live[idx[j]] = False
-        live[idx[~ok]] = False
-        n_live = int(np.count_nonzero(live))
+                live[idx[j]], n_live = False, n_live - 1
+        for j in _rows(ok, False):
+            live[idx[j]], n_live = False, n_live - 1
         if whole:
             beq = nxt
         else:
@@ -801,7 +829,7 @@ def classify(
 
 def _start_weight(beq: np.ndarray, envy: EnvySpec) -> float:
     """``envy.weight(beq)`` of a validated start, without validating it a second time."""
-    return float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1][0])
+    return float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1])
 
 
 def _rich_count(beq: np.ndarray) -> int:

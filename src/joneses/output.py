@@ -12,9 +12,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import EconomyParams, nu_for_gamma, savings_rate, steady_capital, tax_rates
+from .core import EconomyParams, NuForGamma, nu_for_gamma, savings_rate, steady_capital, tax_rates
 from .envy import EnvySpec, gamma_uniform_top
 from .equilibrium import Trajectory
+from .errors import DomainError
 
 CSV_HEADER = "t,k,y,gamma,gini,m_count,savings_rate,tau_w,tau_s,avg_consumption"
 
@@ -246,13 +247,18 @@ def render_savings_step_plot(
     equals gamma0) the economy ends egalitarian and saves
     s(G_N, 1, nu); above it, the top class of size ``rich_count`` takes
     over and the rate steps to s(G_L, L/N, nu).  The discontinuity is
-    marked with a dashed vertical and open endpoints.
+    marked with a dashed vertical and open endpoints.  ``gamma0`` must be
+    finite and >= 0; at 0 (an equal start) it lies below the threshold
+    delta*xi/(xi + nu) > 0 on the whole segment, which ends egalitarian.
     """
+    if not 0.0 <= gamma0 < float("inf"):
+        raise DomainError(f"gamma0 must be finite and >= 0, got {gamma0}")
     n = params.n_agents
     lo, hi = params.nu_lower, params.nu_upper
     gamma_eq = gamma_uniform_top(envy, n, n)
     gamma_pol = gamma_uniform_top(envy, rich_count, n)
-    res = nu_for_gamma(gamma0, params)
+    # at gamma0 = 0 the tilt delta*xi/gamma0 - xi of nu_for_gamma is +inf: a high clamp
+    res = nu_for_gamma(gamma0, params) if gamma0 else NuForGamma(hi, True, float("inf"))
     breakpoint_nu = None if res.clamped else res.nu
 
     def egal(nu):

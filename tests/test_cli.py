@@ -3,6 +3,7 @@
 import csv
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -298,6 +299,24 @@ class TestPlots:
         out = tmp_path / "phase.svg"
         assert main(["plot-phase", scenario_file(), "--curve", curve, "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma0", [None, "0"])
+    def test_savings_of_an_equal_start(self, scenario_file, tmp_path, capsys, gamma0):
+        # an equal start weighs 0, below the envy threshold on the whole segment
+        path = scenario_file(initial={"values": [0.1, 0.1, 0.1, 0.1]})
+        out = tmp_path / "savings.svg"
+        flag = [] if gamma0 is None else ["--gamma0", gamma0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot-savings", path, *flag, "--out", str(out)]) == 0
+        assert "breakpoint=none" in capsys.readouterr().err
+        assert "egalitarian branch" in out.read_text() and "polarised branch" not in out.read_text()
+
+    def test_negative_gamma0_is_an_input_error(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "savings.svg"
+        assert main(["plot-savings", scenario_file(), "--gamma0", "-0.5", "--out", str(out)]) == 1
+        assert "gamma0 must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("gamma0", ["inf", "nan"])

@@ -46,9 +46,11 @@ from joneses.errors import (
     AltruismOverflow,
     DomainError,
     EnvyTooStrong,
+    JonesesError,
     LengthMismatch,
     NoPositiveRoot,
     NotSustainable,
+    NuOutOfBounds,
     ScheduleTooShort,
 )
 from support import (
@@ -439,6 +441,15 @@ def test_kink_row_is_not_certified_at_any_guess():
         assert not _certify(row[0], np.array([g]), *row[1:])[1][0]
 
 
+def test_a_denominator_rounding_to_zero_leaves_a_row_uncertified():
+    # z = 1 and delta past 2**53: D_N = N(1 + delta) - N*delta rounds to 0, which Python
+    # floats do not divide by; the columns route divides and certifies nothing either
+    desc, args = np.array([[3.0, 2.0, 1.0, 0.5]]), (1.0, 6.5, 2.0**60, 0.0)
+    assert not _certify(desc, 4, *args)[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not _certify(desc, np.array([4]), *(np.array([[v]]) for v in args))[1][0]
+
+
 def test_a_consistent_guess_after_an_earlier_consistent_set_is_not_certified():
     # a dynasty at a kink: rounding leaves both a = 2 and a = 3 consistent, and the
     # root is the first one's, so a guess of 3 passes the scan's tests but not the margin
@@ -508,6 +519,108 @@ def test_delta_is_bounded_by_the_solver_denominator():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(start, [1.0] * 31, 30, params, EnvySpec(0.0, 1.0))
+
+
+def _largest_delta(n):
+    """The largest delta admitted at n dynasties: n * (1 + delta) just below overflow."""
+    delta = math.nextafter(sys.float_info.max / n, math.inf)
+    while not n * (1.0 + delta) < math.inf:
+        delta = math.nextafter(delta, 0.0)
+    return delta
+
+
+def _edge_paths():
+    """One-row paths where Python floats could part from numpy scalars, with the error
+    each ends in (None: a trajectory)."""
+    cases = []
+    for n in (2, 3, 4):
+        edge = validate_params(alpha=1 / 3, delta=_largest_delta(n), phi=0.1, n_agents=n)
+        rich, tiny = np.zeros(n), np.zeros(n)
+        rich[0], tiny[0] = 0.4, 1e-320
+        for start in (rich, np.full(n, 0.1), np.random.default_rng(n).random(n), tiny):
+            cases.append((f"largest_delta_n{n}", start, [1.0] * 41, edge, UNIT_ENVY, None))
+        cases.append((f"subnormal_n{n}", np.full(n, 1e-310), [1.0] * 41, edge, UNIT_ENVY, None))
+        # the certificate's bound overflows: silently, once no numpy scalar enters it
+        huge_envy = (tiny, [1.0] * 41, edge, EnvySpec(0.0, 1e10), EnvyTooStrong if n == 3 else None)
+        cases.append((f"huge_envy_n{n}", *huge_envy))
+    for start, error in (([5e-324, 0.0, 0.0, 0.0], DomainError), ([1e-320, 0.0, 0.0, 0.0], None)):
+        cases.append(("tiny_total", np.array(start), [1.0] * 41, BASELINE, UNIT_ENVY, error))
+    # rows that raise mid-path, after their filler is computed: the floor breaks in period 6,
+    # and a tilt outside the segment is announced in period 39
+    strong = EnvySpec(0.0, 6.0)
+    floor = (np.array([0.2, 0.1, 0.1, 0.1]), [1.0] * 61, BASELINE, strong, EnvyTooStrong)
+    outside = (np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [5.0] * 21, BASELINE, UNIT_ENVY, NuOutOfBounds)
+    cases += [("raises", *floor), ("raises", *outside)]
+    return [pytest.param(*case[1:], id=f"{case[0]}-{i}") for i, case in enumerate(cases)]
+
+
+@pytest.mark.parametrize("start, nus, params, envy, error", _edge_paths())
+def test_one_row_paths_at_the_edges_end_typed_and_warning_free(start, nus, params, envy, error):
+    # a one-row block works in Python floats: no ZeroDivisionError, complex power or
+    # OverflowError may escape, and overflow to inf is silent where numpy warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            traj = simulate(start, nus, len(nus) - 1, params, envy)
+        except JonesesError as exc:
+            assert type(exc) is error
+            return
+    assert error is None
+    for r in _distinct(traj.records):
+        for name in ("k", "output", "gamma", "gini", "k_next", "avg_consumption", "xi_k", "net"):
+            value = getattr(r, name)
+            assert type(value) is float and math.isfinite(value), name
+        assert type(r.m_count) is int and r.m_count >= 1
+    assert traj.final_k > 0.0
+
+
+def _solve_alone_and_in_a_block(params, envy, start, tilts):
+    """The row's record (or error) solved as a one-row block, and as the middle row of three."""
+    rng = np.random.default_rng(start.size)
+    other = validate_params(alpha=0.3, delta=1.4, phi=0.08, n_agents=start.size)
+    others = [(other, UNIT_ENVY, rng.random(start.size)), (params, EnvySpec(0.1, 0.5), rng.random(start.size))]
+    outcomes = []
+    for rows in ([(params, envy, start)], [others[0], (params, envy, start), others[1]]):
+        paths = [_Path(p, e) for p, e, _ in rows]
+        for path in paths:
+            path.set_tilts(*tilts)
+        beq = np.stack([x for *_, x in rows])
+        *_, records = _solve_block(beq, np.argsort(beq, axis=1), _economy(paths), paths, keep=True)
+        i = len(rows) // 2
+        outcomes.append((records[i], paths[i].error))
+    return outcomes
+
+
+_PARTING_ROWS = {
+    # the rank formula rounds below 0 on an unequal row, and above (N-1)/N off a single holder
+    "gini_clamped_at_zero": ([float.fromhex("0x1.007b74d20ea49p+1"), float.fromhex("0x1.007b74d20ea4ap+1")], 0.0),
+    "gini_clamped_at_top": (
+        [0.0] * 5 + [float.fromhex("0x1.106cc309762c6p+9"), float.fromhex("0x1.7ee482db99080p+88")], 6 / 7
+    ),
+    "single_holder": ([0.0, 0.0, 0.0, 0.4], 0.75),
+    "kink": (TestKink.BEQUESTS, None),
+    "rescaled_gini": ([1e308, 5e307, 0.0, 0.0], None),  # its n * total overflows
+    "largest_delta": ([0.4, 0.0, 0.0, 0.0], 0.75),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARTING_ROWS))
+def test_a_one_row_block_rounds_as_a_row_of_a_larger_block(name):
+    values, want_gini = _PARTING_ROWS[name]
+    start = np.array(values)
+    n = start.size
+    delta = _largest_delta(n) if name == "largest_delta" else 1.0
+    params = validate_params(alpha=1 / 3, delta=delta, phi=0.1, n_agents=n)
+    tilts = (1.0, TestKink.NU_NEXT if name == "kink" else 1.0)
+    (alone, error), (inner, inner_error) = _solve_alone_and_in_a_block(params, UNIT_ENVY, start, tilts)
+    assert type(error) is type(inner_error) and str(error) == str(inner_error)
+    assert error is None
+    if want_gini is not None:
+        assert alone.gini == want_gini
+    for field in ("k", "k_next", "gamma", "gini", "avg_consumption", "xi_k", "net"):
+        assert getattr(alone, field).hex() == getattr(inner, field).hex(), field
+    assert alone.m_count == inner.m_count
+    assert alone.bequests_next.tobytes() == inner.bequests_next.tobytes()
 
 
 def test_a_path_keeps_one_vector_per_solved_period():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from joneses import EnvySpec, Trajectory, constant_schedule, simulate, steady_capital
+from joneses.errors import DomainError
 from joneses.output import (
     CSV_HEADER,
     fmt,
@@ -139,6 +140,22 @@ class TestSavingsStepPlot:
         assert result.breakpoint_nu is None
         assert result.egalitarian_span == (BASELINE.nu_lower, BASELINE.nu_upper)
         assert result.polarised_span is None
+
+    @pytest.mark.parametrize("gamma0", [0.0, -0.0])
+    def test_an_equal_start_draws_the_high_clamp(self, tmp_path, gamma0):
+        # gamma0 = 0 lies below gamma_star(nu) > 0 everywhere: the figure a high clamp draws
+        result = render_savings_step_plot(gamma0, BASELINE, UNIT_ENVY, 1, tmp_path / "zero.svg")
+        clamped = render_savings_step_plot(1e-300, BASELINE, UNIT_ENVY, 1, tmp_path / "tiny.svg")
+        assert result.breakpoint_nu is None and result.polarised_span is None
+        assert result.egalitarian_span == (BASELINE.nu_lower, BASELINE.nu_upper)
+        assert (tmp_path / "zero.svg").read_bytes() == (tmp_path / "tiny.svg").read_bytes()
+        assert clamped.egalitarian_span == result.egalitarian_span
+
+    @pytest.mark.parametrize("gamma0", [-1e-300, -1.0, float("inf"), float("nan")])
+    def test_gamma0_outside_its_domain_is_named(self, tmp_path, gamma0):
+        with pytest.raises(DomainError, match="gamma0 must be finite and >= 0"):
+            render_savings_step_plot(gamma0, BASELINE, UNIT_ENVY, 1, tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
 
     def test_high_inequality_is_polarised_everywhere(self, tmp_path):
         # gamma0 above gamma_star(nu_lower) = 0.7407
