@@ -42,6 +42,7 @@ from .errors import (
     AssumptionZeroViolated,
     DomainError,
     EnvyBoundWarning,
+    ModelError,
     NuOutOfBounds,
 )
 
@@ -140,8 +141,16 @@ class FactorPrices:
 
 
 def gross_return(k: float, alpha: float) -> float:
-    """Marginal product of capital 1 + r = alpha*k**(alpha-1), for a float k > 0."""
-    return alpha * k ** (alpha - 1.0)
+    """Marginal product of capital 1 + r = alpha*k**(alpha-1), for a float k > 0.
+
+    Raises :class:`ModelError` where the power leaves the float range, as a
+    tiny ``k`` under a small ``alpha`` can make it.
+    """
+    try:
+        return alpha * k ** (alpha - 1.0)
+    except OverflowError:
+        msg = f"gross return alpha*k**(alpha-1) overflows at k={k}, alpha={alpha}"
+        raise ModelError(msg) from None
 
 
 def factor_prices(k: float, params: EconomyParams) -> FactorPrices:

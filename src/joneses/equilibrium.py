@@ -23,8 +23,8 @@ along a path is the last period's active set: the guess is certified in
 O(1) beyond one prefix sum when it is consistent and its poorest active
 dynasty saves by more than a bound on the rounding, which proves that no
 earlier candidate is consistent in floating point.  The rows it does not
-certify (a first period, a kink, NaN) are found exactly by scanning the
-candidates in vectorised blocks.  Either way a row gets the same bytes.
+certify (a first period, a kink, NaN) are found exactly by testing every
+candidate in one vectorised pass.  Either way a row gets the same bytes.
 The map is the upper envelope of the candidates' lines, so its root is
 also the largest candidate root; a row takes that one where rounding
 leaves no set consistent (a dynasty exactly at a kink).  Richer parents
@@ -160,9 +160,9 @@ def _scan_active_sets(desc, z, total, delta, xnn):
                   / (N*(1+delta) - a*(delta*z - xi/nu_next))
 
     is accepted iff it lies in (0, total), the poorest active dynasty
-    saves and the richest inactive one does not.  Candidates are scanned
-    in column blocks of 16, 128, 1024, ... incomes, each row extending its
-    own running sum; a row leaves the scan at its first consistent ``a``.
+    saves and the richest inactive one does not.  Every candidate of every
+    row is tested at once, from one sequential cumsum per row, and a row
+    takes its first consistent ``a``.
 
     Every head delta*I_j - delta*z*(total - kappa) - (xi/nu_next)*kappa has
     the same slope in kappa, so the sum of their positive parts is the
@@ -170,41 +170,19 @@ def _scan_active_sets(desc, z, total, delta, xnn):
     candidates' lines, each of which crosses the diagonal from above.  Its
     root is therefore the largest candidate root.  A row that rounding
     leaves with no consistent set (a dynasty exactly at a kink) takes that
-    root, carried as a running maximum; where it is not positive, no
-    dynasty saves.  Returns the root of every row.
+    root; where it is not positive, no dynasty saves.  Returns the root of
+    every row.
     """
-    c, n = desc.shape
-    kappa = np.zeros(c)
-    rows, run, best = np.arange(c), np.zeros(c), np.full(c, -np.inf)
-    base, dz = n * (1.0 + delta), delta * z
-    lo, size = 0, 16
-    while lo < n:
-        hi = min(lo + size, n)
-        # continue the running sum: a block-local cumsum plus offset rounds differently
-        csum = desc[:, lo:hi].copy()
-        csum[:, 0] += run
-        np.cumsum(csum, axis=1, out=csum)
-        a = np.arange(lo + 1.0, hi + 1.0)
-        kap = (delta * csum - a * delta * z * total) / (base - a * (dz - xnn))
-        # bequest numerator of dynasty j is delta*I_j - tail; positive iff saving
-        tail = dz * (total - kap) + xnn * kap
-        heads = delta * desc[:, lo : hi + 1]
-        ok = (0.0 < kap) & (kap < total) & (heads[:, : hi - lo] > tail)
-        w = heads.shape[1]
-        ok[:, : w - 1] &= ~(heads[:, 1:] > tail[:, : w - 1])
-        hit = ok.any(axis=1)
-        kappa[rows] = kap[np.arange(rows.size), ok.argmax(axis=1)]  # kept where hit
-        if hit.all():
-            return kappa
-        best = np.maximum(best, kap.max(axis=1))
-        if hit.any():
-            miss = ~hit
-            rows, desc, z, total, delta, xnn, base, dz, csum, best = (
-                v[miss] for v in (rows, desc, z, total, delta, xnn, base, dz, csum, best)
-            )
-        run, lo, size = csum[:, -1], hi, 8 * size
-    kappa[rows] = best
-    return kappa
+    n = desc.shape[1]
+    a, base, dz = np.arange(1.0, n + 1.0), n * (1.0 + delta), delta * z
+    kappa = (delta * desc.cumsum(axis=1) - a * delta * z * total) / (base - a * (dz - xnn))
+    # bequest numerator of dynasty j is delta*I_j - tail; positive iff saving
+    tail = dz * (total - kappa) + xnn * kappa
+    heads = delta * desc
+    ok = (0.0 < kappa) & (kappa < total) & (heads > tail)
+    ok[:, :-1] &= ~(heads[:, 1:] > tail[:, :-1])
+    first = kappa[np.arange(len(desc)), ok.argmax(axis=1)]
+    return np.where(ok.any(axis=1), first, kappa.max(axis=1))
 
 
 _UNIT = np.finfo(float).eps.item() / 2.0  # unit roundoff u, a Python float
@@ -217,15 +195,14 @@ def _certify(desc, guess, z, total, delta, xnn):
     integer in 1..N per row; the results are vectors of C entries, or
     scalars when the per-row values are (Python floats in a one-row
     block).  Candidate g = ``guess`` is computed with the scan's own IEEE
-    operations in its order (its prefix sum from one sequential cumsum,
-    which the scan's block-continued running sum equals).  A row is
-    certified when g passes the scan's three tests and the poorest active
-    dynasty's float margin m = delta*I_g - tail_g exceeds E = err*(1 +
-    1/rho); then no a < g passes the scan's tests, and ``kappa`` is bit for
-    bit the root the scan returns.  The proof, in
-    exact arithmetic on the float inputs, with s = delta*z - xi/nu_next,
-    the heads h_j(kappa) = delta*I_j - delta*z*total + s*kappa, D_a =
-    N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
+    operations in its order (its prefix sum from the same sequential
+    cumsum, cut at g).  A row is certified when g passes the scan's three
+    tests and the poorest active dynasty's float margin m = delta*I_g -
+    tail_g exceeds E = err*(1 + 1/rho); then no a < g passes the scan's
+    tests, and ``kappa`` is bit for bit the root the scan returns.  The
+    proof, in exact arithmetic on the float inputs, with s = delta*z -
+    xi/nu_next, the heads h_j(kappa) = delta*I_j - delta*z*total +
+    s*kappa, D_a = N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
 
     * the incomes descend, so h_j is non-increasing in j; and D_a >=
       N(1+delta) - N*delta*z > 0, as z < 1 and xi/nu_next >= 0;
@@ -437,8 +414,17 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
     delta = row(econ["delta"])
     z = gamma / (1.0 + gamma)
 
-    k, kl = row(kv), kv.tolist()
-    gross = row(np.fromiter(map(gross_return, kl, econ["alpha"].tolist()), float, c))
+    k, kl, alphas = row(kv), kv.tolist(), econ["alpha"].tolist()
+    try:
+        gross = np.fromiter(map(gross_return, kl, alphas), float, c)
+    except ModelError:  # a power past the float range: that row raises, the others go on
+        gross = np.array(alphas)  # the return at k = 1, a finite filler
+        for i, (k_i, alpha) in enumerate(zip(kl, alphas)):
+            try:
+                gross[i] = gross_return(k_i, alpha)
+            except ModelError as exc:
+                paths[rows[i]].error, ok[i] = exc, False
+    gross = row(gross)
     net, xi_nu, xnn = (1.0 - row(econ["tau_s"])) * gross, row(econ["xi_nu"]), row(econ["xnn"])
     xi_k = xi_nu * k
     total = net * (xi_nu + 1.0) * k  # = (1-phi) * k**alpha

@@ -128,7 +128,7 @@ def active_set_oracle(income, z, total, delta, xi_over_nu_next):
 
     Where rounding leaves no candidate consistent, the largest candidate
     root, which is the root of the fixed-point map (see ``exact_root``).
-    The kernel's block scan, ``_scan_active_sets``, must agree with it
+    The kernel's scan, ``_scan_active_sets``, must agree with it
     exactly.
     """
     roots = candidate_roots(income, z, total, delta, xi_over_nu_next)
@@ -198,7 +198,7 @@ def fixed_point_bisection(
 
 
 def scan_row(income, z, total, delta, xi_over_nu_next):
-    """The kernel's block scan, ``_scan_active_sets``, on one income vector.
+    """The kernel's scan, ``_scan_active_sets``, on one income vector.
 
     Not an oracle: this is the code under test, which sorts ``income``
     descending and returns the root.
@@ -249,7 +249,7 @@ def period_oracle(beq, order, nu_t, nu_next, params, envy) -> OracleRecord:
     """The scalar period solver, one bequest vector at a time: the kernel's oracle.
 
     The inputs are ``period_inputs``'s, and the fixed point comes from the
-    scalar ``active_set_oracle``, not the kernel's block scan.  Each row of
+    scalar ``active_set_oracle``, not the kernel's scan.  Each row of
     the lockstep kernel must equal this record bit for bit, and raise where
     it raises with the same message.
     """

@@ -28,6 +28,13 @@ def scenario_file(tmp_path):
     return make
 
 
+# a start so small that the gross return's power overflows at alpha = 0.01, not at 0.3
+TINY_K = {
+    "params": {"alpha": 0.01, "delta": 1.0, "phi": 0.0, "n_agents": 4},
+    "initial": {"values": [1e-318, 0.0, 0.0, 0.0]},
+}
+
+
 class TestValidate:
     def test_good_scenario(self, scenario_file, capsys):
         assert main(["validate", scenario_file()]) == 0
@@ -101,6 +108,18 @@ class TestSimulate:
         )
         assert main([command, path]) == 1
         assert "error: params.delta: delta=1e+308 overflows" in capsys.readouterr().err
+
+    def test_gross_return_past_the_float_range_is_a_model_error(self, scenario_file, capsys):
+        # alpha*k**(alpha-1) at k = 2.5e-319 and alpha = 0.01 leaves the float range
+        path = scenario_file("tiny.json", params=TINY_K["params"], initial=TINY_K["initial"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "model error: gross return alpha*k**(alpha-1) overflows at k=2.49997e-319, "
+            "alpha=0.01\n"
+        )
 
     def test_non_finite_tol_is_an_input_error(self, scenario_file, capsys):
         path = scenario_file("inf.json", run={"horizon": 120, "tol": float("inf")})
@@ -206,6 +225,31 @@ class TestSweep:
         assert [row[1:] for row in rows] == [
             ["error", "", "", "", "", "params: expected an object, got list"]
         ] * 2
+
+    def test_a_cell_whose_gross_return_overflows_is_an_error_row(
+        self, scenario_file, tmp_path, capsys
+    ):
+        # the two cells share one block; the overflow freezes its own row, and the
+        # alpha = 0.3 cell gets the row a sweep of that cell alone gives it
+        template = {**json.loads(open(scenario_file()).read()), **TINY_K}
+        rows = {}
+        for name, values in [("both", [0.01, 0.3]), ("alone", [0.3])]:
+            grid_path = tmp_path / f"{name}.json"
+            grid_path.write_text(
+                json.dumps({"template": template, "axes": [{"name": "alpha", "values": values}]})
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["sweep", str(grid_path), "--out", str(tmp_path / name)]) == 0
+            with open(tmp_path / name / "sweep.csv", encoding="utf-8", newline="") as fh:
+                rows[name] = list(csv.reader(fh))[1:]
+        err = capsys.readouterr().err
+        assert "swept 2 cells (1 errors)" in err and "Traceback" not in err
+        assert rows["both"][0] == [
+            "0.01", "error", "", "", "", "",
+            "gross return alpha*k**(alpha-1) overflows at k=2.49997e-319, alpha=0.01",
+        ]
+        assert rows["both"][1] == rows["alone"][0] and rows["alone"][0][1] != "error"
 
 
 HUGE = 10**400  # an integer literal past the float range

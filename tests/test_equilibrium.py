@@ -210,9 +210,10 @@ def _active_count(income, z, total, delta, xnn, kappa):
 
 
 @st.composite
-def fixed_point_instances(draw, max_n=4096):
+def fixed_point_instances(draw, max_n=4096, n=None):
     """Income vectors with ties, zeros and any order, plus solver coefficients."""
-    n = draw(st.one_of(st.integers(2, min(40, max_n)), st.integers(2, max_n)))
+    if n is None:
+        n = draw(st.one_of(st.integers(2, min(40, max_n)), st.integers(2, max_n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     income = rng.lognormal(sigma=draw(st.floats(0.0, 3.0)), size=n)
     levels = draw(st.integers(0, 6))
@@ -232,7 +233,7 @@ def fixed_point_instances(draw, max_n=4096):
 
 
 @st.composite
-def kink_instances(draw):
+def kink_instances(draw, n=None):
     """Incomes with one or two tied dynasties exactly at a kink of the fixed-point map.
 
     The top ``a`` incomes and the coefficients are drawn, and the candidate
@@ -241,9 +242,14 @@ def kink_instances(draw):
     (xi/nu_next)*kappa/delta, and the rest lie below it.  Rounding then
     often leaves no candidate set consistent.
     """
-    n = draw(st.integers(3, 8))
+    if n is None:
+        n = draw(st.integers(3, 8))
     tied = draw(st.integers(1, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _kink_row(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, tied)
+
+
+def _kink_row(rng, n, tied):
+    """One row of ``kink_instances``: N = ``n``, ``tied`` dynasties at the kink."""
     while True:
         a = int(rng.integers(1, n - tied + 1))
         z, delta, xnn = rng.uniform(0.0, 0.95), rng.uniform(0.2, 3.0), rng.uniform(0.05, 4.0)
@@ -285,7 +291,7 @@ def test_block_scan_equals_scalar_oracle(instance):
 def test_scan_root_is_the_exact_root_to_rounding(instance):
     # exact_root is the largest candidate root in Fractions, its residual asserted 0.
     # The bound is relative to the root's terms, which is the root itself unless the
-    # numerator cancels; at N in the thousands the scan's running sum rounds further.
+    # numerator cancels; at N in the thousands the scan's sequential cumsum rounds further.
     exact = exact_root(*instance)
     assert abs(scan_row(*instance) - exact) <= 1e-14 * _root_scale(*instance)
 
@@ -296,8 +302,8 @@ BLOCK_EDGES = [1, 15, 16, 17, 143, 144, 145, 1167, 1168, 1169]
 @pytest.mark.parametrize("m", BLOCK_EDGES)
 def test_block_scan_on_block_edges(m):
     # one row per edge: r rich dynasties, the rest hold nothing, so the row's active
-    # set is exactly r and the rows leave the scan in different column blocks; the
-    # block is rotated to lead with r = m, so the rows that leave shift in position
+    # set is exactly r and the rows find their sets at different columns, up to 1,169;
+    # the block is rotated to lead with r = m, so those columns shift in position
     lead = BLOCK_EDGES.index(m)
     counts = BLOCK_EDGES[lead:] + BLOCK_EDGES[:lead]
     rng = np.random.default_rng(m)
@@ -313,6 +319,37 @@ def test_block_scan_on_block_edges(m):
         assert any(consistent for _, consistent in candidate_roots(row, 0.5, t, 1.0, 0.5))
         assert got == active_set_oracle(row, 0.5, t, 1.0, 0.5)
         assert _active_count(row, 0.5, t, 1.0, 0.5, got) == r
+
+
+@st.composite
+def mixed_blocks(draw):
+    """Rows of one N for one block: fixed-point rows, and kink rows where no set is consistent.
+
+    The kink rows are drawn from ``kink_instances``' construction until
+    rounding leaves every candidate inconsistent, so each block holds rows
+    that take their first consistent set and rows that take the largest
+    candidate root, in any order.
+    """
+    n = draw(st.one_of(st.integers(3, 40), st.integers(3, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stuck = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = _kink_row(rng, n, int(rng.integers(1, 3)))
+        while any(consistent for _, consistent in candidate_roots(*row)):
+            row = _kink_row(rng, n, int(rng.integers(1, 3)))
+        stuck.append(row)
+    rows = stuck + draw(st.lists(fixed_point_instances(n=n), min_size=1, max_size=6))
+    return draw(st.permutations(rows))
+
+
+@given(rows=mixed_blocks())
+@settings(max_examples=100, deadline=None)
+def test_mixed_block_rows_equal_the_scalar_oracle(rows):
+    # rows that find a consistent set beside rows that find none, scanned as one block
+    desc = np.stack([np.sort(income)[::-1] for income, *_ in rows])
+    columns = (np.array([[row[i]] for row in rows], dtype=float) for i in range(1, 5))
+    kappa = _scan_active_sets(desc, *columns)
+    assert kappa.tobytes() == np.array([active_set_oracle(*row) for row in rows]).tobytes()
 
 
 def _assert_same_records(a, b):
