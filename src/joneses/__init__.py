@@ -26,10 +26,8 @@ from .core import (
 from .envy import (
     EnvySpec,
     as_distribution,
-    dominates,
     gamma_uniform_top,
     gini,
-    lorenz_shares,
     validate_envy,
 )
 from .equilibrium import (
@@ -74,8 +72,6 @@ __all__ = [
     "EnvySpec",
     "as_distribution",
     "gini",
-    "lorenz_shares",
-    "dominates",
     "gamma_uniform_top",
     "validate_envy",
     "TemporaryEquilibrium",

@@ -234,12 +234,16 @@ def gamma_hat(nu: float, params: EconomyParams) -> float:
 
     With x = xi/nu this is x*(x + 1 + delta)/(x + 1), equivalently
     x + gamma_star(nu); decreasing in nu, so its minimum over the
-    admissible segment sits at nu_upper.
+    admissible segment sits at nu_upper.  Where ``x * (x + 1 + delta)``
+    overflows (``delta`` near the float maximum) it divides first.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
     x = params.xi / nu
-    return x * (x + 1.0 + params.delta) / (x + 1.0)
+    lift = x + 1.0 + params.delta
+    if float(x) * float(lift) < float("inf"):  # Python floats overflow without a warning
+        return x * lift / (x + 1.0)
+    return x * (lift / (x + 1.0))
 
 
 class NuForGamma(NamedTuple):

@@ -4,7 +4,8 @@ The envy weight that governs a period is a function of the inherited
 wealth distribution.  Any admissible functional must be symmetric,
 continuous, 0-homogeneous on nonzero nonnegative vectors, and strictly
 increasing when the distribution becomes more unequal in the
-cumulative-shares (Lorenz) sense implemented by :func:`dominates`.
+cumulative-shares (Lorenz) sense: every share of the M poorest weakly
+lower, one strictly.
 
 The functional, :class:`EnvySpec`, is affine in the Gini coefficient,
 ``gamma(s) = base + scale * gini(s)``, which satisfies all of the above.
@@ -124,32 +125,6 @@ def _ranks(n: int) -> np.ndarray:
     ranks = np.arange(1.0, n + 1.0)
     ranks.flags.writeable = False
     return ranks
-
-
-def lorenz_shares(values: ArrayLike) -> np.ndarray:
-    """Cumulative wealth shares of the M poorest, M = 1..N, after ascending sort."""
-    arr = as_distribution(values)
-    x = np.sort(arr)
-    return np.cumsum(x) / x.sum()
-
-
-def dominates(a: ArrayLike, b: ArrayLike) -> bool:
-    """True iff distribution ``a`` is strictly more unequal than ``b``.
-
-    After ascending sort, every cumulative share of the M poorest under
-    ``a`` must be <= the corresponding share under ``b``, strictly for
-    at least one M.  Totals need not match: the comparison is in shares.
-    Comparisons are exact (no tolerance); irreflexive by construction.
-    """
-    arr_a = as_distribution(a)
-    arr_b = as_distribution(b)
-    if arr_a.size != arr_b.size:
-        raise LengthMismatch(
-            f"cannot compare distributions of sizes {arr_a.size} and {arr_b.size}"
-        )
-    shares_a = lorenz_shares(arr_a)
-    shares_b = lorenz_shares(arr_b)
-    return bool(np.all(shares_a <= shares_b) and np.any(shares_a < shares_b))
 
 
 @dataclass(frozen=True)

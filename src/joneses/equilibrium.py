@@ -36,20 +36,20 @@ wealth vector is validated once, where it enters: the public functions
 here take plain vectors, and nothing behind them validates the same
 vector again.
 
-There is one period kernel, and it solves a (C x N) block of bequest
-rows in lockstep.  :func:`simulate`, :func:`solve_temporary` and the
-reform planner run it on one row; :func:`final_capitals`, which the
-sweep uses, runs a block of cells that share the horizon and the number
-of dynasties, each row's economy held as columns.  Every row is rounded
-exactly as it would be alone: row-wise means, sums and cumulative sums
-equal the 1-D calls bit for bit, the Gini and weight come from the
-function that ``gini`` runs, and the per-row values repeat the scalar
-operations.  They are columns, or in a one-row block Python floats, so a
-path calls numpy only for its O(N) passes; the only per-row Python call
-is one power, and the Gini's rank dots are one ``np.vecdot`` over the
-block.  Every tilt is priced as a Python float.  A row that raises is
-frozen with the error, and message, its own path raises; the other rows
-go on.
+There is one period kernel, which solves a (C x N) block of bequest
+rows in lockstep, and one driver, ``_run_paths``, which steps it through
+the periods: :func:`simulate`, :func:`solve_temporary` and the reform
+planner on one row, :func:`final_capitals` (the sweep's) on a block of
+cells that share the horizon and the number of dynasties, each row's
+economy held as columns.  Every row is rounded exactly as it would be
+alone: row-wise means, sums and cumulative sums equal the 1-D calls bit
+for bit, the Gini and weight come from the function that ``gini`` runs,
+and the per-row values repeat the scalar operations.  They are columns,
+or in a one-row block Python floats, so a path calls numpy only for its
+O(N) passes; the only per-row Python call is one power, and the Gini's
+rank dots are one ``np.vecdot`` over the block.  Every tilt is priced as
+a Python float.  A row that raises is frozen with the error, and
+message, its own path raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -277,17 +277,16 @@ def solve_temporary(
 ) -> TemporaryEquilibrium:
     """Solve the unique temporary equilibrium for one period.
 
-    ``bequests`` is the inherited vector, validated here like the initial
+    ``bequests`` is the inherited vector, validated like the initial
     vector of :func:`simulate` (N entries, finite, nonnegative, positive
     total).  ``nu_t`` prices the period's taxes; ``nu_next`` is the announced
     next-period tilt entering the bequest motive.  The caller is
     responsible for having validated ``envy`` against the existence
     bound; the realized floor condition (every dynasty can consume above
-    z times average consumption) is guarded here regardless and raises
-    :class:`EnvyTooStrong` when violated.
+    z times average consumption) is guarded regardless and raises
+    :class:`EnvyTooStrong`.  It is the record of a one-period :func:`simulate`.
     """
-    beq = as_distribution(bequests, params.n_agents).copy()  # the record reads it again
-    return _solve_one(beq, np.argsort(beq), nu_t, nu_next, params, envy)
+    return simulate(bequests, (nu_t, nu_next), 1, params, envy).records[0]
 
 
 class _Path:
@@ -484,19 +483,6 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
     return bequests_next, ok, ok & (k_next == k), records
 
 
-def _solve_one(beq, order, nu_t, nu_next, params, envy) -> TemporaryEquilibrium:
-    """The kernel on one row: a validated ``beq`` that ``order`` should sort
-    ascending.  A stale order is repaired in place, so a caller carrying it
-    from period to period stays valid.
-    """
-    path = _Path(params, envy)
-    path.set_tilts(nu_t, nu_next)
-    *_, records = _solve_block(beq[None], order[None], _economy([path]), [path], keep=True)
-    if path.error is not None:
-        raise path.error
-    return records[0]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered sequence of temporary equilibria along one policy path.
@@ -562,17 +548,20 @@ def _tilt_runs(schedule, horizon: int) -> list:
 _SLAB_BYTES = 8 << 20
 
 
-def _run_paths(beq, paths, horizon: int) -> np.ndarray:
+def _run_paths(beq, paths, horizon: int):
     """Advance row i of ``beq`` (C x N) along ``paths[i]`` for ``horizon`` periods.
 
-    The rows that need solving in a period are solved as one block.  A
+    The one loop over periods.  The rows that need solving in a period are solved as one block.  A
     row whose solved period is stationary leaves the block, its record
     repeating, until the next period in which its tilt pair (nu_t,
     nu_{t+1}) changes; a row that raises is frozen with its error.  A
     period that announces a new tilt is such a change, and so is the one
     after it, so a row leaves only while its tilt holds.  Tilts are
-    looked up only in those periods.  Returns the last block of bequests:
-    row i's mean is the final capital intensity of path i.
+    looked up only in those periods.  After each period in which it
+    solved a block it yields ``(bequests, order)``: the (C x N) block the
+    paths hand on, and the orders that sort the block they inherited.
+    The last block yielded holds the final bequests; a caller that stops
+    early reads each path's ``repeat`` and ``error``.
 
     When the paths keep records, each solved period writes its
     ``bequests_next`` into the next (C x N) page of a slab, one array of
@@ -632,7 +621,7 @@ def _run_paths(beq, paths, horizon: int) -> np.ndarray:
             if keep:
                 beq = beq.copy()  # records hold rows of the old block
             beq[idx] = nxt
-    return beq
+        yield beq, order
 
 
 def simulate(
@@ -660,7 +649,8 @@ def simulate(
     runs = _tilt_runs(schedule, horizon)
     beq = as_distribution(initial, params.n_agents).copy()  # the first record reads it again
     path = _Path(params, envy, runs, keep=True)
-    _run_paths(beq[None], [path], horizon)
+    for _ in _run_paths(beq[None], [path], horizon):
+        pass
     if path.error is not None:
         raise path.error
     return Trajectory(records=tuple(path.records))
@@ -680,11 +670,12 @@ def final_capitals(
     number of dynasties, and advance together as one block.  Entry i is
     the final capital intensity, bit for bit what :func:`simulate` gives,
     or the :class:`JonesesError` that stopped path i.  No records are
-    built.  Invalid inputs raise before any path starts.
+    built.  The starts come validated and are not validated again.
     """
     paths = [_Path(p, e, _tilt_runs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
-    beq = np.stack([as_distribution(x, p.n_agents) for x, p in zip(initials, params)])
-    k_final = _run_paths(beq, paths, horizon).mean(axis=1).tolist()
+    for beq, _ in _run_paths(np.stack(initials), paths, horizon):
+        pass
+    k_final = beq.mean(axis=1).tolist()
     return [k if p.error is None else p.error for p, k in zip(paths, k_final)]
 
 

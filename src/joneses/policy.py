@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import EconomyParams, gamma_star, steady_capital, tax_rates
 from .envy import EnvySpec, as_distribution, gamma_uniform_top
-from .equilibrium import TemporaryEquilibrium, _solve_one
+from .equilibrium import TemporaryEquilibrium, _Path, _run_paths, _start_weight
 from .errors import (
     BudgetViolation,
     DomainError,
@@ -153,8 +153,9 @@ def plan_reform(
     Stage 1 must itself point the economy at the egalitarian regime
     (initial envy weight below gamma_star(stage1_nu)), otherwise
     inequality would grow and no switch date exists.  The economy is
-    then simulated under the constant stage-1 tilt until the envy weight
-    that will govern the next period drops below
+    then simulated under the constant stage-1 tilt, one period at a time
+    through the path driver that :func:`~joneses.equilibrium.simulate`
+    runs, until the envy weight that will govern the next period drops below
     gamma_star(stage2_nu) - margin; that period is the trigger, and
     ``gamma_at_trigger`` is the envy weight there on this stage-1-only
     path.  The schedule from :func:`compose_reform_schedule` announces
@@ -178,30 +179,28 @@ def plan_reform(
     tax_rates(stage1_nu, params)  # bounds check
     tax_rates(stage2_nu, params)
     beq = as_distribution(initial, params.n_agents)
-    order = np.argsort(beq)
-    gamma0 = float(envy.weight(beq[order]))
+    gamma_t = _start_weight(beq, envy)
     stage1_threshold = gamma_star(stage1_nu, params)
-    if not gamma0 < stage1_threshold:
+    if not gamma_t < stage1_threshold:
         raise Infeasible(
-            f"initial envy weight {gamma0} is not below the stage-1 threshold "
+            f"initial envy weight {gamma_t} is not below the stage-1 threshold "
             f"{stage1_threshold}; stage 1 would not reduce inequality"
         )
     target = gamma_star(stage2_nu, params) - margin
-    trigger = None
-    gamma_t = gamma0
-    for t in range(max_horizon + 1):
-        if gamma_t < target:
-            trigger = t
-            break
-        eq = _solve_one(beq, order, stage1_nu, stage1_nu, params, envy)
-        beq = eq.bequests_next
-        if eq.stationary:
-            break  # an exact fixed point: every later period repeats this one
-        gamma_t = float(envy.weight(beq[order]))
-    if trigger is None:
-        raise Infeasible(
-            f"envy weight did not fall below {target} within {max_horizon} periods"
-        )
+    path = _Path(params, envy, [(0, stage1_nu)])
+    periods = _run_paths(beq[None], [path], max_horizon + 1)
+    trigger = 0
+    while not gamma_t < target:
+        block, order = next(periods)
+        if path.error is not None:
+            raise path.error
+        # at an exact fixed point every later period repeats this one
+        if path.repeat or trigger == max_horizon:
+            raise Infeasible(
+                f"envy weight did not fall below {target} within {max_horizon} periods"
+            )
+        trigger += 1
+        gamma_t = envy.weight(block[0, order[0]])
     n = params.n_agents
     limit = steady_capital(gamma_uniform_top(envy, n, n), 1.0, stage2_nu, params)
     return ReformPlan(

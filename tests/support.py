@@ -2,14 +2,16 @@
 
 The oracles here are deliberately independent of the package's solution
 paths: the Gini oracles are the O(N^2) pairwise sum and the scalar
-sorted-rank formula the package's block form replaced, utility optimality is
-checked by brute-force grid search on the budget line, one period is
-solved by a scalar one-vector solver whose fixed point comes from the
-scalar candidate loop ``active_set_oracle``, fixed points are also found
-by bisection and in exact rational arithmetic, sweep cells are built whole
-by ``cell_scenario``, and equilibrium paths are audited against the
-conservation laws and monotonicity statements recomputed from raw
-quantities.
+sorted-rank formula the package's block form replaced, the envy weight
+must rise along the Lorenz dominance order ``dominates``, utility
+optimality is checked by brute-force grid search on the budget line, one
+period is solved by a scalar one-vector solver whose fixed point comes
+from the scalar candidate loop ``active_set_oracle``, fixed points are
+also found by bisection and in exact rational arithmetic, the reform
+planner's trigger is searched by a chain of public ``solve_temporary``
+calls, sweep cells are built whole by ``cell_scenario``, and equilibrium
+paths are audited against the conservation laws and monotonicity
+statements recomputed from raw quantities.
 """
 
 from __future__ import annotations
@@ -30,12 +32,20 @@ from joneses import (
     gamma_hat,
     gamma_star,
     savings_rate,
+    solve_temporary,
     validate_params,
 )
 from joneses.core import factor_prices, tax_rates
 from joneses.envy import as_distribution
 from joneses.equilibrium import _scan_active_sets
-from joneses.errors import DomainError, EnvyTooStrong, JonesesError, NoPositiveRoot
+from joneses.errors import (
+    DomainError,
+    EnvyTooStrong,
+    Infeasible,
+    JonesesError,
+    LengthMismatch,
+    NoPositiveRoot,
+)
 from joneses.scenario import parse_scenario
 from joneses.sweep import _template_total
 
@@ -97,6 +107,32 @@ def gini_oracle(values) -> float:
     ranks = np.arange(1, n + 1, dtype=float)
     g = 2.0 * (ranks @ x) / (n * x.sum()) - (n + 1.0) / n
     return float(min(max(g, 0.0), (n - 1.0) / n))
+
+
+def lorenz_shares(values):
+    """Cumulative wealth shares of the M poorest, M = 1..N, after ascending sort."""
+    arr = as_distribution(values)
+    x = np.sort(arr)
+    return np.cumsum(x) / x.sum()
+
+
+def dominates(a, b):
+    """True iff distribution ``a`` is strictly more unequal than ``b``.
+
+    After ascending sort, every cumulative share of the M poorest under
+    ``a`` must be <= the corresponding share under ``b``, strictly for
+    at least one M.  Totals need not match: the comparison is in shares.
+    Comparisons are exact (no tolerance); irreflexive by construction.
+    """
+    arr_a = as_distribution(a)
+    arr_b = as_distribution(b)
+    if arr_a.size != arr_b.size:
+        raise LengthMismatch(
+            f"cannot compare distributions of sizes {arr_a.size} and {arr_b.size}"
+        )
+    shares_a = lorenz_shares(arr_a)
+    shares_b = lorenz_shares(arr_b)
+    return bool(np.all(shares_a <= shares_b) and np.any(shares_a < shares_b))
 
 
 def candidate_roots(income, z, total, delta, xi_over_nu_next):
@@ -306,6 +342,36 @@ def chained_oracle(initial, nus, horizon, params, envy):
             return records, exc
         beq = records[-1].bequests_next
     return records, None
+
+
+def reform_trigger_oracle(initial, params, envy, stage1_nu, stage2_nu, margin, max_horizon):
+    """``plan_reform``'s trigger search as public calls: ``(trigger_period, gamma_at_trigger)``.
+
+    Each stage-1 period is a fresh ``solve_temporary`` of the whole
+    vector and each weight an ``envy.weight`` of it, so no order is
+    carried and no path driver is stepped.  It raises what the planner
+    must raise, with the same message: the stage-1 precondition, a
+    period's error, or ``Infeasible`` past ``max_horizon`` or at an
+    exact fixed point.  The planner's checks of its arguments are left out.
+    """
+    beq = as_distribution(initial, params.n_agents)
+    gamma = envy.weight(beq)
+    threshold = gamma_star(stage1_nu, params)
+    if not gamma < threshold:
+        raise Infeasible(
+            f"initial envy weight {gamma} is not below the stage-1 threshold "
+            f"{threshold}; stage 1 would not reduce inequality"
+        )
+    target = gamma_star(stage2_nu, params) - margin
+    for t in range(max_horizon + 1):
+        if gamma < target:
+            return t, gamma
+        record = solve_temporary(beq, stage1_nu, stage1_nu, params, envy)
+        if record.stationary:
+            break  # an exact fixed point: every later period repeats this one
+        beq = record.bequests_next
+        gamma = envy.weight(beq)
+    raise Infeasible(f"envy weight did not fall below {target} within {max_horizon} periods")
 
 
 def cell_scenario(grid, values):

@@ -357,6 +357,17 @@ class TestPlots:
         assert "breakpoint=none" in capsys.readouterr().err
         assert "egalitarian branch" in out.read_text() and "polarised branch" not in out.read_text()
 
+    def test_savings_at_the_largest_delta_is_warning_free(self, scenario_file, tmp_path, capsys):
+        # at N = 2 the existence ceiling's product x * (x + 1 + delta) overflows on the
+        # plot's tilt grid, numpy scalars, where simulate of the same file runs clean
+        params = {"alpha": 1 / 3, "delta": 8.98e307, "phi": 0.1, "n_agents": 2}
+        path = scenario_file(params=params, initial={"values": [0.1, 0.05]})
+        out = tmp_path / "savings.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot-savings", path, "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+
     def test_negative_gamma0_is_an_input_error(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "savings.svg"
         assert main(["plot-savings", scenario_file(), "--gamma0", "-0.5", "--out", str(out)]) == 1

@@ -1,5 +1,7 @@
 """Closed-form primitives: validation, prices, taxes, savings, thresholds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,20 @@ class TestThresholds:
             star, hat = gamma_star(nu, p), gamma_hat(nu, p)
             assert star < hat
             assert hat == pytest.approx(p.xi / nu + star, rel=1e-12)
+
+    def test_gamma_hat_divides_first_where_the_product_overflows(self):
+        # at N = 2 and the largest admitted delta, x * (x + 1 + delta) overflows on the
+        # segment where the ceiling x + gamma_star(nu) does not; a numpy tilt used to warn
+        p = validate_params(alpha=1 / 3, delta=8.98e307, phi=0.1, n_agents=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu in (p.nu_lower, 1.0, np.float64(p.nu_lower), np.float64(p.nu_upper)):
+                hat = gamma_hat(nu, p)
+                assert hat == pytest.approx(p.xi / nu + gamma_star(nu, p), rel=1e-15)
+        # where the product is finite it goes first, as it always did
+        for nu in (BASELINE.nu_lower, 1.0, np.float64(BASELINE.nu_upper)):
+            x = BASELINE.xi / nu
+            assert gamma_hat(nu, BASELINE) == x * (x + 1.0 + BASELINE.delta) / (x + 1.0)
 
     @pytest.mark.parametrize("fn", [gamma_star, gamma_hat])
     def test_nonpositive_nu_rejected(self, fn):

@@ -9,14 +9,13 @@ from joneses import (
     EnvySpec,
     as_distribution,
     classify,
-    dominates,
     gamma_hat,
     gamma_uniform_top,
     gini,
     validate_envy,
 )
 from joneses.envy import _gini_weights
-from support import BASELINE, gini_oracle, gini_pairwise, gini_vectors
+from support import BASELINE, dominates, gini_oracle, gini_pairwise, gini_vectors
 
 # Integer-valued distributions keep share arithmetic exact, which lets the
 # dominance and symmetry properties assert equalities without tolerance.

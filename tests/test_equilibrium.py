@@ -38,7 +38,6 @@ from joneses.equilibrium import (
     _run_paths,
     _scan_active_sets,
     _solve_block,
-    _solve_one,
     _tilt_runs,
     final_capitals,
 )
@@ -264,6 +263,21 @@ def _kink_row(rng, n, tied):
     return rng.permutation(income), z, total, delta, xnn
 
 
+def _stuck_kink_row(rng, n):
+    """A ``_kink_row`` redrawn until rounding leaves every candidate set inconsistent."""
+    row = _kink_row(rng, n, int(rng.integers(1, 3)))
+    while any(consistent for _, consistent in candidate_roots(*row)):
+        row = _kink_row(rng, n, int(rng.integers(1, 3)))
+    return row
+
+
+@st.composite
+def stuck_kink_instances(draw):
+    """``kink_instances`` on which no set is consistent: only ~2% of its draws are."""
+    n = draw(st.integers(3, 8))
+    return _stuck_kink_row(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
 def _root_scale(income, z, total, delta, xnn):
     """Size of the terms whose difference makes the largest candidate root.
 
@@ -279,7 +293,7 @@ def _root_scale(income, z, total, delta, xnn):
     return ((delta * csum + a * delta * z * total) / denom)[np.argmax(kappa)]
 
 
-@given(instance=st.one_of(fixed_point_instances(), kink_instances()))
+@given(instance=st.one_of(fixed_point_instances(), kink_instances(), stuck_kink_instances()))
 @settings(max_examples=300, deadline=None)
 def test_block_scan_equals_scalar_oracle(instance):
     income, z, total, delta, xnn = instance
@@ -325,19 +339,13 @@ def test_block_scan_on_block_edges(m):
 def mixed_blocks(draw):
     """Rows of one N for one block: fixed-point rows, and kink rows where no set is consistent.
 
-    The kink rows are drawn from ``kink_instances``' construction until
-    rounding leaves every candidate inconsistent, so each block holds rows
-    that take their first consistent set and rows that take the largest
+    The kink rows are ``_stuck_kink_row``s, so each block holds rows that
+    take their first consistent set and rows that take the largest
     candidate root, in any order.
     """
     n = draw(st.one_of(st.integers(3, 40), st.integers(3, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stuck = []
-    for _ in range(draw(st.integers(1, 4))):
-        row = _kink_row(rng, n, int(rng.integers(1, 3)))
-        while any(consistent for _, consistent in candidate_roots(*row)):
-            row = _kink_row(rng, n, int(rng.integers(1, 3)))
-        stuck.append(row)
+    stuck = [_stuck_kink_row(rng, n) for _ in range(draw(st.integers(1, 4)))]
     rows = stuck + draw(st.lists(fixed_point_instances(n=n), min_size=1, max_size=6))
     return draw(st.permutations(rows))
 
@@ -432,12 +440,14 @@ def _one_row(income, z, total, delta, xnn):
 
 
 def _one_row_scalars(income, z, total, delta, xnn):
-    """The same one-row block with numpy-scalar coefficients, as the kernel passes one row."""
-    return np.sort(income)[::-1][None], *(np.float64(v) for v in (z, total, delta, xnn))
+    """The same one-row block with Python-float coefficients, as the kernel passes one row."""
+    return np.sort(income)[::-1][None], *(float(v) for v in (z, total, delta, xnn))
 
 
 @given(
-    instance=st.one_of(fixed_point_instances(), kink_instances(), block_edge_instances()),
+    instance=st.one_of(
+        fixed_point_instances(), kink_instances(), stuck_kink_instances(), block_edge_instances()
+    ),
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
@@ -452,14 +462,15 @@ def test_certified_root_is_the_oracle_root(instance, data):
     if certified[0]:
         assert kappa[0] == want
     assert _roots(row[0], guess, *row[1:])[0] == want
-    # the one-row form: the same row with its guess and coefficients as numpy scalars
+    # the one-row form: the same row with its guess a Python int and its coefficients
+    # Python floats, the types _solve_block hands a one-row block's _certify
     row = _one_row_scalars(*instance)
-    kappa_s, certified_s = _certify(row[0], np.int64(guess[0]), *row[1:])
+    kappa_s, certified_s = _certify(row[0], int(guess[0]), *row[1:])
     assert np.ndim(kappa_s) == np.ndim(certified_s) == 0
     assert certified_s == certified[0]
     if certified_s:
         assert kappa_s == want
-    assert _roots(row[0], np.int64(guess[0]), *row[1:]) == want
+    assert _roots(row[0], int(guess[0]), *row[1:]) == want
 
 
 @pytest.mark.parametrize("m", BLOCK_EDGES)
@@ -738,7 +749,8 @@ def test_block_rows_across_slabs_equal_their_chained_oracle(monkeypatch, pages):
     cases = [_block_row(rng, 4, horizon) for _ in range(rows)]
     monkeypatch.setattr("joneses.equilibrium._SLAB_BYTES", pages * rows * 8 * 4)
     paths = [_Path(p, envy, _tilt_runs(nus, horizon), keep=True) for p, envy, _, nus in cases]
-    _run_paths(np.stack([initial for _, _, initial, _ in cases]), paths, horizon)
+    for _ in _run_paths(np.stack([initial for _, _, initial, _ in cases]), paths, horizon):
+        pass
     for path, case in zip(paths, cases):
         _assert_row_matches_oracle(path.records, path.error, case, horizon)
     records = [r for path in paths for r in _distinct(path.records)]
@@ -819,8 +831,10 @@ class TestCarriedOrder:
                 "random": rng.permutation(p.n_agents),
                 "identity": np.arange(p.n_agents),
             }[stale]
-            eq = _solve_one(beq, order, 1.0, 1.1, p, UNIT_ENVY)
-            _assert_same_records(eq, fresh)
+            path = _Path(p, UNIT_ENVY)
+            path.set_tilts(1.0, 1.1)
+            *_, records = _solve_block(beq[None], order[None], _economy([path]), [path], keep=True)
+            _assert_same_records(records[0], fresh)
             assert np.all(np.diff(beq[order]) >= 0.0)
 
     def test_simulate_equals_chain_of_public_solves(self):
@@ -985,7 +999,8 @@ def test_block_rows_equal_their_chained_oracle(seed, n, rows):
     cases = [_block_row(rng, n, horizon) for _ in range(rows)]
     initials = np.stack([initial for _, _, initial, _ in cases])
     paths = [_Path(p, envy, _tilt_runs(nus, horizon), keep=True) for p, envy, _, nus in cases]
-    _run_paths(initials, paths, horizon)
+    for _ in _run_paths(initials, paths, horizon):
+        pass
     finals = final_capitals(
         [initial for _, _, initial, _ in cases],
         [nus for *_, nus in cases],
@@ -1042,7 +1057,8 @@ class TestLockstepKernel:
             (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [5.0] * (horizon - 39)),
         ]
         paths = [_Path(q, e, _tilt_runs(nus, horizon), keep=True) for q, e, _, nus in cases]
-        _run_paths(np.stack([c[2] for c in cases]), paths, horizon)
+        for _ in _run_paths(np.stack([c[2] for c in cases]), paths, horizon):
+            pass
         kinds = []
         for path, case in zip(paths, cases):
             records, error = _assert_row_matches_oracle(path.records, path.error, case, horizon)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from joneses import (
     build_schedule,
@@ -15,17 +17,27 @@ from joneses import (
     solve_temporary,
     steady_capital,
     tax_rates,
+    validate_params,
 )
 from joneses.errors import (
     BudgetViolation,
     DomainError,
     Infeasible,
+    JonesesError,
     NonMonotoneSegments,
     NuOutOfBounds,
     ScheduleTooShort,
     ValidationError,
 )
-from support import BASELINE, UNIT_ENVY, random_envy, random_initial, random_nu, random_params
+from support import (
+    BASELINE,
+    UNIT_ENVY,
+    random_envy,
+    random_initial,
+    random_nu,
+    random_params,
+    reform_trigger_oracle,
+)
 
 
 def realised_gamma_at_trigger(initial, plan, params, envy):
@@ -179,6 +191,66 @@ class TestPlanReform:
         assert plan.stage1_nu == plan.stage2_nu
         schedule = compose_reform_schedule(plan, BASELINE.phi, BASELINE)
         assert schedule.segments == ((0, 0.7),)
+
+
+def _search(plan, *args):
+    """A trigger search's outcome: the trigger and the bytes of its weight, or the error."""
+    try:
+        found = plan(*args)
+    except JonesesError as exc:
+        return type(exc), str(exc)
+    if not isinstance(found, tuple):
+        found = found.trigger_period, found.gamma_at_trigger
+    return found[0], found[1].hex()
+
+
+def _assert_planner_equals_oracle(*args):
+    got = _search(plan_reform, *args)
+    assert got == _search(reform_trigger_oracle, *args)
+    return got
+
+
+class TestPlannerEqualsTriggerOracle:
+    """``plan_reform`` steps the path driver; the oracle chains public ``solve_temporary`` calls."""
+
+    INITIAL = [0.95, 0.05 / 3, 0.05 / 3, 0.05 / 3]  # triggers in period 4
+
+    @pytest.mark.parametrize("max_horizon", [0, 1, 50, 10**9])
+    def test_every_max_horizon(self, max_horizon):
+        args = (self.INITIAL, BASELINE, UNIT_ENVY, 0.7, BASELINE.nu_upper, 0.01, max_horizon)
+        got = _assert_planner_equals_oracle(*args)
+        assert got[0] == (4 if max_horizon >= 4 else Infeasible)
+
+    def test_exact_fixed_point_is_infeasible(self):
+        args = ([0.3, 0.3, 0, 0], BASELINE, UNIT_ENVY, 0.7, BASELINE.nu_upper, 1.0, 10**9)
+        assert _assert_planner_equals_oracle(*args)[0] is Infeasible
+
+    def test_error_in_the_search(self):
+        # the gross return overflows in the first stage-1 period, after the search has begun
+        p = validate_params(alpha=0.01, delta=1.0, phi=0.0, n_agents=4)
+        got = _assert_planner_equals_oracle([1e-318, 0.0, 0.0, 0.0], p, UNIT_ENVY, 1.0, 1.0, 0.5, 50)
+        assert got[0].__name__ == "ModelError" and "gross return" in got[1]
+
+    @given(seed=st.integers(0, 2**32 - 1), max_horizon=st.sampled_from([0, 1, 50, 10**9]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_plans(self, seed, max_horizon):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng)
+        envy = random_envy(rng, p)
+        initial = random_initial(rng, p)
+        stage1 = random_nu(rng, p)
+        stage2 = float(rng.uniform(stage1, p.nu_upper))
+        star2 = gamma_star(stage2, p)
+        if rng.random() < 0.5:
+            margin = float(rng.uniform(0.001, 0.05))
+        else:  # a target between the limit's weight and the start's: the search runs
+            lo, hi = sorted((envy.base, min(envy.weight(initial), star2)))
+            margin = max(star2 - float(rng.uniform(lo, hi)), 1e-3)
+        if max_horizon == 10**9:
+            # a path whose weight never falls below the target may settle on an exact
+            # cycle, not a fixed point, and so search all 10**9 periods
+            assume(envy.base + 1e-9 < star2 - margin)
+        _assert_planner_equals_oracle(initial, p, envy, stage1, stage2, margin, max_horizon)
 
 
 class TestComposeReformSchedule:
