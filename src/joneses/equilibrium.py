@@ -56,9 +56,11 @@ some period on it sits on it exactly, ``bequests_next`` equal to
 ``bequests`` byte for byte.  The period solver is a pure function of the
 bytes of the inherited vector and of the two tilts, so once a period
 maps its state onto itself and the tilt holds, every later period would
-recompute the same record.  Such a row leaves the block, its record
-repeating, and rejoins it when the schedule changes its tilt.  This is
-exact, not a tolerance.
+recompute the same record.  Such a row leaves the block and rejoins it
+when the schedule changes its tilt.  A block with no row left jumps to
+that change, or to the horizon, so idle periods cost nothing; a path
+that keeps records repeats its last one over them.  This is exact, not
+a tolerance.
 
 An economy run under a constant tilt settles, depending on whether the
 initial envy weight sits below or above the threshold ``gamma_star(nu)``,
@@ -70,7 +72,6 @@ period solver.
 
 from __future__ import annotations
 
-import bisect
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -292,37 +293,18 @@ def solve_temporary(
 class _Path:
     """One row of a lockstep block: its tilts and its outcome.
 
-    ``runs`` holds the path's tilts as ``(start, nu)`` runs.  ``params``
-    and ``envy`` fill the path's row of block columns (``_ECONOMY``), and
-    ``taxes`` are those of ``nu_t``.  ``repeat`` is set while the path sits
-    at its exact fixed point: its stationary record, or True when no
-    records are kept.
+    ``pairs`` maps each period in which the path's tilt pair may change to
+    that pair ``(nu_t, nu_next)`` (see :func:`_tilt_pairs`); ``nu_t`` and
+    ``nu_next`` hold the pair in effect.  ``params`` and ``envy`` fill the
+    path's row of block columns (``_ECONOMY``), and ``taxes`` are those of
+    ``nu_t``.  ``records`` is a list only on a one-row path that keeps them.
     """
 
-    __slots__ = (
-        "params", "envy", "starts", "nus", "nu_t", "nu_next", "taxes", "records", "repeat", "error",
-    )
+    __slots__ = ("params", "envy", "pairs", "nu_t", "nu_next", "taxes", "records", "error")
 
-    def __init__(self, params: EconomyParams, envy: EnvySpec, runs=(), keep=False):
-        self.params, self.envy = params, envy
-        self.starts = [start for start, _ in runs]
-        self.nus = [nu for _, nu in runs]
-        self.records = [] if keep else None
-        self.repeat = self.error = None
-
-    def set_tilts(self, nu_t, nu_next) -> None:
-        self.nu_t, self.nu_next = float(nu_t), float(nu_next)
-
-    def tilt(self, t: int):
-        return self.nus[bisect.bisect_right(self.starts, t) - 1]
-
-    def changes(self, horizon: int):
-        """Periods at which the pair (nu_t, nu_{t+1}) may change."""
-        yield 0
-        for start in self.starts[1:]:
-            yield start - 1
-            if start < horizon:
-                yield start
+    def __init__(self, params: EconomyParams, envy: EnvySpec, pairs=None, keep=False):
+        self.params, self.envy, self.pairs = params, envy, pairs
+        self.records, self.error = ([] if keep else None), None
 
 
 # A block's economy, one record per row: the index of its path, what holds for the whole
@@ -352,7 +334,7 @@ def _rows(mask, holds=True):
     return (0,) if mask == holds else ()
 
 
-def _solve_block(beq, order, econ, paths, keep=False, out=None):
+def _solve_block(beq, order, econ, paths, out=None):
     """Solve one period for every row of ``beq``, a (C x N) block of bequests.
 
     Row i is the inherited vector of ``paths[econ["path"][i]]``, whose
@@ -368,13 +350,12 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
     elementwise power rounds differently.  A row that raises records the
     error on its path and computes finite filler from then on; the rest go on.
 
-    Returns ``(bequests_next, ok, same, records)``.  ``ok`` marks the rows
-    that did not raise and ``same`` those of them with ``k_next == k``,
-    both per-row values.  ``records`` (only with ``keep``) holds their
-    :class:`TemporaryEquilibrium`; the library keeps records of one-row
-    blocks only (``simulate`` and ``solve_temporary``), but any block can.
-    ``bequests_next`` is written into ``out``, a (C x N) array, when one is
-    given, else into a new one; each record keeps its row of it.
+    Returns ``(bequests_next, ok, same, values)``.  ``ok`` marks the rows
+    that did not raise and ``same`` those of them with ``k_next == k``;
+    ``values`` is ``(k, gamma, gini, k_next, avg_consumption, xi_k, net)``.
+    All are per-row values, from which :func:`_record` builds a row's
+    record.  ``bequests_next`` is written into ``out``, a (C x N) array,
+    when one is given, else into a new one.
     """
     c, n = beq.shape
     one = c == 1
@@ -460,27 +441,20 @@ def _solve_block(beq, order, econ, paths, keep=False, out=None):
             )
         paths[rows[i]].error, ok[i] = error, False
 
-    ok, records = row(ok), None
-    if keep:
-        records = [None] * c
-        for i in _rows(ok):
-            p = paths[rows[i]]
-            records[i] = TemporaryEquilibrium(
-                k=kl[i],
-                output=kl[i] ** p.params.alpha,
-                gamma=at(gamma, i),
-                gini=at(g, i),
-                bequests=beq[i],
-                bequests_next=bequests_next[i],
-                k_next=at(k_next, i),
-                avg_consumption=at(avg, i),
-                prices=factor_prices(kl[i], p.params),
-                taxes=p.taxes,
-                m_count=int(np.count_nonzero(bequests_next[i] > 0.0)),
-                xi_k=at(xi_k, i),
-                net=at(net, i),
-            )
-    return bequests_next, ok, ok & (k_next == k), records
+    ok = row(ok)
+    values = (k, gamma, g, k_next, avg, xi_k, net)
+    return bequests_next, ok, ok & (k_next == k), values
+
+
+def _record(path, beq, bequests_next, values) -> TemporaryEquilibrium:
+    """The record of a period that ``path`` solved from ``beq``; ``values`` as one row's floats."""
+    k, gamma, gini, k_next, avg, xi_k, net = values
+    return TemporaryEquilibrium(
+        k=k, output=k ** path.params.alpha, gamma=gamma, gini=gini, bequests=beq,
+        bequests_next=bequests_next, k_next=k_next, avg_consumption=avg,
+        prices=factor_prices(k, path.params), taxes=path.taxes,
+        m_count=int(np.count_nonzero(bequests_next > 0.0)), xi_k=xi_k, net=net,
+    )
 
 
 @dataclass(frozen=True)
@@ -514,16 +488,18 @@ class Trajectory:
         return self.records[-1].k_next
 
 
-def _tilt_runs(schedule, horizon: int) -> list:
-    """The tilts of periods 0..horizon as ``(start, nu)`` runs.
+def _tilt_pairs(schedule, horizon: int) -> dict:
+    """The tilt pairs ``(nu_t, nu_{t+1})`` of periods 0..horizon-1, keyed where they may change.
 
     ``schedule`` is a FiscalSchedule or an explicit per-period sequence.
-    A new run starts wherever the tilt's float value changes.
+    A new run of periods starts wherever the tilt's float value changes.
+    The keys, ascending, are the first and last periods of each run below
+    ``horizon``; the tilts are Python floats.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     if hasattr(schedule, "segments"):
-        pairs = [(start, nu) for start, nu in schedule.segments if start <= horizon]
+        periods = [(start, nu) for start, nu in schedule.segments if start <= horizon]
     else:
         seq = list(schedule)
         if len(seq) < horizon + 1:
@@ -531,13 +507,19 @@ def _tilt_runs(schedule, horizon: int) -> list:
                 f"need nu for periods 0..{horizon} (one period ahead), "
                 f"got {len(seq)} values"
             )
-        pairs = enumerate(seq[: horizon + 1])
-    runs = []
-    for start, nu in pairs:
-        # compare the floats the kernel prices: NumPy compares a narrower scalar in its type
-        if not runs or not float(nu) == float(runs[-1][1]):
-            runs.append((start, nu))
-    return runs
+        periods = enumerate(seq[: horizon + 1])
+    pairs, start, nu = {}, 0, None
+    for t, nu_t in periods:  # t = 0 comes first
+        nu_t = float(nu_t)  # the kernel's float: NumPy compares a narrower scalar in its type
+        if not t:
+            nu = nu_t
+        elif nu_t != nu:
+            if start < t - 1:
+                pairs[start] = (nu, nu)
+            pairs[t - 1], start, nu = (nu, nu_t), t, nu_t
+    if start < horizon:  # the last run holds its tilt through period horizon
+        pairs[start] = (nu, nu)
+    return pairs
 
 
 # The least size of a kept path's slab.  numpy asks for huge pages for any block of 4 MiB or
@@ -551,46 +533,46 @@ _SLAB_BYTES = 8 << 20
 def _run_paths(beq, paths, horizon: int):
     """Advance row i of ``beq`` (C x N) along ``paths[i]`` for ``horizon`` periods.
 
-    The one loop over periods.  The rows that need solving in a period are solved as one block.  A
-    row whose solved period is stationary leaves the block, its record
-    repeating, until the next period in which its tilt pair (nu_t,
-    nu_{t+1}) changes; a row that raises is frozen with its error.  A
-    period that announces a new tilt is such a change, and so is the one
-    after it, so a row leaves only while its tilt holds.  Tilts are
-    looked up only in those periods.  After each period in which it
-    solved a block it yields ``(bequests, order)``: the (C x N) block the
-    paths hand on, and the orders that sort the block they inherited.
-    The last block yielded holds the final bequests; a caller that stops
-    early reads each path's ``repeat`` and ``error``.
+    The one loop over periods.  The rows that need solving in a period
+    are solved as one block.  A row whose solved period is stationary
+    leaves the block until the next period in which its tilt pair
+    (nu_t, nu_{t+1}) may change, a key of its ``pairs``; a row that
+    raises is frozen with its error for good.  With no row left, the
+    driver jumps to the next such period, or ends.  After each period in
+    which it solved a block it yields ``(bequests, order)``: the (C x N)
+    block the paths hand on, and the orders that sort the block they
+    inherited.  The last block yielded holds the final bequests.
 
-    When the paths keep records, each solved period writes its
-    ``bequests_next`` into the next (C x N) page of a slab, one array of
-    at least ``_SLAB_BYTES`` and at most as many pages as periods are
-    left, and its records keep rows of that page.  A record's vector thus
-    keeps its slab alive.
+    Only a one-row path keeps records (``simulate``): each period it
+    solves writes its ``bequests_next`` into the next page of a slab, one
+    array of at least ``_SLAB_BYTES`` and at most as many pages as periods
+    are left, which its record keeps alive.  Over a jump it repeats its
+    last record.
     """
-    c = len(paths)
-    keep = paths[0].records is not None
+    c, path = len(paths), paths[0]
+    keep = path.records is not None  # a one-row path
     order = np.argsort(beq, axis=1)
     econ = _economy(paths)
     changes = {}
     for i, p in enumerate(paths):
-        for t in p.changes(horizon):
-            changes.setdefault(t, set()).add(i)
+        for t in p.pairs:
+            changes.setdefault(t, []).append(i)
+    stops = [*sorted(changes), horizon]
     live, n_live = np.ones(c, dtype=bool), c
-    slab, used, page = (), 0, None
-    for t in range(horizon):
-        for i in changes.get(t, ()):
-            p = paths[i]
-            p.set_tilts(p.tilt(t), p.tilt(t + 1))
-            econ["priced"][i] = False
-            if p.repeat is not None:
-                p.repeat, live[i], n_live = None, True, n_live + 1
-        if keep and n_live < c:
-            for p in paths:
-                if p.repeat is not None:
-                    p.records.append(p.repeat)
-        if not n_live:
+    slab, used, page, t, s = (), 0, None, 0, 0
+    while t < horizon:
+        if t == stops[s]:
+            for i in changes[t]:
+                p = paths[i]
+                p.nu_t, p.nu_next = p.pairs[t]
+                econ["priced"][i] = False
+                if not live[i] and p.error is None:
+                    live[i], n_live = True, n_live + 1
+            s += 1
+        if not n_live:  # nothing changes before the next stop
+            if keep and path.error is None:
+                path.records += path.records[-1:] * (stops[s] - t)
+            t = stops[s]
             continue
         whole = n_live == c
         idx = range(c) if whole else np.flatnonzero(live)
@@ -600,27 +582,23 @@ def _run_paths(beq, paths, horizon: int):
             if used == len(slab):
                 pages = min(-(-_SLAB_BYTES // beq.nbytes), horizon - t)
                 slab, used = np.empty((pages, *beq.shape)), 0
-            page, used = slab[used, :n_live], used + 1
-        nxt, ok, same, records = _solve_block(b, o, e, paths, keep, page)
+            page, used = slab[used], used + 1
+        nxt, ok, same, values = _solve_block(b, o, e, paths, page)
+        if keep and ok:
+            path.records.append(_record(path, beq[0], nxt[0], values))
         if not whole:
             order[idx] = o
             np.put(econ, idx, e)
-        if keep:
-            for i, r in zip(idx, records):
-                if r is not None:
-                    paths[i].records.append(r)
         for j in _rows(same):
             if nxt[j].tobytes() == b[j].tobytes():
-                paths[idx[j]].repeat = records[j] if keep else True
                 live[idx[j]], n_live = False, n_live - 1
         for j in _rows(ok, False):
             live[idx[j]], n_live = False, n_live - 1
         if whole:
             beq = nxt
         else:
-            if keep:
-                beq = beq.copy()  # records hold rows of the old block
             beq[idx] = nxt
+        t += 1
         yield beq, order
 
 
@@ -642,13 +620,14 @@ def simulate(
     is stationary (``k_next == k`` and ``bequests_next`` byte-equal to
     ``bequests``) is repeated, the same object, for as long as the tilt
     stays unchanged: the next period would get byte-identical inputs and
-    so return an identical record.  The scalar ``k_next == k`` is compared
+    so return an identical record; such a stretch is filled at once, not
+    stepped through.  The scalar ``k_next == k`` is compared
     first, so a path that is still moving pays one float comparison per
     period for it.  Tilts are equal when their float values are.
     """
-    runs = _tilt_runs(schedule, horizon)
+    pairs = _tilt_pairs(schedule, horizon)
     beq = as_distribution(initial, params.n_agents).copy()  # the first record reads it again
-    path = _Path(params, envy, runs, keep=True)
+    path = _Path(params, envy, pairs, keep=True)
     for _ in _run_paths(beq[None], [path], horizon):
         pass
     if path.error is not None:
@@ -672,7 +651,7 @@ def final_capitals(
     or the :class:`JonesesError` that stopped path i.  No records are
     built.  The starts come validated and are not validated again.
     """
-    paths = [_Path(p, e, _tilt_runs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
+    paths = [_Path(p, e, _tilt_pairs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
     for beq, _ in _run_paths(np.stack(initials), paths, horizon):
         pass
     k_final = beq.mean(axis=1).tolist()
@@ -698,13 +677,17 @@ def egalitarian_steady(
     """Steady state where every dynasty bequeaths the capital intensity k.
 
     k solves k = s(G_N, 1, nu) k**alpha with G_N the envy weight of the
-    equal distribution; consumption is (1 - phi) k**alpha - k.
+    equal distribution; consumption is (1 - phi) k**alpha - k.  With m = 1
+    the rate is s = (1 - phi) delta / (L + delta), L = (1 + xi/nu)(1 + G_N),
+    so consumption is (1 - phi) k**alpha L / (L + delta): computed so, it
+    keeps its digits at a large delta, where 1 - phi and s all but cancel.
     """
     n = params.n_agents
     gamma_eq = gamma_uniform_top(envy, n, n)
     rate = savings_rate(gamma_eq, 1.0, nu, params)
     k = rate ** (1.0 / (1.0 - params.alpha))
-    consumption = (1.0 - params.phi) * k**params.alpha - k
+    spent = (1.0 + params.xi / nu) * (1.0 + gamma_eq)  # L
+    consumption = (1.0 - params.phi) * k**params.alpha * (spent / (spent + params.delta))
     if not consumption > 0.0:
         raise ModelError(
             f"egalitarian consumption {consumption} is not positive; "

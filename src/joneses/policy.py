@@ -164,8 +164,9 @@ def plan_reform(
     projected long-run capital is the egalitarian steady state under
     stage 2.  A stage-1 path that reaches its exact fixed point with the
     weight still at or above the target would repeat that period up to
-    ``max_horizon``, so it raises :class:`Infeasible` there.
-    ``max_horizon`` must be an integer >= 0.
+    ``max_horizon``; the driver ends there instead of stepping through
+    them, and the planner raises :class:`Infeasible`.  ``max_horizon``
+    must be an integer >= 0.
     """
     integral = isinstance(max_horizon, numbers.Integral) and not isinstance(max_horizon, bool)
     if not (integral and max_horizon >= 0):
@@ -187,18 +188,20 @@ def plan_reform(
             f"{stage1_threshold}; stage 1 would not reduce inequality"
         )
     target = gamma_star(stage2_nu, params) - margin
-    path = _Path(params, envy, [(0, stage1_nu)])
+    nu = float(stage1_nu)
+    path = _Path(params, envy, {0: (nu, nu)})
     periods = _run_paths(beq[None], [path], max_horizon + 1)
     trigger = 0
     while not gamma_t < target:
-        block, order = next(periods)
+        step = next(periods, None)
         if path.error is not None:
             raise path.error
-        # at an exact fixed point every later period repeats this one
-        if path.repeat or trigger == max_horizon:
+        # the driver ends early at an exact fixed point: every later period repeats it
+        if step is None or trigger == max_horizon:
             raise Infeasible(
                 f"envy weight did not fall below {target} within {max_horizon} periods"
             )
+        block, order = step
         trigger += 1
         gamma_t = envy.weight(block[0, order[0]])
     n = params.n_agents

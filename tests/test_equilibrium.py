@@ -1,10 +1,13 @@
 """Period solver, path iteration, steady states and regime classification."""
 
+import contextlib
 import dataclasses
 import math
 import sys
+import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from joneses import (
     EnvySpec,
     Trajectory,
+    build_schedule,
     classify,
     constant_schedule,
     detect_convergence,
@@ -30,15 +34,17 @@ from joneses import (
     steady_capital,
     validate_params,
 )
+from joneses import equilibrium
 from joneses.equilibrium import (
     _Path,
     _certify,
     _economy,
+    _record,
     _roots,
     _run_paths,
     _scan_active_sets,
     _solve_block,
-    _tilt_runs,
+    _tilt_pairs,
     final_capitals,
 )
 from joneses.errors import (
@@ -622,6 +628,21 @@ def test_one_row_paths_at_the_edges_end_typed_and_warning_free(start, nus, param
     assert traj.final_k > 0.0
 
 
+def _row_values(values, i):
+    """Row i's per-row values of a block: one-row blocks hand them on as floats already."""
+    return values if isinstance(values[0], float) else [v.item(i) for v in values]
+
+
+def _block_records(beq, order, paths):
+    """One period of the block ``beq`` solved by the kernel: each row's record, or None."""
+    nxt, ok, _, values = _solve_block(beq, order, _economy(paths), paths)
+    ok = np.reshape(ok, -1)
+    return [
+        _record(paths[i], beq[i], nxt[i], _row_values(values, i)) if ok[i] else None
+        for i in range(len(paths))
+    ]
+
+
 def _solve_alone_and_in_a_block(params, envy, start, tilts):
     """The row's record (or error) solved as a one-row block, and as the middle row of three."""
     rng = np.random.default_rng(start.size)
@@ -631,11 +652,11 @@ def _solve_alone_and_in_a_block(params, envy, start, tilts):
     for rows in ([(params, envy, start)], [others[0], (params, envy, start), others[1]]):
         paths = [_Path(p, e) for p, e, _ in rows]
         for path in paths:
-            path.set_tilts(*tilts)
+            path.nu_t, path.nu_next = tilts
         beq = np.stack([x for *_, x in rows])
-        *_, records = _solve_block(beq, np.argsort(beq, axis=1), _economy(paths), paths, keep=True)
         i = len(rows) // 2
-        outcomes.append((records[i], paths[i].error))
+        record = _block_records(beq, np.argsort(beq, axis=1), paths)[i]
+        outcomes.append((record, paths[i].error))
     return outcomes
 
 
@@ -743,20 +764,20 @@ def test_a_path_across_several_slabs_equals_a_chain_of_solves(monkeypatch, pages
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows
 @pytest.mark.parametrize("pages", [1, 3, 64])
 def test_block_rows_across_slabs_equal_their_chained_oracle(monkeypatch, pages):
-    # rows that leave the block take no page; the rows solved in a period share one
+    # only a one-row path keeps records, a page of its slab each; the rows of a block
+    # solve the same periods to the same records
     rng = np.random.default_rng(89)
     horizon, rows = 60, 5
     cases = [_block_row(rng, 4, horizon) for _ in range(rows)]
-    monkeypatch.setattr("joneses.equilibrium._SLAB_BYTES", pages * rows * 8 * 4)
-    paths = [_Path(p, envy, _tilt_runs(nus, horizon), keep=True) for p, envy, _, nus in cases]
-    for _ in _run_paths(np.stack([initial for _, _, initial, _ in cases]), paths, horizon):
-        pass
-    for path, case in zip(paths, cases):
-        _assert_row_matches_oracle(path.records, path.error, case, horizon)
-    records = [r for path in paths for r in _distinct(path.records)]
-    for i, r in enumerate(records):
-        assert not any(np.shares_memory(r.bequests_next, s.bequests_next) for s in records[:i])
-        assert r.bequests_next.base.shape[1:] == (rows, 4)
+    monkeypatch.setattr("joneses.equilibrium._SLAB_BYTES", pages * 8 * 4)
+    with _block_spy() as solved:
+        paths = [_Path(p, envy, _tilt_pairs(nus, horizon)) for p, envy, _, nus in cases]
+        for _ in _run_paths(np.stack([initial for _, _, initial, _ in cases]), paths, horizon):
+            pass
+    for own, *_ in _assert_block_rows_match_own_paths(solved, [p.error for p in paths], cases, horizon):
+        _assert_slab_records(own.records, horizon)
+        for r in own.records:
+            assert r.bequests_next.base.shape[1:] == (1, 4)
 
 
 def test_consumptions_read_twice_give_the_same_bytes():
@@ -832,9 +853,9 @@ class TestCarriedOrder:
                 "identity": np.arange(p.n_agents),
             }[stale]
             path = _Path(p, UNIT_ENVY)
-            path.set_tilts(1.0, 1.1)
-            *_, records = _solve_block(beq[None], order[None], _economy([path]), [path], keep=True)
-            _assert_same_records(records[0], fresh)
+            path.nu_t, path.nu_next = 1.0, 1.1
+            (record,) = _block_records(beq[None], order[None], [path])
+            _assert_same_records(record, fresh)
             assert np.all(np.diff(beq[order]) >= 0.0)
 
     def test_simulate_equals_chain_of_public_solves(self):
@@ -936,6 +957,80 @@ class TestStationaryRepeat:
         _assert_bitwise_paths(traj, _chain_of_solves(initial, nus, fixed + 11, BASELINE, UNIT_ENVY))
         assert all(r is traj.records[fixed - 1] for r in traj.records[fixed:])
 
+    def test_a_settled_path_fills_its_idle_periods_at_once(self):
+        # [0.4, 0, 0, 0] settles by period 34: the other 999,966 periods repeat its record
+        schedule = constant_schedule(1.0, BASELINE)
+        traj = simulate([0.4, 0.0, 0.0, 0.0], schedule, 10**6, BASELINE, UNIT_ENVY)
+        short = simulate([0.4, 0.0, 0.0, 0.0], schedule, 200, BASELINE, UNIT_ENVY)
+        assert traj.horizon == 10**6
+        assert len({id(r) for r in traj.records}) <= 40
+        assert traj.final_bequests.tobytes() == short.final_bequests.tobytes()
+
+    def test_a_settled_block_jumps_to_its_horizon(self):
+        # both rows settle by period 96; an equal start would end on a cycle, solved each period
+        starts = [np.array([0.4, 0.0, 0.0, 0.0]), np.array([0.4, 0.4, 0.0, 0.0])]
+
+        def finals(horizon):
+            schedules = [constant_schedule(1.0, BASELINE)] * 2
+            return final_capitals(starts, schedules, horizon, [BASELINE] * 2, [UNIT_ENVY] * 2)
+
+        short = finals(200)
+        began = time.perf_counter()
+        far = finals(10**9)
+        assert time.perf_counter() - began < 1.0
+        assert [k.hex() for k in far] == [k.hex() for k in short]
+
+    def test_a_row_frozen_by_an_error_stays_frozen_when_a_valid_tilt_follows(self, monkeypatch):
+        # period 3 prices nu = 5.0, outside [nu_lower, nu_upper]; period 4 starts the
+        # valid tilt 0.9, a change at which a frozen row must not rejoin the block
+        nus = [1.0] * 3 + [5.0] + [0.9] * 8
+        horizon, start = len(nus) - 1, np.array([0.1, 0.2, 0.3, 0.4])
+        solve, solved = equilibrium._solve_block, []
+
+        def spy(beq, order, econ, paths, out=None):
+            solved.append(econ["path"].tolist())
+            return solve(beq, order, econ, paths, out)
+
+        monkeypatch.setattr(equilibrium, "_solve_block", spy)
+        with pytest.raises(NuOutOfBounds, match="nu=5.0") as first:
+            simulate(start, nus, horizon, BASELINE, UNIT_ENVY)
+        assert solved == [[0]] * 4
+        solved.clear()
+        steady = [1.0] * (horizon + 1)
+        finals = final_capitals([start, start], [nus, steady], horizon, [BASELINE] * 2, [UNIT_ENVY] * 2)
+        assert type(finals[0]) is NuOutOfBounds and str(finals[0]) == str(first.value)
+        assert solved[:4] == [[0, 1]] * 4 and all(rows == [1] for rows in solved[4:])
+        assert finals[1] == simulate(start, steady, horizon, BASELINE, UNIT_ENVY).final_k
+
+
+_TILTS = [0.7, 0.9, 1.1, np.float32(0.9), np.float32(1.1), float(np.float32(0.9))]
+
+
+@given(nus=st.lists(st.sampled_from(_TILTS), min_size=2, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_tilt_pairs_give_the_pair_of_every_period(nus):
+    # runs of length 1 and float32 tilts equal to their floats among them
+    horizon = len(nus) - 1
+    pairs = _tilt_pairs(nus, horizon)
+    assert list(pairs) == sorted(pairs) and set(pairs) <= set(range(horizon))
+    pair = None
+    for t in range(horizon):
+        pair = pairs.get(t, pair)
+        assert pair == (float(nus[t]), float(nus[t + 1]))
+        assert all(type(nu) is float for nu in pair)
+
+
+@pytest.mark.parametrize("horizon", [1, 4, 5, 6, 7, 20])
+def test_tilt_pairs_of_a_schedule_follow_its_segments(horizon):
+    # one-period segments, and a segment that starts at the horizon (5 or 6) or past it
+    schedule = build_schedule(0.1, [(0, 1.0), (5, 0.9), (6, 1.1), (8, np.float32(1.1))], BASELINE)
+    pairs = _tilt_pairs(schedule, horizon)
+    assert set(pairs) <= set(range(horizon))
+    pair = None
+    for t in range(horizon):
+        pair = pairs.get(t, pair)
+        assert pair == (schedule.nu_at(t), schedule.nu_at(t + 1))
+
 
 def _block_row(rng, n, horizon):
     """One row of a lockstep block: economy, envy, start and per-period tilts.
@@ -986,6 +1081,53 @@ def _assert_row_matches_oracle(path_records, path_error, case, horizon):
     return records, error
 
 
+def _own_path(case, horizon):
+    """Block row ``case`` run alone: a one-row path that keeps its records."""
+    p, envy, initial, nus = case
+    path = _Path(p, envy, _tilt_pairs(nus, horizon), keep=True)
+    for _ in _run_paths(initial[None], [path], horizon):
+        pass
+    return path
+
+
+@contextlib.contextmanager
+def _block_spy():
+    """Spy on the kernel: per path index, the record of every row it solves, in order."""
+    solved, solve = {}, equilibrium._solve_block
+
+    def spy(beq, order, econ, paths, out=None):
+        nxt, ok, same, values = solve(beq, order, econ, paths, out)
+        rows_ok = np.reshape(ok, -1)
+        for i, j in enumerate(econ["path"].tolist()):
+            if rows_ok[i]:
+                record = _record(paths[j], beq[i].copy(), nxt[i].copy(), _row_values(values, i))
+                solved.setdefault(j, []).append(record)
+        return nxt, ok, same, values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_solve_block", spy)
+        yield solved
+
+
+def _assert_block_rows_match_own_paths(solved, block_errors, cases, horizon):
+    """Each block row solves the periods of its own one-row path, to the same records, and
+    ends in its error; that path matches the chained oracle.  Returns, per row, the path,
+    the oracle's records and its error."""
+    rows = []
+    for i, (block_error, case) in enumerate(zip(block_errors, cases)):
+        own = _own_path(case, horizon)
+        records, error = _assert_row_matches_oracle(own.records, own.error, case, horizon)
+        got, want = solved.get(i, []), _distinct(own.records)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_records(a, b)
+            assert a.bequests_next.tobytes() == b.bequests_next.tobytes()
+            assert a.consumptions.tobytes() == b.consumptions.tobytes()
+        assert type(block_error) is type(own.error) and str(block_error) == str(own.error)
+        rows.append((own, records, error))
+    return rows
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows xi/nu
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -997,19 +1139,17 @@ def test_block_rows_equal_their_chained_oracle(seed, n, rows):
     rng = np.random.default_rng(seed)
     horizon = 12 if n > 64 else 150
     cases = [_block_row(rng, n, horizon) for _ in range(rows)]
-    initials = np.stack([initial for _, _, initial, _ in cases])
-    paths = [_Path(p, envy, _tilt_runs(nus, horizon), keep=True) for p, envy, _, nus in cases]
-    for _ in _run_paths(initials, paths, horizon):
-        pass
-    finals = final_capitals(
-        [initial for _, _, initial, _ in cases],
-        [nus for *_, nus in cases],
-        horizon,
-        [p for p, *_ in cases],
-        [envy for _, envy, *_ in cases],
-    )
-    for path, case, final in zip(paths, cases, finals):
-        records, error = _assert_row_matches_oracle(path.records, path.error, case, horizon)
+    with _block_spy() as solved:
+        finals = final_capitals(
+            [initial for _, _, initial, _ in cases],
+            [nus for *_, nus in cases],
+            horizon,
+            [p for p, *_ in cases],
+            [envy for _, envy, *_ in cases],
+        )
+    errors = [f if isinstance(f, JonesesError) else None for f in finals]
+    rows = _assert_block_rows_match_own_paths(solved, errors, cases, horizon)
+    for (_, records, error), final in zip(rows, finals):
         if error is None:
             assert final == records[-1].k_next
         else:
@@ -1032,8 +1172,8 @@ class TestLockstepKernel:
         envys = [random_envy(rng, p) for _ in range(5)]
         paths = [_Path(p, envy) for envy in envys]
         for path in paths:
-            path.set_tilts(1.0, 1.1)
-        *_, records = _solve_block(beq, order, _economy(paths), paths, keep=True)
+            path.nu_t, path.nu_next = 1.0, 1.1
+        records = _block_records(beq, order, paths)
         for i, (record, envy) in enumerate(zip(records, envys)):
             want = period_oracle(beq[i], fresh[i].copy(), 1.0, 1.1, p, envy)
             _assert_same_records(record, want)
@@ -1056,20 +1196,19 @@ class TestLockstepKernel:
             (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [0.9] * (horizon - 39)),
             (p, UNIT_ENVY, np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [5.0] * (horizon - 39)),
         ]
-        paths = [_Path(q, e, _tilt_runs(nus, horizon), keep=True) for q, e, _, nus in cases]
-        for _ in _run_paths(np.stack([c[2] for c in cases]), paths, horizon):
-            pass
-        kinds = []
-        for path, case in zip(paths, cases):
-            records, error = _assert_row_matches_oracle(path.records, path.error, case, horizon)
-            kinds.append((type(error).__name__, len(records)))
+        with _block_spy() as solved:
+            paths = [_Path(q, e, _tilt_pairs(nus, horizon)) for q, e, _, nus in cases]
+            for _ in _run_paths(np.stack([c[2] for c in cases]), paths, horizon):
+                pass
+        rows = _assert_block_rows_match_own_paths(solved, [p.error for p in paths], cases, horizon)
+        kinds = [(type(error).__name__, len(records)) for _, records, error in rows]
         assert kinds[0] == kinds[3] == kinds[4] == ("NoneType", horizon)
         assert kinds[1] == ("EnvyTooStrong", 6)
         assert kinds[2] == ("NoPositiveRoot", 6)
         assert kinds[5] == ("NuOutOfBounds", 40)
-        for path in paths[4:]:
-            assert path.records[38] is path.records[34]  # frozen at the fixed point
-            assert path.records[39] is not path.records[38]  # solved again on the announcement
+        for own, *_ in rows[4:]:
+            assert own.records[38] is own.records[34]  # frozen at the fixed point
+            assert own.records[39] is not own.records[38]  # solved again on the announcement
 
 
 class TestSimulate:
@@ -1129,6 +1268,14 @@ class TestSimulate:
             check_path_invariants(traj, nu, p, envy)
 
 
+def _exact_savings_rate(gamma, m, nu, p):
+    """``savings_rate`` in exact arithmetic on its float inputs, xi = (1 - alpha)/alpha."""
+    a, d, phi, nu, gamma, m = map(Fraction, (p.alpha, p.delta, p.phi, nu, gamma, m))
+    x = (1 - a) / a / nu
+    prefactor = (1 - phi) / (a + (1 - a) / nu)
+    return prefactor * a * d * (1 + m * x + gamma * (1 - m)) / ((1 + d + m * x) * (1 + gamma) - m * d * gamma)
+
+
 class TestSteadyStates:
     def test_egalitarian_values(self):
         state = egalitarian_steady(BASELINE, 1.0, UNIT_ENVY)
@@ -1166,6 +1313,29 @@ class TestSteadyStates:
         # aggregate resource identity pins down the rich dynasty's consumption
         total = 4 * (1 - BASELINE.phi) * k ** BASELINE.alpha
         assert state.consumptions.sum() + 4 * k == pytest.approx(total, abs=TOL_SOLVER)
+
+    @pytest.mark.parametrize("delta", [1e10, 3e18, 1e50, 4.4e307])
+    def test_egalitarian_consumption_keeps_its_digits_at_a_large_delta(self, delta):
+        # (1 - phi) k**alpha - k cancels as delta grows: seven digits lost at 1e10,
+        # and not positive at all from about 3e18
+        p = validate_params(alpha=1 / 3, delta=delta, phi=0.1, n_agents=4)
+        state = egalitarian_steady(p, 1.0, UNIT_ENVY)
+        rate = _exact_savings_rate(state.gamma, 1, 1.0, p)
+        want = Fraction(state.k ** p.alpha) * (1 - Fraction(p.phi) - rate)
+        assert abs(Fraction(state.consumptions[0].item()) - want) <= Fraction(1e-13) * want
+
+    @pytest.mark.parametrize("delta", [1e10, 1e16])
+    def test_polarised_rich_consumption_keeps_its_digits_at_a_large_delta(self, delta):
+        # no cancellation: c_rich = k**alpha ((1 - tau_s) alpha (xi/nu + N/J) - (N/J) s).
+        # From about 3e18 the window (gamma_star, gamma_hat) closes in floating point.
+        p = validate_params(alpha=1 / 3, delta=delta, phi=0.1, n_agents=4)
+        middle = (gamma_star(1.0, p) + gamma_hat(1.0, p)) / 2
+        state = polarised_steady(p, 1.0, EnvySpec(0.0, middle / 0.75), rich_count=1)
+        a, x, nj = Fraction(p.alpha), Fraction(1 - p.alpha) / Fraction(p.alpha), 4
+        tau_s = 1 - Fraction(1 - p.phi) / (a + 1 - a)  # tax_rates at nu = 1
+        rate = _exact_savings_rate(state.gamma, Fraction(1, 4), 1.0, p)
+        want = Fraction(state.k ** p.alpha) * ((1 - tau_s) * a * (x + nj) - nj * rate)
+        assert abs(Fraction(state.consumptions[0].item()) - want) <= Fraction(1e-13) * want
 
     def test_polarised_is_fixed_point_of_solver(self):
         state = polarised_steady(BASELINE, 1.0, UNIT_ENVY, rich_count=1)
