@@ -11,6 +11,8 @@ import argparse
 import sys
 
 from .equilibrium import (
+    _rich_count,
+    _start_weight,
     classify,
     detect_convergence,
     egalitarian_steady,
@@ -205,8 +207,8 @@ def _cmd_plot_phase(args) -> int:
 
 def _cmd_plot_savings(args) -> int:
     sc = load_scenario(args.scenario)
-    gamma0 = args.gamma0 if args.gamma0 is not None else sc.envy.weight(sc.initial)
-    rich = int((sc.initial == sc.initial.max()).sum())
+    gamma0 = args.gamma0 if args.gamma0 is not None else _start_weight(sc.initial, sc.envy)
+    rich = _rich_count(sc.initial)
     result = render_savings_step_plot(gamma0, sc.params, sc.envy, rich, args.out)
     bp = "none" if result.breakpoint_nu is None else fmt(result.breakpoint_nu)
     print(f"wrote {args.out} breakpoint={bp}", file=sys.stderr)

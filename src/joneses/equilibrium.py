@@ -48,8 +48,10 @@ and the per-row values repeat the scalar operations.  They are columns,
 or in a one-row block Python floats, so a path calls numpy only for its
 O(N) passes; the only per-row Python call is one power, and the Gini's
 rank dots are one ``np.vecdot`` over the block.  Every tilt is priced as
-a Python float.  A row that raises is frozen with the error, and
-message, its own path raises; the other rows go on.
+a Python float.  The kernel has one float policy: numpy's warnings are
+off, and typed tests alone decide each row, which NaN and inf fail.  A
+row that raises is frozen with the error, and message, its own path
+raises; the other rows go on.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -72,7 +74,6 @@ period solver.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter, methodcaller
@@ -92,7 +93,7 @@ from .core import (
     steady_capital,
     tax_rates,
 )
-from .envy import _FLOAT_MAX, EnvySpec, _gini_weights, as_distribution, gamma_uniform_top
+from .envy import EnvySpec, _gini_weights, as_distribution, gamma_uniform_top
 from .errors import (
     DomainError,
     EnvyTooStrong,
@@ -224,23 +225,22 @@ def _certify(desc, guess, z, total, delta, xnn):
       rho*(m - err) > err: every a < g fails that test in float, and g
       is the scan's first consistent candidate.
 
-    The proof holds for any g, so a wrong guess costs only a scan.  A row
-    with NaN or inf fails the tests and is not certified, and so does a
-    one-row block whose D_g rounds to 0 (delta and gamma both past 2**53),
-    which Python floats would not divide by.
+    The proof holds for any g, so a wrong guess costs only a scan.  Under
+    the kernel's float policy, warnings off, a row with NaN or inf fails
+    the tests and an infinite bound certifies nothing.  Nor is a one-row
+    block whose D_g rounds to 0 (delta and gamma past 2**53) certified:
+    Python floats raise on a zero divisor.
     """
     c, n = desc.shape
     vectors = isinstance(z, np.ndarray)
     if vectors:  # (C x 1) columns, worked as vectors: 2-D arithmetic costs more per call
-        rows, g = np.arange(c), guess.reshape(c)
+        rows, g, least = np.arange(c), guess.reshape(c), np.minimum
         z, total, delta, xnn = z[:, 0], total[:, 0], delta[:, 0], xnn[:, 0]
         csum = desc[:, : g.max()].cumsum(axis=1)[rows, g - 1]
         richest, poorest, inactive = (desc[rows, j] for j in (0, g - 1, g % n))
-        least, bound = np.minimum, np.errstate(over="ignore")  # an infinite bound certifies nothing
     else:  # one row, its values scalars: Python floats overflow to inf silently
-        g, csum = guess, desc[:, :guess].cumsum(axis=1).item(guess - 1)
+        g, csum, least = guess, desc[:, :guess].cumsum(axis=1).item(guess - 1), min
         richest, poorest, inactive = map(desc.item, (0, g - 1, g % n))
-        least, bound = min, nullcontext()
     a = g * 1.0
     base, dz = n * (1.0 + delta), delta * z
     den = base - a * (dz - xnn)
@@ -252,9 +252,8 @@ def _certify(desc, guess, z, total, delta, xnn):
     # the richest inactive, if any; a NaN there has already failed the root's tests
     ok = (0.0 < kappa) & (kappa < total) & (head > tail) & ((g == n) | (delta * inactive <= tail))
     rho = least(den / base, 1.0)
-    with bound:
-        p = delta * richest + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
-        err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
+    p = delta * richest + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
+    err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
     return kappa, ok & (head - tail > err + err / rho)
 
 
@@ -334,6 +333,7 @@ def _rows(mask, holds=True):
     return (0,) if mask == holds else ()
 
 
+@np.errstate(all="ignore")
 def _solve_block(beq, order, econ, paths, out=None):
     """Solve one period for every row of ``beq``, a (C x N) block of bequests.
 
@@ -341,14 +341,14 @@ def _solve_block(beq, order, econ, paths, out=None):
     economy is ``econ[i]``; ``order[i]`` should sort it ascending.  A stale
     order is overwritten in place by a stable argsort, and a row whose
     tilts are not priced is priced in place.  Each row is rounded as the
-    one-row case would round it: row-wise means, sums and cumulative sums
-    equal the 1-D calls, the Gini and weight come from ``_gini_weights``
-    (one ``np.vecdot``), and the per-row values, (C x 1) columns or for
-    C = 1 Python floats, repeat the scalar IEEE operations in order.  So a
-    one-row block calls numpy only for its O(N) passes.  Only the power
+    one-row case would round it (see the module docstring); only the power
     ``k ** (alpha - 1)`` is a scalar call per row, since numpy's
-    elementwise power rounds differently.  A row that raises records the
-    error on its path and computes finite filler from then on; the rest go on.
+    elementwise power rounds differently.  numpy's float warnings are off
+    in here, for every function it calls: typed tests decide each row (a
+    finite positive mean and ascending total, the root's consistency
+    tests, which NaN and inf fail, ``k_next > 0`` and the envy floor).  A
+    row that fails one records the error on its path and computes finite
+    filler from then on; the rest go on.
 
     Returns ``(bequests_next, ok, same, values)``.  ``ok`` marks the rows
     that did not raise and ``same`` those of them with ``k_next == k``;
@@ -358,21 +358,14 @@ def _solve_block(beq, order, econ, paths, out=None):
     when one is given, else into a new one.
     """
     c, n = beq.shape
-    one = c == 1
-    row, at = _ONE_ROW if one else _COLUMNS
-    asc = beq.take(order if one else order + np.arange(0, c * n, n)[:, None])
+    row, at = _ONE_ROW if c == 1 else _COLUMNS
+    asc = beq.take(order if c == 1 else order + np.arange(0, c * n, n)[:, None])
     for i in _rows(row((asc[:, :-1] <= asc[:, 1:]).all(axis=1)), False):
         order[i] = np.argsort(beq[i], kind="stable")
         asc[i] = beq[i, order[i]]
     kv = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
     k = row(kv)
-    # a sorted row's total can overflow where its own did not, but not while n times its
-    # largest entry stays below half the largest float
-    if one and n * asc.item(-1) < 0.5 * _FLOAT_MAX:
-        asc_total = asc.sum(axis=1).item(0)
-    else:
-        with np.errstate(over="ignore"):
-            asc_total = row(asc.sum(axis=1))
+    asc_total = row(asc.sum(axis=1))  # can overflow where the row's own total did not
     ok, rows = np.ones(c, dtype=bool), econ["path"]
     good = (0.0 < k) & (k < np.inf) & (asc_total < np.inf)
     for i in _rows(good & row(econ["priced"]), False):
@@ -616,14 +609,10 @@ def simulate(
     period t needs the period t+1 announcement).  The path is the
     one-row case of the lockstep kernel.
 
-    A solved period whose tilt equals the announced one and whose record
-    is stationary (``k_next == k`` and ``bequests_next`` byte-equal to
-    ``bequests``) is repeated, the same object, for as long as the tilt
-    stays unchanged: the next period would get byte-identical inputs and
-    so return an identical record; such a stretch is filled at once, not
-    stepped through.  The scalar ``k_next == k`` is compared
-    first, so a path that is still moving pays one float comparison per
-    period for it.  Tilts are equal when their float values are.
+    A stationary record (``k_next == k`` and ``bequests_next`` byte-equal
+    to ``bequests``) is repeated, the same object, until the tilt changes,
+    without stepping through the periods; tilts are equal when their float
+    values are.
     """
     pairs = _tilt_pairs(schedule, horizon)
     beq = as_distribution(initial, params.n_agents).copy()  # the first record reads it again
@@ -780,9 +769,11 @@ def classify(
     dynasties tied at the highest initial bequest (counted by exact
     value equality) end up holding everything.  Within 1e-12 of the
     threshold the long-run limit is not claimed ("boundary").
-    ``gamma0`` is bit for bit ``envy.weight(initial)``.
+    ``gamma0`` is bit for bit ``envy.weight(initial)``.  A start whose
+    mean period 0 cannot price raises what its path raises there.
     """
     beq = as_distribution(initial, params.n_agents)
+    _price_start(beq, params)
     weight = partial(gamma_uniform_top, envy, n_agents=params.n_agents)
     return _regime(_start_weight(beq, envy), _rich_count(beq), nu, params, weight)
 
@@ -790,6 +781,11 @@ def classify(
 def _start_weight(beq: np.ndarray, envy: EnvySpec) -> float:
     """``envy.weight(beq)`` of a validated start, without validating it a second time."""
     return float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1])
+
+
+def _price_start(beq: np.ndarray, params: EconomyParams) -> None:
+    """Price the mean of a validated start as period 0 of its path does, raising as it raises."""
+    factor_prices(beq.sum().item() / params.n_agents, params)
 
 
 def _rich_count(beq: np.ndarray) -> int:

@@ -187,8 +187,8 @@ def _parse_initial(obj, params: EconomyParams, seed) -> np.ndarray:
             return as_distribution(values, params.n_agents)
         except InputError as exc:
             raise ValidationError("initial.values", str(exc)) from exc
-    if "generator" in section:
-        return _generate_initial(section, params, seed)
+    if "generator" in section:  # a tiny total can round every generated entry to zero
+        return as_distribution(_generate_initial(section, params, seed))
     raise ValidationError("initial", "provide either 'values' or 'generator'")
 
 

@@ -27,8 +27,8 @@ import os
 from dataclasses import dataclass
 
 from .core import IDENTITY_TOL, EconomyParams, nu_for_gamma
-from .envy import EnvySpec, as_distribution, gamma_uniform_top
-from .equilibrium import _regime, _rich_count, _start_weight, classify, final_capitals
+from .envy import EnvySpec, gamma_uniform_top
+from .equilibrium import _price_start, _regime, _rich_count, _start_weight, classify, final_capitals
 from .errors import JonesesError, ValidationError
 from .output import fmt
 from .scenario import (
@@ -196,8 +196,9 @@ class _Parts:
         _, (horizon, tol, seed) = self._section("run", idx, (), _parse_run)
         ikey, initial = self._section("initial", idx, pkey, _parse_initial, params, seed)
         _, schedule = self._section("schedule", idx, pkey, _parse_schedule, params)
-        n = params.n_agents  # classify checks the start first: a generated one is not yet checked
-        rich = self._get(("rich", ikey), lambda: _rich_count(as_distribution(initial, n)))
+        n = params.n_agents  # the parser has checked the start; classify prices it first
+        self._get(("priced", ikey), lambda: _price_start(initial, params))
+        rich = self._get(("rich", ikey), lambda: _rich_count(initial))
         gamma0 = self._get(("gamma0", ikey, ekey), lambda: _start_weight(initial, envy))
         def weight(top):  # keyed by the envy part's index, so -0.0 and 0.0 never share one
             return self._get(("top", ekey, top), lambda: gamma_uniform_top(envy, top, n))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from joneses import (
@@ -51,6 +52,12 @@ from joneses.sweep import _template_total
 
 BASELINE = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4)
 UNIT_ENVY = EnvySpec(base=0.0, scale=1.0)
+
+# For a test whose oracles here may warn: any other float warning, the kernel's included,
+# fails it.
+ONLY_ORACLES_WARN = pytest.mark.filterwarnings(
+    "error::RuntimeWarning", "ignore::RuntimeWarning:support"
+)
 
 # Tolerances pinned once for the whole suite.
 TOL_IDENTITY = 1e-12  # algebraic identities

@@ -67,6 +67,19 @@ class TestValidate:
         assert main([command, path]) == 1
         assert "error: initial.values: total wealth must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "plot-savings"])
+    def test_a_generated_start_that_rounds_to_zeros_is_an_input_error(
+        self, scenario_file, tmp_path, capsys, command
+    ):
+        # every entry of this start rounds to 0: the parser rejects it, so plot-savings,
+        # which weighs the parsed start as it is, never plots it
+        initial = {"generator": "gini_target", "gini": 0.0, "total": 5e-324}
+        out = ["--out", str(tmp_path / "s.svg")] if command == "plot-savings" else []
+        assert main([command, scenario_file("zeros.json", initial=initial), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: total wealth must be finite and positive\n")
+        assert not (tmp_path / "s.svg").exists()
+
     def test_negative_seed_is_an_input_error(self, scenario_file, capsys):
         path = scenario_file(
             "seed.json",
@@ -165,6 +178,19 @@ class TestClassify:
         path = scenario_file("equal.json", initial={"values": [0.1, 0.1, 0.1, 0.1]})
         assert main(["classify", path]) == 0
         assert capsys.readouterr().out.startswith("egalitarian limit_k=")
+
+    def test_a_start_its_path_cannot_price_exits_two(self, scenario_file, capsys):
+        # simulate fails at period 0 of this start, so there is no regime to name; the
+        # steady state does not depend on the start
+        path = scenario_file("tiny.json", params=TINY_K["params"], initial=TINY_K["initial"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", path]) == 2
+            assert capsys.readouterr().err == (
+                "model error: gross return alpha*k**(alpha-1) overflows at k=2.49997e-319, "
+                "alpha=0.01\n"
+            )
+            assert main(["steady-state", path]) == 0
 
 
 class TestPlanReform:

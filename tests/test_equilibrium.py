@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -11,12 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from joneses import (
     EnvySpec,
     Trajectory,
+    as_distribution,
     build_schedule,
     classify,
     constant_schedule,
@@ -60,6 +62,7 @@ from joneses.errors import (
 )
 from support import (
     BASELINE,
+    ONLY_ORACLES_WARN,
     TOL_LIMIT,
     TOL_SOLVER,
     UNIT_ENVY,
@@ -583,6 +586,14 @@ def _largest_delta(n):
     return delta
 
 
+# A rich start at the largest admitted delta: the scan's root overflows, and the root's
+# tests, not a float warning, reject the row
+LARGEST_DELTA_RICH = (
+    [1e300, 0.0, 0.0, 0.0], [1.0] * 6,
+    validate_params(alpha=1 / 3, delta=4.49e307, phi=0.1, n_agents=4), EnvySpec(0.0, 1.0),
+)
+
+
 def _edge_paths():
     """One-row paths where Python floats could part from numpy scalars, with the error
     each ends in (None: a trajectory)."""
@@ -605,13 +616,14 @@ def _edge_paths():
     floor = (np.array([0.2, 0.1, 0.1, 0.1]), [1.0] * 61, BASELINE, strong, EnvyTooStrong)
     outside = (np.array([0.4, 0.0, 0.0, 0.0]), [1.0] * 40 + [5.0] * 21, BASELINE, UNIT_ENVY, NuOutOfBounds)
     cases += [("raises", *floor), ("raises", *outside)]
+    cases.append(("root_overflows", *LARGEST_DELTA_RICH, NoPositiveRoot))
     return [pytest.param(*case[1:], id=f"{case[0]}-{i}") for i, case in enumerate(cases)]
 
 
 @pytest.mark.parametrize("start, nus, params, envy, error", _edge_paths())
 def test_one_row_paths_at_the_edges_end_typed_and_warning_free(start, nus, params, envy, error):
-    # a one-row block works in Python floats: no ZeroDivisionError, complex power or
-    # OverflowError may escape, and overflow to inf is silent where numpy warned
+    # a one-row block works in Python floats under the kernel's float policy: no
+    # ZeroDivisionError, complex power, OverflowError or float warning may escape
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -626,6 +638,61 @@ def test_one_row_paths_at_the_edges_end_typed_and_warning_free(start, nus, param
             assert type(value) is float and math.isfinite(value), name
         assert type(r.m_count) is int and r.m_count >= 1
     assert traj.final_k > 0.0
+
+
+# (alpha, phi) pairs: the baseline's, a tiny alpha whose gross return can overflow, a large one
+EXTREME_ECONOMIES = ((1 / 3, 0.1), (0.01, 0.0), (0.9, 0.05))
+
+
+@st.composite
+def extreme_rows(draw, horizon=5):
+    """Two valid but extreme paths of one N: a delta up to the largest admitted, a start of
+    zeros and magnitudes from 1e-300 to 1e300, an envy scale up to the existence ceiling,
+    and, in most, a tilt of 1e-300 announced in some period."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 64]))
+    largest = _largest_delta(n)
+    magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    rows = []
+    for _ in range(2):
+        alpha, phi = draw(st.sampled_from(EXTREME_ECONOMIES))
+        delta = min(2.0 ** draw(st.floats(-10.0, math.log2(largest))), largest)
+        params = validate_params(alpha=alpha, delta=delta, phi=phi, n_agents=n)
+        ceiling = gamma_hat(params.nu_upper, params) * (n / (n - 1))
+        envy = EnvySpec(0.0, draw(st.floats(0.0, 1.0)) * min(ceiling, sys.float_info.max))
+        start = draw(st.lists(st.just(0.0) | magnitudes, min_size=n, max_size=n))
+        nus = [1.0] * (horizon + 1)
+        tiny = draw(st.integers(0, horizon + 1))
+        if tiny <= horizon:
+            nus[tiny] = 1e-300
+        rows.append((start, nus, params, envy))
+    return rows
+
+
+@example(rows=[LARGEST_DELTA_RICH] * 2)
+@given(rows=extreme_rows())
+@settings(max_examples=150, deadline=None)
+def test_extreme_valid_inputs_end_typed_and_warning_free(rows):
+    # the kernel's typed tests decide every row: no float warning escapes it, and a
+    # two-row block ends each row as its own path does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = []
+        for start, nus, params, envy in rows:
+            try:
+                outcomes.append(simulate(start, nus, len(nus) - 1, params, envy).final_k)
+            except JonesesError as exc:
+                outcomes.append(exc)
+        try:
+            starts = [as_distribution(start) for start, *_ in rows]
+        except JonesesError:
+            return
+        _, nus, params, envys = zip(*rows)
+        finals = final_capitals(starts, nus, len(nus[0]) - 1, params, envys)
+    for want, got in zip(outcomes, finals):
+        if isinstance(want, JonesesError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got == want
 
 
 def _row_values(values, i):
@@ -761,7 +828,7 @@ def test_a_path_across_several_slabs_equals_a_chain_of_solves(monkeypatch, pages
     assert len({id(r.bequests_next.base) for r in traj.records}) > 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows
+@ONLY_ORACLES_WARN
 @pytest.mark.parametrize("pages", [1, 3, 64])
 def test_block_rows_across_slabs_equal_their_chained_oracle(monkeypatch, pages):
     # only a one-row path keeps records, a page of its slab each; the rows of a block
@@ -1128,7 +1195,7 @@ def _assert_block_rows_match_own_paths(solved, block_errors, cases, horizon):
     return rows
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows xi/nu
+@ONLY_ORACLES_WARN
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([2, 3, 4, 64, 20000]),
@@ -1180,7 +1247,7 @@ class TestLockstepKernel:
             assert record.bequests_next.tobytes() == want.bequests_next.tobytes()
             assert np.all(np.diff(beq[i][order[i]]) >= 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a tiny announced tilt overflows
+    @ONLY_ORACLES_WARN
     def test_rows_that_raise_are_frozen_and_the_others_go_on(self):
         p = BASELINE
         horizon = 60
@@ -1402,6 +1469,19 @@ class TestClassify:
         regime = classify([0.1] * 4, 1.0, BASELINE, envy)
         assert regime.kind == "boundary"
         assert regime.limit_k is None
+
+    @pytest.mark.parametrize(
+        "alpha, phi, start",
+        [(0.01, 0.0, [1e-318, 0.0, 0.0, 0.0]), (1 / 3, 0.1, [5e-324, 0.0, 0.0, 0.0])],
+    )
+    def test_a_start_its_path_cannot_price_names_no_regime(self, alpha, phi, start):
+        # the gross return overflows at the tiny mean, or the mean rounds to 0: classify
+        # raises what period 0 of the path raises, where it used to promise a limit
+        p = validate_params(alpha=alpha, delta=1.0, phi=phi, n_agents=4)
+        with pytest.raises(JonesesError) as path_error:
+            simulate(start, [1.0] * 2, 1, p, UNIT_ENVY)
+        with pytest.raises(type(path_error.value), match=re.escape(str(path_error.value))):
+            classify(start, 1.0, p, UNIT_ENVY)
 
     def test_classification_matches_long_simulation(self):
         rng = np.random.default_rng(67)

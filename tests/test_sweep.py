@@ -20,7 +20,7 @@ from joneses.sweep import (
     run_sweep,
     sweep_csv_rows,
 )
-from support import BASELINE, UNIT_ENVY, cell_scenario, chained_oracle
+from support import BASELINE, ONLY_ORACLES_WARN, UNIT_ENVY, cell_scenario, chained_oracle
 
 
 def template(initial=None):
@@ -349,8 +349,9 @@ def _oracle_sweep(grid, path) -> tuple[list, bytes]:
     return results, path.read_bytes()
 
 
-# Extreme but valid starts: their cells parse and classify, then some paths
-# raise DomainError, NoPositiveRoot or EnvyTooStrong on the way.
+# Extreme but valid starts: their cells parse, and those whose mean rounds to 0 fail
+# where classify prices it; the others classify, then some paths raise DomainError,
+# NoPositiveRoot or EnvyTooStrong on the way, each with the message its path raises.
 EXTREME_STARTS = ([5e-324, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0], [1e200, 1e100, 1.0, 0.0])
 PATH_ERRORS = (
     "capital intensity must be > 0",
@@ -370,7 +371,7 @@ def _extreme_grid(initial):
     return parse_grid({"template": obj, "axes": axes})
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # these paths overflow on purpose
+@ONLY_ORACLES_WARN
 class TestLockstepSweep:
     @pytest.mark.parametrize("initial", EXTREME_STARTS)
     def test_path_failures_match_a_per_cell_oracle(self, tmp_path, initial):
@@ -448,7 +449,7 @@ def sweep_grids(draw):
     return {"template": obj, "axes": axes}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@ONLY_ORACLES_WARN
 @given(obj=sweep_grids())
 @settings(max_examples=300, deadline=None)
 def test_cells_from_parts_equal_cells_parsed_whole(tmp_path_factory, obj):
