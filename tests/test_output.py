@@ -6,7 +6,15 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from joneses import EnvySpec, Trajectory, constant_schedule, simulate, steady_capital
+from joneses import (
+    EnvySpec,
+    Trajectory,
+    constant_schedule,
+    gamma_star,
+    simulate,
+    steady_capital,
+    validate_params,
+)
 from joneses.errors import DomainError
 from joneses.output import (
     CSV_HEADER,
@@ -171,3 +179,77 @@ class TestSavingsStepPlot:
         render_savings_step_plot(0.7, BASELINE, UNIT_ENVY, 1, a)
         render_savings_step_plot(0.7, BASELINE, UNIT_ENVY, 1, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# A phi = 0 economy: its tilt segment is the single point nu = 1.
+_POINT_SEGMENT = validate_params(alpha=0.3, delta=2.0, phi=0.0, n_agents=5)
+_SEVEN_CURVES = [  # one more than the palette holds, so the seventh colour wraps
+    (0.0, 1.0, 1.0), (0.75, 0.25, 1.0), (0.0, 1.0, 0.9), (0.5, 0.5, 1.1),
+    (0.2, 1.0, 0.95), (0.6, 0.25, 1.05), (0.1, 0.75, 1.0),
+]
+_ALL_EGALITARIAN = "7d39a3e32780d880e7ca467969f2155bf0820002deee4f305923ecfdba97d944"
+
+
+@pytest.mark.parametrize(
+    "figure, args, digest",
+    [
+        pytest.param(  # the benchmark's phase.svg
+            "phase", ([(0.0, 1.0, 1.0), (0.75, 0.25, 1.0)],),
+            "e5c0a98de909832901f7553cdf80c8182233493651996d507729b107742a46ab",
+            id="phase-two-curves",
+        ),
+        pytest.param(
+            "phase", ([],),
+            "2acd7a3f0e138e98646680b8b9d2c526a43c25aa3d71e5452b9dd64b4dc88aa0",
+            id="phase-no-curve",
+        ),
+        pytest.param(
+            "phase", (_SEVEN_CURVES,),
+            "51ee9a5ac6665d979d6aaab76cf2d4377496bbbde042dfaa4a5d5fefb3e4c1fb",
+            id="phase-seven-curves",
+        ),
+        pytest.param(  # the benchmark's savings.svg
+            "savings", (0.7, BASELINE, UNIT_ENVY, 1),
+            "5a7d7c976b812d15f98c149d74bb9aed5afb8058cbb71af7144ff35ebd687dbd",
+            id="savings-breakpoint",
+        ),
+        pytest.param(
+            "savings", (0.0, BASELINE, UNIT_ENVY, 1), _ALL_EGALITARIAN, id="savings-equal-start"
+        ),
+        pytest.param(
+            "savings", (1e-9, BASELINE, UNIT_ENVY, 1), _ALL_EGALITARIAN, id="savings-clamped-high"
+        ),
+        pytest.param(
+            "savings", (0.75, BASELINE, UNIT_ENVY, 1),
+            "b4ce1fefaa9cf26ef4f25f5611b1d3303af5d774d422355074078adb4cec7bb1",
+            id="savings-clamped-low",
+        ),
+        pytest.param(  # the egalitarian span is the single point nu_lower
+            "savings", (gamma_star(BASELINE.nu_lower, BASELINE), BASELINE, UNIT_ENVY, 1),
+            "49501ff670fe5ee7318925c69dcf1e5bb97f8920b19aa5cc6c34608caf125592",
+            id="savings-snapped-low",
+        ),
+        pytest.param(  # the polarised span is the single point nu_upper
+            "savings", (gamma_star(BASELINE.nu_upper, BASELINE), BASELINE, UNIT_ENVY, 1),
+            "2e53d0951010f4ddfc89738d17966cdb49041d2d86a4cbb0491930aa8d167f16",
+            id="savings-snapped-high",
+        ),
+        pytest.param(
+            "savings", (0.5, BASELINE, EnvySpec(base=0.1, scale=0.8), 2),
+            "a4fb8a06f3d30c43cd8abc2840cf48e58c49f06536831796734786e57f844123",
+            id="savings-envy-two-rich",
+        ),
+        pytest.param(  # a zero-width x range puts every point mid-axis
+            "savings", (0.5, _POINT_SEGMENT, UNIT_ENVY, 1),
+            "1d6cb1883d7b874cc404c1a15d67bef22eae9c80b4d4576735c1b73523fa3ca0",
+            id="savings-point-segment",
+        ),
+    ],
+)
+def test_figure_bytes_are_pinned(tmp_path, figure, args, digest):
+    path = tmp_path / "fig.svg"
+    if figure == "phase":
+        render_phase_plot(BASELINE, *args, path)
+    else:
+        render_savings_step_plot(*args, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
