@@ -74,6 +74,7 @@ period solver.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter, methodcaller
@@ -489,8 +490,9 @@ def _tilt_pairs(schedule, horizon: int) -> dict:
     The keys, ascending, are the first and last periods of each run below
     ``horizon``; the tilts are Python floats.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    integral = isinstance(horizon, numbers.Integral) and not isinstance(horizon, bool)
+    if not (integral and horizon >= 1):
+        raise DomainError(f"horizon must be an integer >= 1, got {horizon!r}")
     if hasattr(schedule, "segments"):
         periods = [(start, nu) for start, nu in schedule.segments if start <= horizon]
     else:

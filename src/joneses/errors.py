@@ -33,7 +33,7 @@ class NuOutOfBounds(DomainError):
 
 
 class LengthMismatch(InputError):
-    """Wealth distributions of different lengths were compared."""
+    """A wealth vector's length differs from the economy's number of dynasties."""
 
 
 class ExistenceBoundViolated(InputError):

@@ -72,7 +72,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _px(v: float) -> str:
-    return format(v, ".2f")
+    """A coordinate: an int as written, a float to two decimals."""
+    return str(v) if isinstance(v, int) else format(v, ".2f")
 
 
 class _Canvas:
@@ -88,10 +89,23 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-            f'<text x="{_px(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>',
         ]
-        self._axes(x_label, y_label)
+        self.text(width / 2, 20, 14, title, "middle")
+        x0, y0 = self.left, height - self.bottom
+        x1, y1 = width - self.right, self.top
+        self.line(x0, y0, x1, y0)
+        self.line(x0, y0, x0, y1)
+        for i in range(6):
+            fx = self.x_lo + (self.x_hi - self.x_lo) * i / 5
+            fy = self.y_lo + (self.y_hi - self.y_lo) * i / 5
+            px, py = self.x(fx), self.y(fy)
+            self.line(px, y0, px, y0 + 4)
+            self.text(px, y0 + 17, 10, format(fx, ".4g"), "middle")
+            self.line(x0 - 4, py, x0, py)
+            self.text(x0 - 7, py + 3, 10, format(fy, ".4g"), "end")
+        self.text((x0 + x1) / 2, height - 10.0, 12, x_label, "middle")
+        mid = (y0 + y1) / 2
+        self.text(16, mid, 12, y_label, "middle", f' transform="rotate(-90 16 {_px(mid)})"')
 
     def x(self, v: float) -> float:
         span = self.x_hi - self.x_lo
@@ -103,45 +117,19 @@ class _Canvas:
         frac = (v - self.y_lo) / span if span else 0.5
         return self.height - self.bottom - frac * (self.height - self.top - self.bottom)
 
-    def _axes(self, x_label, y_label):
-        x0, y0 = self.left, self.height - self.bottom
-        x1, y1 = self.width - self.right, self.top
+    def line(self, x1, y1, x2, y2):
+        """A black line between two pixel positions."""
         self.parts.append(
-            f'<line x1="{_px(x0)}" y1="{_px(y0)}" x2="{_px(x1)}" y2="{_px(y0)}" '
+            f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
             'stroke="black" stroke-width="1"/>'
         )
+
+    def text(self, x, y, size, body, anchor=None, extra=""):
+        """Text at a pixel position; ``extra`` holds further attributes, space-led."""
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
         self.parts.append(
-            f'<line x1="{_px(x0)}" y1="{_px(y0)}" x2="{_px(x0)}" y2="{_px(y1)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        for i in range(6):
-            fx = self.x_lo + (self.x_hi - self.x_lo) * i / 5
-            fy = self.y_lo + (self.y_hi - self.y_lo) * i / 5
-            px, py = self.x(fx), self.y(fy)
-            self.parts.append(
-                f'<line x1="{_px(px)}" y1="{_px(y0)}" x2="{_px(px)}" '
-                f'y2="{_px(y0 + 4)}" stroke="black" stroke-width="1"/>'
-            )
-            self.parts.append(
-                f'<text x="{_px(px)}" y="{_px(y0 + 17)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="10">{format(fx, ".4g")}</text>'
-            )
-            self.parts.append(
-                f'<line x1="{_px(x0 - 4)}" y1="{_px(py)}" x2="{_px(x0)}" '
-                f'y2="{_px(py)}" stroke="black" stroke-width="1"/>'
-            )
-            self.parts.append(
-                f'<text x="{_px(x0 - 7)}" y="{_px(py + 3)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="10">{format(fy, ".4g")}</text>'
-            )
-        self.parts.append(
-            f'<text x="{_px((x0 + x1) / 2)}" y="{_px(self.height - 10)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
-        self.parts.append(
-            f'<text x="16" y="{_px((y0 + y1) / 2)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_px((y0 + y1) / 2)})">{y_label}</text>'
+            f'<text x="{_px(x)}" y="{_px(y)}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>'
         )
 
     def polyline(self, xs, ys, color, dashed=False, width=1.5):
@@ -159,20 +147,15 @@ class _Canvas:
             f'fill="{fill}" stroke="{color}" stroke-width="1.5"/>'
         )
 
-    def label(self, x, y, text, color="black", dy=-6.0):
-        self.parts.append(
-            f'<text x="{_px(self.x(x) + 6.0)}" y="{_px(self.y(y) + dy)}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{text}</text>'
-        )
+    def label(self, x, y, text, color, dy=-6.0):
+        self.text(self.x(x) + 6.0, self.y(y) + dy, 11, text, extra=f' fill="{color}"')
 
-    def note(self, line_no, text, color="black"):
-        self.parts.append(
-            f'<text x="{_px(self.left + 8)}" y="{_px(self.top + 14 + 14 * line_no)}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{text}</text>'
-        )
+    def note(self, line_no, text, color):
+        self.text(self.left + 8, self.top + 14 + 14 * line_no, 11, text, extra=f' fill="{color}"')
 
-    def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+    def write(self, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(self.parts + ["</svg>"]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -221,8 +204,7 @@ def render_phase_plot(
             f"nu={format(nu, '.4g')} k*={format(k_star, '.6g')}",
             color,
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canvas.render())
+    canvas.write(path)
     return PhasePlotResult(path=str(path), fixed_points=tuple(points))
 
 
@@ -255,36 +237,29 @@ def render_savings_step_plot(
         raise DomainError(f"gamma0 must be finite and >= 0, got {gamma0}")
     n = params.n_agents
     lo, hi = params.nu_lower, params.nu_upper
-    gamma_eq = gamma_uniform_top(envy, n, n)
-    gamma_pol = gamma_uniform_top(envy, rich_count, n)
     # at gamma0 = 0 the tilt delta*xi/gamma0 - xi of nu_for_gamma is +inf: a high clamp
     res = nu_for_gamma(gamma0, params) if gamma0 else NuForGamma(hi, True, float("inf"))
     breakpoint_nu = None if res.clamped else res.nu
-
-    def egal(nu):
-        return savings_rate(gamma_eq, 1.0, nu, params)
-
-    def pol(nu):
-        return savings_rate(gamma_pol, rich_count / n, nu, params)
-
     if breakpoint_nu is None:
         # clamped high: threshold exceeds gamma0 everywhere -> all egalitarian;
         # clamped low: gamma0 above threshold everywhere -> all polarised
-        whole = (lo, hi)
-        egal_span = whole if res.raw > hi else None
-        pol_span = whole if res.raw < lo else None
+        egal_span = (lo, hi) if res.raw > hi else None
+        pol_span = (lo, hi) if res.raw < lo else None
     else:
         egal_span = (lo, breakpoint_nu)
         pol_span = (breakpoint_nu, hi)
 
-    branches = []
-    if egal_span:
-        xs = np.linspace(egal_span[0], egal_span[1], 200)
-        branches.append((xs, np.array([egal(v) for v in xs]), _PALETTE[0], "egalitarian branch"))
-    if pol_span:
-        xs = np.linspace(pol_span[0], pol_span[1], 200)
-        branches.append((xs, np.array([pol(v) for v in xs]), _PALETTE[1], "polarised branch"))
-    y_max = 1.2 * max(float(ys.max()) for _, ys, _, _ in branches) if branches else 1.0
+    kinds = (  # (gamma, m, name) of each branch, in palette order
+        (gamma_uniform_top(envy, n, n), 1.0, "egalitarian"),
+        (gamma_uniform_top(envy, rich_count, n), rich_count / n, "polarised"),
+    )
+    branches = []  # a clamped start draws one branch, any other both: max() never sees none
+    for (gamma, m, name), span, color in zip(kinds, (egal_span, pol_span), _PALETTE):
+        if span:
+            xs = np.linspace(*span, 200)
+            ys = np.array([savings_rate(gamma, m, v, params) for v in xs])
+            branches.append((xs, ys, color, f"{name} branch"))
+    y_max = 1.2 * max(float(ys.max()) for _, ys, _, _ in branches)
     canvas = _Canvas(
         720,
         480,
@@ -299,11 +274,11 @@ def render_savings_step_plot(
         canvas.note(i, name, color)
     if breakpoint_nu is not None:
         canvas.polyline([breakpoint_nu, breakpoint_nu], [0.0, y_max], "#555555", dashed=True, width=1.0)
-        canvas.circle(breakpoint_nu, egal(breakpoint_nu), 3.5, _PALETTE[0], filled=False)
-        canvas.circle(breakpoint_nu, pol(breakpoint_nu), 3.5, _PALETTE[1], filled=False)
+        for (gamma, m, _), color in zip(kinds, _PALETTE):
+            rate = savings_rate(gamma, m, breakpoint_nu, params)
+            canvas.circle(breakpoint_nu, rate, 3.5, color, filled=False)
         canvas.label(breakpoint_nu, y_max, f"nu(gamma0)={format(breakpoint_nu, '.6g')}", "#555555", dy=12.0)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canvas.render())
+    canvas.write(path)
     return SavingsPlotResult(
         path=str(path),
         breakpoint_nu=breakpoint_nu,

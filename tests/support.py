@@ -103,7 +103,9 @@ def gini_oracle(values) -> float:
     out for one vector instead of the package's block of rows.
     """
     arr = as_distribution(values)
-    x = np.ascontiguousarray(arr) if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
+    # a fresh array, not the row itself: under some BLAS core types (Prescott) the dot of
+    # a row that is not 16-byte aligned, as odd-N rows of a block are, rounds differently
+    x = arr.copy() if (arr[:-1] <= arr[1:]).all() else np.sort(arr)
     n = x.size
     if x[0] == x[-1]:
         return 0.0

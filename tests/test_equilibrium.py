@@ -1320,9 +1320,21 @@ class TestSimulate:
         with pytest.raises(ScheduleTooShort):
             simulate([0.1] * 4, [1.0] * 5, 5, BASELINE, UNIT_ENVY)
 
-    def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(DomainError):
-            simulate([0.1] * 4, constant_schedule(1.0, BASELINE), 0, BASELINE, UNIT_ENVY)
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 2.5, "3", True, 0])
+    def test_a_horizon_that_is_not_an_integer_at_least_one_is_named(self, horizon):
+        schedule = constant_schedule(1.0, BASELINE)
+        match = re.escape(f"horizon must be an integer >= 1, got {horizon!r}")
+        with pytest.raises(DomainError, match=match):
+            simulate([0.1] * 4, schedule, horizon, BASELINE, UNIT_ENVY)
+        with pytest.raises(DomainError, match=match):
+            final_capitals([np.full(4, 0.1)], [schedule], horizon, [BASELINE], [UNIT_ENVY])
+
+    def test_a_numpy_integer_horizon_runs(self):
+        schedule = constant_schedule(1.0, BASELINE)
+        traj = simulate([0.1] * 4, schedule, np.int64(3), BASELINE, UNIT_ENVY)
+        assert traj.horizon == 3
+        finals = final_capitals([np.full(4, 0.1)], [schedule], np.int64(3), [BASELINE], [UNIT_ENVY])
+        assert finals == [traj.final_k]
 
     def test_randomized_paths_satisfy_dynamic_laws(self):
         rng = np.random.default_rng(53)
