@@ -99,6 +99,7 @@ from .errors import (
     DomainError,
     EnvyTooStrong,
     JonesesError,
+    LengthMismatch,
     ModelError,
     NoPositiveRoot,
     NotSustainable,
@@ -640,8 +641,14 @@ def final_capitals(
     number of dynasties, and advance together as one block.  Entry i is
     the final capital intensity, bit for bit what :func:`simulate` gives,
     or the :class:`JonesesError` that stopped path i.  No records are
-    built.  The starts come validated and are not validated again.
+    built.  The starts come validated: only their count and sizes are checked.
     """
+    counts = (len(initials), len(schedules), len(params), len(envys))
+    sizes = sorted({len(beq) for beq in initials})
+    if len(set(counts)) > 1 or len(sizes) > 1:
+        raise LengthMismatch(f"paths disagree: counts {counts}, start sizes {sizes}")
+    if not sizes:
+        raise DomainError("final_capitals needs at least one path")
     paths = [_Path(p, e, _tilt_pairs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
     for beq, _ in _run_paths(np.stack(initials), paths, horizon):
         pass
@@ -775,19 +782,19 @@ def classify(
     mean period 0 cannot price raises what its path raises there.
     """
     beq = as_distribution(initial, params.n_agents)
-    _price_start(beq, params)
     weight = partial(gamma_uniform_top, envy, n_agents=params.n_agents)
-    return _regime(_start_weight(beq, envy), _rich_count(beq), nu, params, weight)
+    return _regime(*_start_facts(beq, params, envy), nu, params, weight)
+
+
+def _start_facts(beq: np.ndarray, params: EconomyParams, envy: EnvySpec) -> tuple[float, int]:
+    """Weight and top count of a validated start, priced first as period 0 of its path is."""
+    factor_prices(beq.sum().item() / params.n_agents, params)
+    return _start_weight(beq, envy), _rich_count(beq)
 
 
 def _start_weight(beq: np.ndarray, envy: EnvySpec) -> float:
     """``envy.weight(beq)`` of a validated start, without validating it a second time."""
     return float(_gini_weights(np.sort(beq)[None], envy.base, envy.scale)[1])
-
-
-def _price_start(beq: np.ndarray, params: EconomyParams) -> None:
-    """Price the mean of a validated start as period 0 of its path does, raising as it raises."""
-    factor_prices(beq.sum().item() / params.n_agents, params)
 
 
 def _rich_count(beq: np.ndarray) -> int:

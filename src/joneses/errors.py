@@ -33,7 +33,7 @@ class NuOutOfBounds(DomainError):
 
 
 class LengthMismatch(InputError):
-    """A wealth vector's length differs from the economy's number of dynasties."""
+    """A wealth vector's length is not the dynasty count, or ``final_capitals``' paths disagree."""
 
 
 class ExistenceBoundViolated(InputError):

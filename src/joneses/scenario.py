@@ -235,24 +235,21 @@ def _check_sections(names, source: str) -> None:
             raise ValidationError(key, "missing required section")
 
 
+def _assemble(section) -> Scenario:
+    """The Scenario whose section ``name`` is ``section(name, parse, *parts)``, in parse order."""
+    params = section("params", _parse_params)
+    envy = section("envy", _parse_envy, params)
+    horizon, tol, seed = section("run", _parse_run)
+    initial = section("initial", _parse_initial, params, seed)
+    schedule = section("schedule", _parse_schedule, params)
+    return Scenario(params, envy, initial, schedule, horizon, tol, seed)
+
+
 def parse_scenario(obj, source: str = "<config>") -> Scenario:
     """Validate a JSON-compatible object model into a Scenario."""
     root = _require_map(obj, source)
     _check_sections(root, source)
-    params = _parse_params(root["params"])
-    envy = _parse_envy(root["envy"], params)
-    horizon, tol, seed = _parse_run(root["run"])
-    initial = _parse_initial(root["initial"], params, seed)
-    schedule = _parse_schedule(root["schedule"], params)
-    return Scenario(
-        params=params,
-        envy=envy,
-        initial=initial,
-        schedule=schedule,
-        horizon=horizon,
-        tol=tol,
-        seed=seed,
-    )
+    return _assemble(lambda name, parse, *parts: parse(root[name], *parts))
 
 
 def read_json(path):

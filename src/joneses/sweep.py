@@ -2,21 +2,21 @@
 
 A grid is a scenario template plus named axes; each axis sets one field of
 one scenario section (``AXES``).  Cells are built and classified in grid
-order from shared parts: each section is parsed once per distinct value of
-the axes that set it, each start is weighed once per envy functional, each
-regime limit's weight once per envy functional and top count, and a part
-that fails is kept as its error, so every cell gets the scenario,
-regime or error message that parsing and classifying it whole would give.
-Their paths then advance in lockstep, a block of cells at a time, through
-the period kernel that :func:`~joneses.equilibrium.simulate` runs on one
-row.  No axis changes the horizon or the number of dynasties, so the cells
-of a grid share one block shape, and ``BLOCK_VALUES`` caps cells x
-dynasties per block.  Each row of a block is rounded as its own
-``simulate`` would round it, so a cell's ``k_final`` is bit for bit that of
-``simulate``, and identical grids give byte-identical output CSVs.  A cell
-that fails, at parse, in its classification or partway along its path, is
-recorded in its row with the exception message intact (csv quoting); the
-other cells go on.
+order from shared parts by the steps ``parse_scenario`` and ``classify``
+take: each section is parsed once per distinct value of the axes that set
+it, each start is priced and weighed once per start and envy part, each
+regime limit's weight once per envy part and top count, and a part that
+fails is kept as its error, so every cell gets the scenario, regime or
+error message that parsing and classifying it whole would give.  Their
+paths then advance in lockstep, a block of cells at a time, through the
+period kernel that :func:`~joneses.equilibrium.simulate` runs on one row.
+No axis changes the horizon or the number of dynasties, so the cells of a
+grid share one block shape, and ``BLOCK_VALUES`` caps cells x dynasties per
+block.  Each row of a block is rounded as its own ``simulate`` would round
+it, so a cell's ``k_final`` is bit for bit that of ``simulate``, and
+identical grids give byte-identical output CSVs.  A cell that fails, at
+parse, in its classification or partway along its path, is recorded in its
+row with the exception message intact (csv quoting); the other cells go on.
 """
 
 from __future__ import annotations
@@ -25,24 +25,14 @@ import csv
 import itertools
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .core import IDENTITY_TOL, EconomyParams, nu_for_gamma
 from .envy import EnvySpec, gamma_uniform_top
-from .equilibrium import _price_start, _regime, _rich_count, _start_weight, classify, final_capitals
+from .equilibrium import _regime, _start_facts, classify, final_capitals
 from .errors import JonesesError, ValidationError
 from .output import fmt
-from .scenario import (
-    SECTIONS,
-    Scenario,
-    _check_sections,
-    _parse_envy,
-    _parse_initial,
-    _parse_params,
-    _parse_run,
-    _parse_schedule,
-    numbers,
-    read_json,
-)
+from .scenario import SECTIONS, _assemble, _check_sections, numbers, read_json
 
 DEFAULT_CELL_CAP = 10**6
 
@@ -142,8 +132,10 @@ def _cell_section(template: dict, name: str, fields: dict):
 class _Parts:
     """The parts a grid's cells are built from, each made once per key; a failure is kept.
 
-    A section's key is the indices of the values of the axes that set it,
-    after the params key for the sections parsed against ``params``.
+    A section's key is the indices of the values of the axes that set it
+    and the ids of the parts it is parsed against, and a start is priced and
+    weighed by ``classify``'s steps once per start and envy part.  The memo
+    keeps every part alive, so no id is reused; -0.0 and 0.0 parts stay apart.
     """
 
     def __init__(self, grid: SweepGrid):
@@ -173,16 +165,15 @@ class _Parts:
             _template_total(self.template)
         _check_sections({*self.template, *self.owners}, "<cell>")
 
-    def _section(self, name, idx, after, parse, *args):
-        """Key and part of section ``name`` in the cell at axis value indices ``idx``."""
+    def _section(self, idx, name, parse, *parts):
+        """Section ``name`` of the cell at axis value indices ``idx``, parsed against ``parts``."""
         at = self.at[name]
-        key = (name, after, *(idx[i] for i in at))
 
         def make():
             fields = {AXES[self.axes[i][0]][1]: self.axes[i][1][idx[i]] for i in at}
-            return parse(_cell_section(self.template, name, fields), *args)
+            return parse(_cell_section(self.template, name, fields), *parts)
 
-        return key, self._get(key, make)
+        return self._get((name, *(idx[i] for i in at), *map(id, parts)), make)
 
     def cell(self, idx: tuple[int, ...]):
         """Scenario and regime of the cell at axis value indices ``idx``; raises its first error.
@@ -191,19 +182,13 @@ class _Parts:
         raise them on the cell's whole scenario.
         """
         self._get("root", self._check_root)
-        pkey, params = self._section("params", idx, (), _parse_params)
-        ekey, envy = self._section("envy", idx, pkey, _parse_envy, params)
-        _, (horizon, tol, seed) = self._section("run", idx, (), _parse_run)
-        ikey, initial = self._section("initial", idx, pkey, _parse_initial, params, seed)
-        _, schedule = self._section("schedule", idx, pkey, _parse_schedule, params)
-        n = params.n_agents  # the parser has checked the start; classify prices it first
-        self._get(("priced", ikey), lambda: _price_start(initial, params))
-        rich = self._get(("rich", ikey), lambda: _rich_count(initial))
-        gamma0 = self._get(("gamma0", ikey, ekey), lambda: _start_weight(initial, envy))
-        def weight(top):  # keyed by the envy part's index, so -0.0 and 0.0 never share one
-            return self._get(("top", ekey, top), lambda: gamma_uniform_top(envy, top, n))
-        regime = _regime(gamma0, rich, schedule.nu_at(0), params, weight)
-        return Scenario(params, envy, initial, schedule, horizon, tol, seed), regime
+        sc = _assemble(partial(self._section, idx))
+        start = ("start", id(sc.initial), id(sc.envy))
+        gamma0, rich = self._get(start, lambda: _start_facts(sc.initial, sc.params, sc.envy))
+        n = sc.params.n_agents
+        def weight(top):
+            return self._get(("top", id(sc.envy), top), lambda: gamma_uniform_top(sc.envy, top, n))
+        return sc, _regime(gamma0, rich, sc.schedule.nu_at(0), sc.params, weight)
 
 
 @dataclass(frozen=True)

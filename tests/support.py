@@ -46,9 +46,9 @@ from joneses.errors import (
     JonesesError,
     LengthMismatch,
     NoPositiveRoot,
+    ValidationError,
 )
 from joneses.scenario import parse_scenario
-from joneses.sweep import _template_total
 
 BASELINE = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4)
 UNIT_ENVY = EnvySpec(base=0.0, scale=1.0)
@@ -383,6 +383,23 @@ def reform_trigger_oracle(initial, params, envy, stage1_nu, stage2_nu, margin, m
     raise Infeasible(f"envy weight did not fall below {target} within {max_horizon} periods")
 
 
+def template_total(obj):
+    """A template's total wealth, read before all else for a ``gini0`` cell.
+
+    It is the float sum of ``initial.values``, else ``initial.total``, else 1.0.
+    """
+    initial = obj.get("initial")
+    if not isinstance(initial, dict):
+        return 1.0
+    values = initial.get("values")
+    if isinstance(values, list):
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError("initial.values", f"expected numbers, got {v!r}")
+        return sum(map(float, values), 0.0)
+    return initial.get("total", 1.0)
+
+
 def cell_scenario(grid, values):
     """A sweep cell's scenario built whole: the template deep-copied, each axis set, all parsed.
 
@@ -395,7 +412,7 @@ def cell_scenario(grid, values):
         if name == "nu":
             obj["schedule"] = {"segments": [{"start": 0, "nu": value}]}
         elif name == "gini0":
-            total = _template_total(obj)
+            total = template_total(obj)
             obj["initial"] = {"generator": "gini_target", "gini": value, "total": total}
         else:
             section, field = {

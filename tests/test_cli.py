@@ -7,7 +7,10 @@ import warnings
 
 import pytest
 
+from joneses import gamma_star
 from joneses.cli import main
+from joneses.output import fmt
+from support import BASELINE
 
 
 @pytest.fixture
@@ -178,6 +181,15 @@ class TestClassify:
         path = scenario_file("equal.json", initial={"values": [0.1, 0.1, 0.1, 0.1]})
         assert main(["classify", path]) == 0
         assert capsys.readouterr().out.startswith("egalitarian limit_k=")
+
+    def test_boundary_line(self, scenario_file, capsys):
+        # an equal start weighs its envy base, here the threshold itself
+        threshold = gamma_star(1.0, BASELINE)
+        path = scenario_file("edge.json", envy={"base": threshold, "scale": 1.0},
+                             initial={"values": [0.1, 0.1, 0.1, 0.1]})
+        assert main(["classify", path]) == 0
+        gamma = fmt(threshold)
+        assert capsys.readouterr().out == f"boundary gamma0={gamma} gamma_star={gamma}\n"
 
     def test_a_start_its_path_cannot_price_exits_two(self, scenario_file, capsys):
         # simulate fails at period 0 of this start, so there is no regime to name; the
@@ -360,9 +372,9 @@ class TestPlots:
         assert rc == 0
         assert "breakpoint=0.857142857" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(  # non-finite values, tilts outside [nu_lower, nu_upper], k* = 0
+    @pytest.mark.parametrize(  # non-numbers, non-finite values, tilts outside the segment, k* = 0
         "curve",
-        ["inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan", "0,1,1e-320", "0,1,1e-300", "0,1,5", "1e300,1,1"],
+        ["1,x,1", "inf,1,1", "nan,1,1", "0,1,inf", "0,1,nan", "0,1,1e-320", "0,1,1e-300", "0,1,5", "1e300,1,1"],
     )
     @pytest.mark.filterwarnings("ignore::joneses.errors.EnvyBoundWarning")  # 1e300 warns first
     def test_non_finite_curve_is_an_input_error(self, scenario_file, tmp_path, capsys, curve):

@@ -210,6 +210,12 @@ class TestDistributionValidation:
         with pytest.raises(LengthMismatch):
             as_distribution([1.0, 2.0], n_agents=3)
 
+    def test_a_nested_sequence_is_rejected(self):
+        from joneses.errors import DomainError
+
+        with pytest.raises(DomainError, match="nonempty 1-D sequence"):
+            as_distribution([[1.0, 2.0]])
+
     def test_non_finite_rejected(self):
         from joneses.errors import DomainError
 
@@ -351,6 +357,8 @@ class TestGammaUniformTop:
             gamma_uniform_top(spec, 0, 4)
         with pytest.raises(DomainError):
             gamma_uniform_top(spec, 5, 4)
+        with pytest.raises(DomainError, match=r"rich count must be an integer, got 1\.0"):
+            gamma_uniform_top(spec, 1.0, 4)
 
 
 class TestGammaOf:

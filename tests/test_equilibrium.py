@@ -186,6 +186,11 @@ class TestSolveTemporary:
                 [0.4, 0, 0, 0], 1.0, 1.0, BASELINE, EnvySpec(0.0, 6.0)
             )
 
+    @pytest.mark.parametrize("nu_next", [0.0, float("nan")])
+    def test_a_next_tilt_that_is_not_positive_is_named(self, nu_next):
+        with pytest.raises(DomainError, match=re.escape(f"nu_next must be > 0, got {nu_next}")):
+            solve_temporary([0.1] * 4, 1.0, nu_next, BASELINE, UNIT_ENVY)
+
     def test_no_positive_root_guard(self):
         # synthetic inputs where nobody saves even at zero next capital: the scan's
         # root is not positive, and the bisection oracle refuses them
@@ -1336,6 +1341,30 @@ class TestSimulate:
         finals = final_capitals([np.full(4, 0.1)], [schedule], np.int64(3), [BASELINE], [UNIT_ENVY])
         assert finals == [traj.final_k]
 
+    @pytest.mark.parametrize(
+        "starts, n_schedules, n_paths, error, message",
+        [
+            pytest.param([], 0, 0, DomainError, "needs at least one path", id="no-path"),
+            pytest.param(
+                [4, 4], 1, 2, LengthMismatch, "counts (2, 1, 2, 2), start sizes [4]", id="2-starts-1-schedule"
+            ),
+            pytest.param(
+                [4], 2, 2, LengthMismatch, "counts (1, 2, 2, 2), start sizes [4]", id="1-start-2-schedules"
+            ),
+            pytest.param(
+                [4, 3], 2, 2, LengthMismatch, "counts (2, 2, 2, 2), start sizes [3, 4]", id="sizes-4-and-3"
+            ),
+        ],
+    )
+    def test_paths_that_disagree_are_named_before_they_run(
+        self, starts, n_schedules, n_paths, error, message
+    ):
+        initials = [np.full(n, 0.1) for n in starts]
+        schedules = [constant_schedule(1.0, BASELINE)] * n_schedules
+        with pytest.raises(error) as exc:
+            final_capitals(initials, schedules, 5, [BASELINE] * n_paths, [UNIT_ENVY] * n_paths)
+        assert type(exc.value) is error and str(exc.value).endswith(message)
+
     def test_randomized_paths_satisfy_dynamic_laws(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
@@ -1433,6 +1462,8 @@ class TestSteadyStates:
             polarised_steady(BASELINE, 1.0, UNIT_ENVY, rich_count=0)
         with pytest.raises(DomainError):
             polarised_steady(BASELINE, 1.0, UNIT_ENVY, rich_count=4)
+        with pytest.raises(DomainError, match=re.escape("rich_count must be an integer, got 1.0")):
+            polarised_steady(BASELINE, 1.0, UNIT_ENVY, rich_count=1.0)
 
     def test_egalitarian_output_dominates_polarised(self):
         rng = np.random.default_rng(61)
@@ -1603,6 +1634,10 @@ class TestDetectConvergence:
         report = detect_convergence(traj, 1e-6)
         assert (report.period, report.reentered) == (7, True)
         _assert_report_equals_oracle(traj, 1e-6)
+
+    def test_an_empty_trajectory_is_rejected(self):
+        with pytest.raises(DomainError, match="trajectory is empty"):
+            detect_convergence(Trajectory(()), 1e-8)
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, tol):

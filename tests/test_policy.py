@@ -59,6 +59,11 @@ class TestBuildSchedule:
         assert s.nu_at(50) == 1.0
         assert s.nu_at(51) == 1.0
 
+    def test_a_negative_period_is_rejected(self):
+        s = build_schedule(0.1, [(0, 1.0)], BASELINE)
+        with pytest.raises(DomainError, match="period must be >= 0, got -1"):
+            s.nu_at(-1)
+
     def test_nu_out_of_bounds(self):
         with pytest.raises(NuOutOfBounds):
             build_schedule(0.1, [(0, 0.5)], BASELINE)

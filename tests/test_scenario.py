@@ -55,6 +55,8 @@ class TestParsing:
             (lambda o: o["params"].pop("alpha"), "params.alpha"),
             (lambda o: o["params"].update(alpha="x"), "params.alpha"),
             (lambda o: o["params"].update(n_agents=2.5), "params.n_agents"),
+            (lambda o: o["params"].pop("n_agents"), "params.n_agents"),
+            (lambda o: o["envy"].update(base=-1.0), "envy"),
             (lambda o: o["envy"].update(kind="nope"), "envy.kind"),
             (lambda o: o["envy"].update(scale=9.0), "envy.scale"),
             (lambda o: o["initial"].update(values=[1, 2]), "initial.values"),
@@ -62,6 +64,8 @@ class TestParsing:
             (lambda o: o["initial"].update(values=["a", 1, 1, 1]), "initial.values"),
             (lambda o: o["initial"].update(values=[[0.1], 1, 1, 1]), "initial.values"),
             (lambda o: o["initial"].update(values=[True, 0.5, 0.5, 0.5]), "initial.values"),
+            (lambda o: o["initial"].update(values="0.1"), "initial.values"),
+            (lambda o: o.update(initial={}), "initial"),
             (lambda o: o["run"].update(horizon=0), "run.horizon"),
             (lambda o: o["run"].update(tol=-1.0), "run.tol"),
             pytest.param(
@@ -81,6 +85,7 @@ class TestParsing:
                 id="negative-run.seed",
             ),
             (lambda o: o["schedule"]["segments"][0].update(nu=0.2), "schedule.segments"),
+            (lambda o: o["schedule"].update(segments=[]), "schedule.segments"),
             (lambda o: o.update(extra=1), "<config>"),
             (lambda o: o["params"].update(bogus=1), "params"),
         ],

@@ -62,6 +62,35 @@ class TestParseGrid:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "mutate, path, message",
+        [
+            (lambda g: [g], "<grid>", "expected an object"),
+            (lambda g: {**g, "extra": 1}, "<grid>", "unknown field(s): extra"),
+            (lambda g: {**g, "template": []}, "template", "expected a scenario object"),
+            (lambda g: {**g, "axes": []}, "axes", "expected a nonempty list"),
+            (lambda g: {**g, "axes": g["axes"][0]}, "axes", "expected a nonempty list"),
+            (
+                lambda g: {**g, "axes": [{"name": "nu"}]},
+                "axes[0]",
+                "expected {'name': ..., 'values': [...]}",
+            ),
+            (
+                lambda g: {**g, "axes": [{"name": "nu", "values": []}]},
+                "axes[0].values",
+                "expected a nonempty list of numbers",
+            ),
+            (lambda g: {**g, "cap": 0}, "cap", "expected a positive integer, got 0"),
+            (lambda g: {**g, "cap": True}, "cap", "expected a positive integer, got True"),
+            (lambda g: {**g, "cap": 1.5}, "cap", "expected a positive integer, got 1.5"),
+        ],
+    )
+    def test_malformed_grid_fields(self, mutate, path, message):
+        obj = mutate({"template": template(), "axes": [{"name": "nu", "values": [0.8, 1.0]}]})
+        with pytest.raises(ValidationError) as exc:
+            parse_grid(obj)
+        assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(
