@@ -51,7 +51,23 @@ rank dots are one ``np.vecdot`` over the block.  Every tilt is priced as
 a Python float.  The kernel has one float policy: numpy's warnings are
 off, and typed tests alone decide each row, which NaN and inf fail.  A
 row that raises is frozen with the error, and message, its own path
-raises; the other rows go on.
+raises; the other rows go on.  Each period counts its positive bequests
+once, and a row's count and mean are the next period's guess and mean.
+
+In the polarised regime the poor hold exact zeros from the first solved
+period on.  A one-row block whose zeros its path's last period wrote
+takes the zero-prefix route: they come first under the order, all earn
+one income and, while their heirs' bequest numerator stays negative,
+leave 0.0, so the incomes, the root and the bequests are computed for the
+positive top alone, with the dense route's operations in its order.  It
+keeps an O(N) pass only where the bytes depend on every entry's place:
+numpy's pairwise sums and BLAS's dot group entries by position, so the
+sorted total and the Gini's rank dot run over a sorted buffer whose zero
+prefix persists between periods, the next vector is a full page summed
+for ``k_next``, and the consumptions are summed in dynasty order.  Rows
+with no zeros, blocks and first periods take the dense route, as do poor
+heirs that would save, non-finite rows, the scan and the errors; so
+:func:`solve_temporary`, a first period, is the route's oracle.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -192,18 +208,20 @@ def _scan_active_sets(desc, z, total, delta, xnn):
 _UNIT = np.finfo(float).eps.item() / 2.0  # unit roundoff u, a Python float
 
 
-def _certify(desc, guess, z, total, delta, xnn):
+def _certify(desc, guess, z, total, delta, xnn, n=None):
     """Try the active set of size ``guess`` on each row; returns ``(kappa, certified)``.
 
     The arguments are those of :func:`_scan_active_sets` plus ``guess``, an
     integer in 1..N per row; the results are vectors of C entries, or
     scalars when the per-row values are (Python floats in a one-row
-    block).  Candidate g = ``guess`` is computed with the scan's own IEEE
-    operations in its order (its prefix sum from the same sequential
-    cumsum, cut at g).  A row is certified when g passes the scan's three
-    tests and the poorest active dynasty's float margin m = delta*I_g -
-    tail_g exceeds E = err*(1 + 1/rho); then no a < g passes the scan's
-    tests, and ``kappa`` is bit for bit the root the scan returns.  The
+    block).  A one-row ``desc`` may hold only the row's top ``guess + 1``
+    incomes, when ``n`` gives its length N.  Candidate g = ``guess`` is
+    computed with the scan's own IEEE operations in its order (its prefix
+    sum from the same sequential cumsum, cut at g).  A row is certified
+    when g passes the scan's three tests and the poorest active dynasty's
+    float margin m = delta*I_g - tail_g exceeds E = err*(1 + 1/rho); then
+    no a < g passes the scan's tests, and ``kappa`` is bit for bit the
+    root the scan returns.  The
     proof, in exact arithmetic on the float inputs, with s = delta*z -
     xi/nu_next, the heads h_j(kappa) = delta*I_j - delta*z*total +
     s*kappa, D_a = N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
@@ -233,7 +251,7 @@ def _certify(desc, guess, z, total, delta, xnn):
     block whose D_g rounds to 0 (delta and gamma past 2**53) certified:
     Python floats raise on a zero divisor.
     """
-    c, n = desc.shape
+    c, n = len(desc), n or desc.shape[1]
     vectors = isinstance(z, np.ndarray)
     if vectors:  # (C x 1) columns, worked as vectors: 2-D arithmetic costs more per call
         rows, g, least = np.arange(c), guess.reshape(c), np.minimum
@@ -299,27 +317,54 @@ class _Path:
     ``nu_next`` hold the pair in effect.  ``params`` and ``envy`` fill the
     path's row of block columns (``_ECONOMY``), and ``taxes`` are those of
     ``nu_t``.  ``records`` is a list only on a one-row path that keeps them.
+    ``asc`` and ``cons`` are a one-row path's buffers for the zero-prefix
+    route (see :func:`_solve_zero_prefix`), made once a solved period has
+    left zeros; the first ``zeros`` entries of ``asc`` are zeros.
     """
 
-    __slots__ = ("params", "envy", "pairs", "nu_t", "nu_next", "taxes", "records", "error")
+    __slots__ = (
+        "params", "envy", "pairs", "nu_t", "nu_next", "taxes", "records", "error",
+        "asc", "cons", "zeros",
+    )
 
     def __init__(self, params: EconomyParams, envy: EnvySpec, pairs=None, keep=False):
         self.params, self.envy, self.pairs = params, envy, pairs
         self.records, self.error = ([] if keep else None), None
+        self.asc = self.cons = None
+        self.zeros = 0
 
 
 # A block's economy, one record per row: the index of its path, what holds for the whole
-# path, and tau_s, xi/nu_t and xi/nu_next, priced again once ``priced`` is cleared.
+# path, tau_s, xi/nu_t and xi/nu_next, priced again once ``priced`` is cleared, and the mean
+# ``k`` and the number of positive entries ``count`` of the row's vector, which each period
+# writes for the next: the same sum over the same array, and the count counted once.
 _ECONOMY = np.dtype([
     ("path", np.intp), ("alpha", float), ("delta", float), ("base", float), ("scale", float),
     ("tau_s", float), ("xi_nu", float), ("xnn", float), ("priced", bool),
+    ("k", float), ("count", np.intp),
 ], align=True)  # numpy buffers arithmetic on unaligned columns
 
 
-def _economy(paths) -> np.ndarray:
-    """The block economy of ``paths``, its tilts not yet priced."""
+@np.errstate(all="ignore")  # a row that is not finite raises in the kernel
+def _economy(paths, beq) -> np.ndarray:
+    """The block economy of ``paths`` from their starts ``beq``, its tilts not yet priced."""
     fixed = [(p.params.alpha, p.params.delta, p.envy.base, p.envy.scale) for p in paths]
-    return np.array([(i, *f, 0.0, 0.0, 0.0, False) for i, f in enumerate(fixed)], dtype=_ECONOMY)
+    econ = np.array(
+        [(i, *f, 0.0, 0.0, 0.0, False, 0.0, 0) for i, f in enumerate(fixed)], dtype=_ECONOMY
+    )
+    econ["k"] = beq.sum(axis=1) / beq.shape[1]  # ndarray.mean, bit for bit
+    econ["count"] = np.maximum((beq > 0.0).sum(axis=1), 1)  # a row with none raises; 1 guesses
+    return econ
+
+
+def _price(econ, i, path) -> None:
+    """Price row i's tilt pair into ``econ``: its taxes, xi/nu_t and xi/nu_next."""
+    path.taxes, xi = tax_rates(path.nu_t, path.params), path.params.xi
+    if not path.nu_next > 0.0:
+        raise DomainError(f"nu_next must be > 0, got {path.nu_next}")
+    econ[["tau_s", "xi_nu", "xnn", "priced"]][i] = (
+        path.taxes.tau_s, xi / path.nu_t, xi / path.nu_next, True
+    )
 
 
 # A block's per-row values are Python scalars for one row, else (C x 1) columns.  Each pair
@@ -340,32 +385,57 @@ def _solve_block(beq, order, econ, paths, out=None):
     """Solve one period for every row of ``beq``, a (C x N) block of bequests.
 
     Row i is the inherited vector of ``paths[econ["path"][i]]``, whose
-    economy is ``econ[i]``; ``order[i]`` should sort it ascending.  A stale
-    order is overwritten in place by a stable argsort, and a row whose
-    tilts are not priced is priced in place.  Each row is rounded as the
-    one-row case would round it (see the module docstring); only the power
-    ``k ** (alpha - 1)`` is a scalar call per row, since numpy's
-    elementwise power rounds differently.  numpy's float warnings are off
-    in here, for every function it calls: typed tests decide each row (a
-    finite positive mean and ascending total, the root's consistency
-    tests, which NaN and inf fail, ``k_next > 0`` and the envy floor).  A
-    row that fails one records the error on its path and computes finite
-    filler from then on; the rest go on.
+    economy, mean and count of positive entries are ``econ[i]``;
+    ``order[i]`` should sort it ascending.  A stale order is overwritten in
+    place by a stable argsort, a row whose tilts are not priced is priced
+    in place, and each row's ``k`` and ``count`` are overwritten with those
+    of the vector it hands on.  Each row is rounded as the one-row case
+    would round it (see the module docstring); only the power ``k **
+    (alpha - 1)`` is a scalar call per row, since numpy's elementwise power
+    rounds differently.  numpy's float warnings are off in here, for every
+    function it calls: typed tests decide each row (a finite positive mean
+    and ascending total, the root's consistency tests, which NaN and inf
+    fail, ``k_next > 0`` and the envy floor).  A row that fails one records
+    the error on its path and computes finite filler from then on; the
+    rest go on.
+
+    A one-row block whose vector holds zeros that the path's last period
+    wrote takes the zero-prefix route, :func:`_solve_zero_prefix`; where it
+    declines, the period runs densely here.  That route works on the
+    positive top alone except in the O(N) passes whose bytes depend on
+    every entry's place, and each of those must stay:
+
+    * the sorted total and the Gini's rank dot: numpy's pairwise sum and
+      BLAS's dot group the entries by position, so a sum or dot over the
+      top alone rounds differently; they run over the path's sorted
+      buffer, whose zero prefix persists and whose top alone is gathered;
+    * the page: it is the record's vector and the next period's input, so
+      each zero is written (a fill), and its row sum is ``k_next``;
+    * the consumptions: their row sum, in dynasty order, is
+      ``avg_consumption``, so they are filled with the zeros' and given
+      the top's by scatter.
 
     Returns ``(bequests_next, ok, same, values)``.  ``ok`` marks the rows
     that did not raise and ``same`` those of them with ``k_next == k``;
-    ``values`` is ``(k, gamma, gini, k_next, avg_consumption, xi_k, net)``.
-    All are per-row values, from which :func:`_record` builds a row's
-    record.  ``bequests_next`` is written into ``out``, a (C x N) array,
-    when one is given, else into a new one.
+    ``values`` is ``(k, gamma, gini, k_next, avg_consumption, xi_k, net,
+    count)``, ``count`` the positive entries of ``bequests_next``.  All are
+    per-row values, from which :func:`_record` builds a row's record.
+    ``bequests_next`` is written into ``out``, a (C x N) array, when one is
+    given, else into a new one.
     """
     c, n = beq.shape
+    if c == 1:
+        path = paths[econ["path"].item(0)]
+        if path.asc is not None and econ["count"].item(0) < n:
+            solved = _solve_zero_prefix(beq, order, econ, path, out)
+            if solved is not None:
+                return solved
     row, at = _ONE_ROW if c == 1 else _COLUMNS
     asc = beq.take(order if c == 1 else order + np.arange(0, c * n, n)[:, None])
     for i in _rows(row((asc[:, :-1] <= asc[:, 1:]).all(axis=1)), False):
         order[i] = np.argsort(beq[i], kind="stable")
         asc[i] = beq[i, order[i]]
-    kv = beq.sum(axis=1) / n  # ndarray.mean, bit for bit, without its Python overhead
+    kv = econ["k"].copy()
     k = row(kv)
     asc_total = row(asc.sum(axis=1))  # can overflow where the row's own total did not
     ok, rows = np.ones(c, dtype=bool), econ["path"]
@@ -376,12 +446,7 @@ def _solve_block(beq, order, econ, paths, out=None):
             if not at(good, i):
                 as_distribution(asc[i])  # the Gini rejects a non-finite row,
                 factor_prices(kv.item(i), p.params)  # the prices a mean that is not > 0
-            p.taxes, xi = tax_rates(p.nu_t, p.params), p.params.xi
-            if not p.nu_next > 0.0:
-                raise DomainError(f"nu_next must be > 0, got {p.nu_next}")
-            econ[["tau_s", "xi_nu", "xnn", "priced"]][i] = (
-                p.taxes.tau_s, xi / p.nu_t, xi / p.nu_next, True
-            )
+            _price(econ, i, p)
         except JonesesError as exc:
             p.error, ok[i], kv[i] = exc, False, 1.0  # the mean's filler
 
@@ -405,7 +470,7 @@ def _solve_block(beq, order, econ, paths, out=None):
     total = net * (xi_nu + 1.0) * k  # = (1-phi) * k**alpha
     income = xi_k + beq
     income *= net
-    guess = n - row((asc > 0.0).argmax(axis=1))  # positive bequests: on a path, the last active set
+    guess = row(econ["count"])  # positive bequests: on a path, the last active set
     # the least bequest's income, income[order[0]] bit for bit (the same two operations, and
     # addition commutes); both are monotone, so it is the least income.  A NaN income fails
     # as short before the floor test reads it.
@@ -436,19 +501,105 @@ def _solve_block(beq, order, econ, paths, out=None):
             )
         paths[rows[i]].error, ok[i] = error, False
 
+    positive = bequests_next > 0.0
+    if c == 1:
+        count = int(np.count_nonzero(positive))
+        econ[["k", "count"]][0] = (k_next, count)
+        if count < n and path.asc is None:  # the route's buffers: the next period's zeros are ours
+            path.asc, path.cons = np.empty((1, n)), np.empty((1, n))
+    else:
+        count = positive.sum(axis=1)
+        econ["k"], econ["count"] = k_next[:, 0], count
     ok = row(ok)
-    values = (k, gamma, g, k_next, avg, xi_k, net)
+    values = (k, gamma, g, k_next, avg, xi_k, net, count)
     return bequests_next, ok, ok & (k_next == k), values
+
+
+def _solve_zero_prefix(beq, order, econ, path, out):
+    """The period of a one-row block whose vector ``beq`` holds ``N - count`` zeros, or None.
+
+    The zeros were written by the path's last solved period, so they are
+    exact, and they are the first ``N - count`` entries under ``order``,
+    which sorts the vector.  Every zero has the same income ``I0 = (xi_k +
+    0.0) * net`` and, while its heirs' numerator ``delta*I0 - ...`` stays
+    negative, the bequest 0.0.  So the incomes, the certificate's root
+    and the bequests are computed for the positive top alone, with the
+    dense route's IEEE operations in its order, and the zeros as one
+    scalar; the O(N) passes that stay are listed in :func:`_solve_block`.
+    Returns what that returns, or None where the dense route must run: a
+    stale order, a non-finite mean or total, a tilt that does not price, a
+    power past the float range, an uncertified root (the scan), poor heirs
+    that would save, and either error of the period.  What it leaves then,
+    a priced tilt and the buffers, the dense route computes alike or does
+    not read.
+    """
+    n = beq.shape[1]
+    count = econ["count"].item(0)
+    zeros = n - count
+    asc, cons = path.asc, path.cons
+    # asc[:, :lo] are zeros of any ascending order of this vector: a vector's zeros come first
+    lo = min(path.zeros, zeros)
+    np.take(beq, order[:, lo:], out=asc[:, lo:], mode="clip")  # "clip" writes out unbuffered
+    top = asc[:, zeros:]
+    sorts = top.item(0) > 0.0 and (top[:, :-1] <= top[:, 1:]).all()
+    path.zeros = zeros if sorts else lo
+    if not sorts:
+        return None  # the order is stale: the dense route sorts again
+    asc_total = asc.sum(axis=1).item(0)
+    k = econ["k"].item(0)
+    if not (0.0 < k < np.inf and asc_total < np.inf):
+        return None
+    try:
+        if not econ["priced"].item(0):
+            _price(econ, 0, path)
+        _, alpha, delta, base, scale, tau_s, xi_nu, xnn, *_ = econ.item(0)
+        gross = gross_return(k, alpha)
+    except JonesesError:
+        return None
+    g, gamma = _gini_weights(asc, base, scale, asc_total)
+    z = gamma / (1.0 + gamma)
+    net = (1.0 - tau_s) * gross
+    xi_k = xi_nu * k
+    total = net * (xi_nu + 1.0) * k
+    # one zero's income, then the top's, ascending; cons is free until the consumptions
+    income = np.add(asc[:, zeros - 1:], xi_k, out=cons[:, zeros - 1:])
+    income *= net
+    poorest = income.item(0)
+    kappa, certified = _certify(income[:, ::-1], count, z, total, delta, xnn, n)
+    if not certified:
+        return None
+    drop, lift = delta * z * (total - kappa), xnn * kappa
+    if not delta * poorest - drop - lift < 0.0:
+        return None  # the poor would save: past the certificate's inactive test, by rounding
+    rich = income[:, 1:]
+    kept = np.multiply(delta, rich)
+    kept -= drop
+    kept -= lift
+    np.maximum(0.0, kept, out=kept)
+    kept /= 1.0 + delta
+    spent = rich - kept
+    heirs = order[:, zeros:]
+    bequests_next = np.empty((1, n)) if out is None else out
+    bequests_next.fill(0.0)  # max(0, negative) / (1 + delta)
+    np.put(bequests_next, heirs, kept)
+    k_next = bequests_next.sum(axis=1).item(0) / n
+    cons.fill(poorest)  # I0 - 0.0
+    np.put(cons, heirs, spent)
+    avg = cons.sum(axis=1).item(0) / n
+    if not (k_next > 0.0 and poorest > z * avg):
+        return None
+    count_next = int(np.count_nonzero(kept > 0.0))
+    econ[["k", "count"]][0] = (k_next, count_next)
+    return bequests_next, True, k_next == k, (k, gamma, g, k_next, avg, xi_k, net, count_next)
 
 
 def _record(path, beq, bequests_next, values) -> TemporaryEquilibrium:
     """The record of a period that ``path`` solved from ``beq``; ``values`` as one row's floats."""
-    k, gamma, gini, k_next, avg, xi_k, net = values
+    k, gamma, gini, k_next, avg, xi_k, net, count = values
     return TemporaryEquilibrium(
         k=k, output=k ** path.params.alpha, gamma=gamma, gini=gini, bequests=beq,
         bequests_next=bequests_next, k_next=k_next, avg_consumption=avg,
-        prices=factor_prices(k, path.params), taxes=path.taxes,
-        m_count=int(np.count_nonzero(bequests_next > 0.0)), xi_k=xi_k, net=net,
+        prices=factor_prices(k, path.params), taxes=path.taxes, m_count=count, xi_k=xi_k, net=net,
     )
 
 
@@ -548,7 +699,7 @@ def _run_paths(beq, paths, horizon: int):
     c, path = len(paths), paths[0]
     keep = path.records is not None  # a one-row path
     order = np.argsort(beq, axis=1)
-    econ = _economy(paths)
+    econ = _economy(paths, beq)
     changes = {}
     for i, p in enumerate(paths):
         for t in p.pairs:
@@ -641,7 +792,8 @@ def final_capitals(
     number of dynasties, and advance together as one block.  Entry i is
     the final capital intensity, bit for bit what :func:`simulate` gives,
     or the :class:`JonesesError` that stopped path i.  No records are
-    built.  The starts come validated: only their count and sizes are checked.
+    built.  The starts come validated: only their count and sizes are
+    checked, each size against its path's ``n_agents``.
     """
     counts = (len(initials), len(schedules), len(params), len(envys))
     sizes = sorted({len(beq) for beq in initials})
@@ -649,6 +801,11 @@ def final_capitals(
         raise LengthMismatch(f"paths disagree: counts {counts}, start sizes {sizes}")
     if not sizes:
         raise DomainError("final_capitals needs at least one path")
+    for i, p in enumerate(params):
+        if p.n_agents != sizes[0]:
+            raise LengthMismatch(
+                f"path {i}: expected {p.n_agents} bequest entries, got {sizes[0]}"
+            )
     paths = [_Path(p, e, _tilt_pairs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
     for beq, _ in _run_paths(np.stack(initials), paths, horizon):
         pass

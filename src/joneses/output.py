@@ -8,6 +8,7 @@ coordinates.  Identical inputs therefore produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,13 +27,18 @@ def fmt(x: float) -> str:
 
 
 def trajectory_csv_lines(traj: Trajectory, per_agent: bool = False) -> Iterator[str]:
-    n = traj.records[0].bequests.size
+    """The CSV lines of ``traj``, header first; an empty trajectory raises here, not on reading."""
+    if not traj.records:
+        raise DomainError("trajectory is empty")
     header = CSV_HEADER
     if per_agent:
-        header += "".join(f",s_{j},c_{j}" for j in range(1, n + 1))
-    yield header
+        header += "".join(f",s_{j},c_{j}" for j in range(1, traj.records[0].bequests.size + 1))
+    return chain((header,), _csv_rows(traj.records, per_agent))
+
+
+def _csv_rows(records, per_agent: bool) -> Iterator[str]:
     last = row = None
-    for t, r in enumerate(traj.records):
+    for t, r in enumerate(records):
         if r is not last:  # a repeated record differs from its last row only in t
             row = _record_cells(r, per_agent)
             last = r
@@ -59,8 +65,9 @@ def _record_cells(r, per_agent: bool) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path, per_agent: bool = False) -> None:
+    lines = trajectory_csv_lines(traj, per_agent)  # an empty trajectory raises before the open
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trajectory_csv_lines(traj, per_agent):
+        for line in lines:
             fh.write(line)
             fh.write("\n")
 

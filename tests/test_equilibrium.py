@@ -707,7 +707,7 @@ def _row_values(values, i):
 
 def _block_records(beq, order, paths):
     """One period of the block ``beq`` solved by the kernel: each row's record, or None."""
-    nxt, ok, _, values = _solve_block(beq, order, _economy(paths), paths)
+    nxt, ok, _, values = _solve_block(beq, order, _economy(paths, beq), paths)
     ok = np.reshape(ok, -1)
     return [
         _record(paths[i], beq[i], nxt[i], _row_values(values, i)) if ok[i] else None
@@ -1228,6 +1228,181 @@ def test_block_rows_equal_their_chained_oracle(seed, n, rows):
             assert type(final) is type(error) and str(final) == str(error)
 
 
+def _assert_bits_equal(got, want, name="record"):
+    """Equal bit for bit: floats by ``.hex()``, vectors by their bytes, records field by field."""
+    if dataclasses.is_dataclass(got):
+        assert type(got) is type(want), name
+        for field in dataclasses.fields(got):
+            _assert_bits_equal(getattr(got, field.name), getattr(want, field.name), field.name)
+    elif isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    elif isinstance(got, float):
+        assert type(want) is float and got.hex() == want.hex(), name
+    else:
+        assert type(got) is type(want) and got == want, name
+
+
+def _assert_path_is_a_chain_of_first_periods(p, envy, start, nus, horizon):
+    """``simulate`` equals, bit for bit, ``solve_temporary`` called period by period, and
+    raises where that chain raises, with the same message.  Each call of the chain solves
+    a first period, which takes the dense route."""
+    chain, error, beq = [], None, start
+    for t in range(horizon):
+        try:
+            chain.append(solve_temporary(beq, nus[t], nus[t + 1], p, envy))
+        except JonesesError as exc:
+            error = exc
+            break
+        beq = chain[-1].bequests_next
+    if error is not None:
+        with pytest.raises(JonesesError) as raised:
+            simulate(start, nus, horizon, p, envy)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        records = _own_path((p, envy, start, nus), horizon).records  # the periods before it
+    else:
+        records = simulate(start, nus, horizon, p, envy).records
+    assert len(records) == len(chain)
+    for got, want in zip(records, chain):
+        _assert_bits_equal(got, want)
+        _assert_bits_equal(got.consumptions, want.consumptions, "consumptions")
+
+
+@contextlib.contextmanager
+def _route_spy():
+    """Per solved period of a path, in order: whether it took the zero-prefix route."""
+    routes, solve, route = [], equilibrium._solve_block, equilibrium._solve_zero_prefix
+
+    def solve_spy(beq, order, econ, paths, out=None):
+        routes.append(False)
+        return solve(beq, order, econ, paths, out)
+
+    def route_spy(*args):
+        solved = route(*args)
+        routes[-1] = solved is not None
+        return solved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_solve_block", solve_spy)
+        patch.setattr(equilibrium, "_solve_zero_prefix", route_spy)
+        yield routes
+
+
+def _zero_prefix_case(rng, n, horizon):
+    """A start whose poor hold zeros of either sign, with an economy, envy and tilts.
+
+    One to eight rich dynasties sit at random places, tied or not, and one of
+    them may hold a twentieth of its share, so that it can drop to zero.  The
+    envy is drawn valid, or now and then far above the existence ceiling; the
+    tilt changes once, at a random period.
+    """
+    drawn = random_params(rng)
+    p = validate_params(alpha=drawn.alpha, delta=drawn.delta, phi=drawn.phi, n_agents=n)
+    envy = random_envy(rng, p)
+    if rng.random() < 0.1:
+        envy = EnvySpec(base=0.0, scale=rng.uniform(1.0, 6.0) * gamma_hat(p.nu_upper, p))
+    rich = rng.choice(n, int(rng.integers(1, min(n - 1, 8) + 1)), replace=False)
+    start = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    start[rich] = 1.0 if rng.random() < 0.5 else rng.uniform(0.1, 1.0, rich.size)
+    if rich.size > 1 and rng.random() < 0.3:
+        start[rich[0]] *= 0.05
+    change = int(rng.integers(1, horizon + 1))
+    nus = [random_nu(rng, p)] * change + [random_nu(rng, p)] * (horizon + 1 - change)
+    return p, envy, start, nus
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 5, 64, 1024]))
+@settings(max_examples=100, deadline=None)
+def test_zero_prefix_paths_equal_a_chain_of_first_periods(seed, n):
+    horizon = 30 if n > 64 else 80
+    _assert_path_is_a_chain_of_first_periods(
+        *_zero_prefix_case(np.random.default_rng(seed), n, horizon), horizon
+    )
+
+
+_N64 = validate_params(alpha=BASELINE.alpha, delta=BASELINE.delta, phi=BASELINE.phi, n_agents=64)
+_DROP_START = np.zeros(64)
+_DROP_START[[3, 40]], _DROP_START[17], _DROP_START[5] = 1.0, 0.1, -0.0
+
+
+@pytest.mark.parametrize(
+    "p, envy, start, nus, want",
+    [
+        # the poor resume saving once the tilt falls to nu_lower: the route hands back to dense
+        pytest.param(
+            BASELINE, EnvySpec(0.0, 0.95), np.array([0.4, 0.0, -0.0, 0.0]),
+            [1.0] * 10 + [0.7] * 31,
+            "d" + "R" * 9 + "d" * 30, id="poor-resume-saving",
+        ),
+        # the announced rise to nu_upper makes the poor save for two periods, then the row
+        # takes the route again
+        pytest.param(
+            BASELINE, UNIT_ENVY, np.array([0.4, 0.0, -0.0, 0.0]),
+            [1.0] * 10 + [BASELINE.nu_upper] * 31, "d" + "R" * 8 + "d" * 3 + "R" * 28,
+            id="announcement",
+        ),
+        # the dynasty at 0.1 drops to zero in period 14, a scanned period, and the route
+        # resumes from a longer zero prefix
+        pytest.param(_N64, UNIT_ENVY, _DROP_START, [1.0] * 61, "d" + "R" * 13 + "d" + "R" * 30,
+                     id="rich-dynasty-drops"),
+        # the row sits at its fixed point, leaves the block and rejoins it at the tilt change
+        pytest.param(BASELINE, UNIT_ENVY, np.array([0.4, 0.0, -0.0, 0.0]), [1.0] * 80 + [0.9] * 41,
+                     None, id="leave-and-rejoin"),
+    ],
+)
+def test_zero_prefix_witnesses(p, envy, start, nus, want):
+    horizon = len(nus) - 1
+    with _route_spy() as routes:
+        traj = simulate(start, nus, horizon, p, envy)
+    taken = "".join("R" if r else "d" for r in routes)
+    if want is None:  # left at its fixed point, rejoined at the change, and routed after it
+        assert len(taken) < horizon and traj.records[60] is traj.records[70]
+        assert taken.endswith("R" * (horizon - 79)) and taken.count("d") == 1
+    else:
+        assert taken == want
+    counts = [r.m_count for r in traj.records]
+    if p is _N64:
+        assert counts[:14] == [3] * 14 and counts[14:] == [2] * (horizon - 14)
+    _assert_path_is_a_chain_of_first_periods(p, envy, start, nus, horizon)
+
+
+def test_a_polarised_path_takes_the_zero_prefix_route_after_its_first_period():
+    p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
+    rng = np.random.default_rng(4096)
+    polarised = rng.random(p.n_agents) * 1e-5  # the poor stop saving in period 0
+    polarised[rng.choice(p.n_agents, 8, replace=False)] = 1.0
+    egalitarian = rng.random(p.n_agents)
+    cases = [(polarised, "polarised", True), (egalitarian, "egalitarian", False)]
+    for start, kind, taken in cases:
+        assert classify(start, 1.0, p, UNIT_ENVY).kind == kind
+        with _route_spy() as routes:
+            traj = simulate(start, constant_schedule(1.0, p), 200, p, UNIT_ENVY)
+        assert len(routes) > 10 and routes == [False] + [taken] * (len(routes) - 1)
+        assert traj.records[-1].m_count == (8 if taken else p.n_agents)
+
+
+def test_a_stale_order_hands_the_zero_prefix_route_to_the_dense_one():
+    # a path's order never goes stale, as the period map is monotone; one handed in must
+    # still give the oracle's bytes, and leave the sorted buffer good for the next period
+    start = np.zeros(64)
+    start[[2, 30, 31, 50]] = [0.5, 1.0, 0.8, 1.0]
+    path = _Path(_N64, UNIT_ENVY)
+    path.nu_t = path.nu_next = 1.0
+    beq, order = start[None], np.argsort(start)[None]
+    econ = _economy([path], beq)
+    stale = order[:, ::-1].copy()
+    orders = [order, stale, stale]  # dense, stale, then as the dense route repaired it
+    records = []
+    with _route_spy() as routes:
+        for each in orders:
+            nxt, ok, _, values = equilibrium._solve_block(beq, each, econ, [path])
+            records.append(_record(path, beq[0], nxt[0], values))
+            beq = nxt
+    assert routes == [False, False, True] and ok
+    assert np.all(np.diff(records[2].bequests[stale[0]]) >= 0.0)
+    for record in records:
+        _assert_bits_equal(record, solve_temporary(record.bequests, 1.0, 1.0, _N64, UNIT_ENVY))
+
+
 class TestLockstepKernel:
     @pytest.mark.parametrize("stale", ["reversed", "random", "identity"])
     def test_stale_orders_are_repaired_row_by_row(self, stale):
@@ -1364,6 +1539,15 @@ class TestSimulate:
         with pytest.raises(error) as exc:
             final_capitals(initials, schedules, 5, [BASELINE] * n_paths, [UNIT_ENVY] * n_paths)
         assert type(exc.value) is error and str(exc.value).endswith(message)
+
+    def test_a_start_whose_size_is_not_its_n_agents_is_named_before_it_runs(self, monkeypatch):
+        # it used to run the 3 entries on an economy of 4 and return [0.1066...]
+        monkeypatch.setattr(equilibrium, "_run_paths", None)  # a path that runs fails otherwise
+        with pytest.raises(LengthMismatch) as exc:
+            final_capitals(
+                [np.full(3, 0.1)], [constant_schedule(1.0, BASELINE)], 5, [BASELINE], [UNIT_ENVY]
+            )
+        assert str(exc.value) == "path 0: expected 4 bequest entries, got 3"
 
     def test_randomized_paths_satisfy_dynamic_laws(self):
         rng = np.random.default_rng(53)

@@ -93,6 +93,16 @@ class TestTrajectoryCsv:
         assert ha == hb
 
 
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_an_empty_trajectory_is_named_and_leaves_no_file(self, tmp_path, per_agent):
+        with pytest.raises(DomainError, match="^trajectory is empty$"):
+            trajectory_csv_lines(Trajectory(()), per_agent=per_agent)
+        path = tmp_path / "empty.csv"
+        with pytest.raises(DomainError, match="^trajectory is empty$"):
+            write_trajectory_csv(Trajectory(()), path, per_agent=per_agent)
+        assert not path.exists()
+
+
 class TestPhasePlot:
     def test_markers_sit_at_steady_capital(self, tmp_path):
         path = tmp_path / "phase.svg"
