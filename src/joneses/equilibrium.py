@@ -22,9 +22,11 @@ first tries one guess, its number of positive inherited bequests, which
 along a path is the last period's active set: the guess is certified in
 O(1) beyond one prefix sum when it is consistent and its poorest active
 dynasty saves by more than a bound on the rounding, which proves that no
-earlier candidate is consistent in floating point.  The rows it does not
-certify (a first period, a kink, NaN) are found exactly by testing every
-candidate in one vectorised pass.  Either way a row gets the same bytes.
+earlier candidate is consistent in floating point.  A one-row block
+retries once, with the incomes that save at the failed guess's root (a
+first period guesses N).  The rows left (a kink, NaN, a block's failed
+guess) are found exactly by testing every candidate in one vectorised
+pass.  Either way a row gets the same bytes.
 The map is the upper envelope of the candidates' lines, so its root is
 also the largest candidate root; a row takes that one where rounding
 leaves no set consistent (a dynasty exactly at a kink).  Richer parents
@@ -62,9 +64,11 @@ leave 0.0, so the incomes, the root and the bequests are computed for the
 positive top alone, with the dense route's operations in its order.  It
 keeps an O(N) pass only where the bytes depend on every entry's place:
 numpy's pairwise sums and BLAS's dot group entries by position, so the
-sorted total and the Gini's rank dot run over a sorted buffer whose zero
-prefix persists between periods, the next vector is a full page summed
-for ``k_next``, and the consumptions are summed in dynasty order.  Rows
+Gini's rank dot runs over a sorted buffer whose zero prefix persists
+between periods, and the sorted total over the subtree of numpy's
+summation tree that holds the top; the next vector is a full page summed
+for ``k_next``, and the consumptions are summed in dynasty order.  A
+rich dynasty that drops to zero stays on the route, by the retry.  Rows
 with no zeros, blocks and first periods take the dense route, as do poor
 heirs that would save, non-finite rows, the scan and the errors; so
 :func:`solve_temporary`, a first period, is the route's oracle.
@@ -92,7 +96,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
@@ -146,6 +150,7 @@ class TemporaryEquilibrium:
     m_count: int  # dynasties leaving positive bequests
     xi_k: float  # xi/nu_t * k, which each income adds to the inherited bequest
     net: float  # (1 - tau_s)(1 + r), which scales each income
+    _step = None  # max |bequests_next - bequests| from the zero-prefix route; not a field
 
     @property
     def consumptions(self) -> np.ndarray:
@@ -206,6 +211,12 @@ def _scan_active_sets(desc, z, total, delta, xnn):
 
 
 _UNIT = np.finfo(float).eps.item() / 2.0  # unit roundoff u, a Python float
+
+
+# The kernel's counters of a path: its one-row periods that the zero-prefix route took and
+# declined, and its roots certified at the first guess, certified on the retry, and scanned.
+_COUNTS = ("route", "declined", "first", "retry", "scan")
+_ROUTE, _DECLINED, _FIRST, _RETRY, _SCAN = range(len(_COUNTS))
 
 
 def _certify(desc, guess, z, total, delta, xnn, n=None):
@@ -277,14 +288,47 @@ def _certify(desc, guess, z, total, delta, xnn, n=None):
     return kappa, ok & (head - tail > err + err / rho)
 
 
-def _roots(desc, guess, z, total, delta, xnn):
-    """The scan's root of each row, shaped like ``z``: certified from ``guess``, or else scanned."""
-    kappa, certified = _certify(desc, guess, z, total, delta, xnn)
+def _certify_row(desc, guess, z, total, delta, xnn, n=None):
+    """A one-row :func:`_certify` of ``guess`` g, then of a' where g fails: ``(kappa, how)``.
+
+    a' counts the incomes whose head is positive at kappa_g, by one binary
+    search; the proof holds for any guess.  A ``desc`` cut to its top g + 1
+    cannot try a' > g.  ``how`` is ``_FIRST``, ``_RETRY`` or None.
+    """
+    kappa, certified = _certify(desc, guess, z, total, delta, xnn, n)
+    if certified:
+        return kappa, _FIRST
+    held = desc.shape[1]
+    tail = delta * z * (total - kappa) + xnn * kappa
+    retry = held - np.searchsorted(desc[0, ::-1], tail / delta, side="right").item()
+    if 1 <= retry != guess and (retry < held or n is None):
+        kappa, certified = _certify(desc, retry, z, total, delta, xnn, n)
+        if certified:
+            return kappa, _RETRY
+    return kappa, None
+
+
+def _roots(desc, guess, z, total, delta, xnn, tally=None):
+    """The scan's root of each row, shaped like ``z``: certified, or else scanned.
+
+    One row retries (:func:`_certify_row`); each row's outcome is counted in
+    ``tally``, the block's (C x len(_COUNTS)) counters, if given.
+    """
     if not isinstance(z, np.ndarray):  # one row, its values scalars
-        return kappa if certified else _scan_active_sets(desc, z, total, delta, xnn).item(0)
+        kappa, how = _certify_row(desc, guess, z, total, delta, xnn)
+        if how is None:
+            kappa, how = _scan_active_sets(desc, z, total, delta, xnn).item(0), _SCAN
+        if tally is not None:
+            tally[0, how] += 1
+        return kappa
+    kappa, certified = _certify(desc, guess, z, total, delta, xnn)
+    if tally is not None:
+        tally[:, _FIRST] += certified
     if not certified.all():
         rest = ~certified
         kappa[rest] = _scan_active_sets(desc[rest], z[rest], total[rest], delta[rest], xnn[rest])
+        if tally is not None:
+            tally[rest, _SCAN] += 1
     return kappa[:, None]
 
 
@@ -320,11 +364,12 @@ class _Path:
     ``asc`` and ``cons`` are a one-row path's buffers for the zero-prefix
     route (see :func:`_solve_zero_prefix`), made once a solved period has
     left zeros; the first ``zeros`` entries of ``asc`` are zeros.
+    ``tally`` holds the kernel's counters of the path, read by :func:`_tally`.
     """
 
     __slots__ = (
         "params", "envy", "pairs", "nu_t", "nu_next", "taxes", "records", "error",
-        "asc", "cons", "zeros",
+        "asc", "cons", "zeros", "tally",
     )
 
     def __init__(self, params: EconomyParams, envy: EnvySpec, pairs=None, keep=False):
@@ -332,16 +377,23 @@ class _Path:
         self.records, self.error = ([] if keep else None), None
         self.asc = self.cons = None
         self.zeros = 0
+        self.tally = np.zeros(len(_COUNTS), np.intp)
+
+
+def _tally(path: _Path) -> dict:
+    """The kernel's counters of ``path`` since its block economy was built, by name."""
+    return dict(zip(_COUNTS, path.tally.tolist()))
 
 
 # A block's economy, one record per row: the index of its path, what holds for the whole
 # path, tau_s, xi/nu_t and xi/nu_next, priced again once ``priced`` is cleared, and the mean
 # ``k`` and the number of positive entries ``count`` of the row's vector, which each period
-# writes for the next: the same sum over the same array, and the count counted once.
+# writes for the next: the same sum over the same array, and the count counted once; and the
+# row's path's kernel counters, ``tally``, which each path reads through a view of its row.
 _ECONOMY = np.dtype([
     ("path", np.intp), ("alpha", float), ("delta", float), ("base", float), ("scale", float),
     ("tau_s", float), ("xi_nu", float), ("xnn", float), ("priced", bool),
-    ("k", float), ("count", np.intp),
+    ("k", float), ("count", np.intp), ("tally", np.intp, (len(_COUNTS),)),
 ], align=True)  # numpy buffers arithmetic on unaligned columns
 
 
@@ -350,10 +402,12 @@ def _economy(paths, beq) -> np.ndarray:
     """The block economy of ``paths`` from their starts ``beq``, its tilts not yet priced."""
     fixed = [(p.params.alpha, p.params.delta, p.envy.base, p.envy.scale) for p in paths]
     econ = np.array(
-        [(i, *f, 0.0, 0.0, 0.0, False, 0.0, 0) for i, f in enumerate(fixed)], dtype=_ECONOMY
+        [(i, *f, 0.0, 0.0, 0.0, False, 0.0, 0, 0) for i, f in enumerate(fixed)], dtype=_ECONOMY
     )
     econ["k"] = beq.sum(axis=1) / beq.shape[1]  # ndarray.mean, bit for bit
     econ["count"] = np.maximum((beq > 0.0).sum(axis=1), 1)  # a row with none raises; 1 guesses
+    for p, tally in zip(paths, econ["tally"]):  # a path reads its counters from its row
+        p.tally = tally
     return econ
 
 
@@ -405,10 +459,10 @@ def _solve_block(beq, order, econ, paths, out=None):
     positive top alone except in the O(N) passes whose bytes depend on
     every entry's place, and each of those must stay:
 
-    * the sorted total and the Gini's rank dot: numpy's pairwise sum and
-      BLAS's dot group the entries by position, so a sum or dot over the
-      top alone rounds differently; they run over the path's sorted
-      buffer, whose zero prefix persists and whose top alone is gathered;
+    * the Gini's rank dot: BLAS's dot groups the entries by position, so a
+      dot over the top alone rounds differently; it runs over the path's
+      sorted buffer, whose zero prefix persists and whose top alone is
+      gathered, and the sorted total over that buffer's spine subtree;
     * the page: it is the record's vector and the next period's input, so
       each zero is written (a fill), and its row sum is ``k_next``;
     * the consumptions: their row sum, in dynasty order, is
@@ -418,8 +472,9 @@ def _solve_block(beq, order, econ, paths, out=None):
     Returns ``(bequests_next, ok, same, values)``.  ``ok`` marks the rows
     that did not raise and ``same`` those of them with ``k_next == k``;
     ``values`` is ``(k, gamma, gini, k_next, avg_consumption, xi_k, net,
-    count)``, ``count`` the positive entries of ``bequests_next``.  All are
-    per-row values, from which :func:`_record` builds a row's record.
+    count)``, ``count`` the positive entries of ``bequests_next`` (the
+    route adds its step's sup-norm).  All are per-row values, from which
+    :func:`_record` builds a row's record.
     ``bequests_next`` is written into ``out``, a (C x N) array, when one is
     given, else into a new one.
     """
@@ -430,6 +485,7 @@ def _solve_block(beq, order, econ, paths, out=None):
             solved = _solve_zero_prefix(beq, order, econ, path, out)
             if solved is not None:
                 return solved
+            path.tally[_DECLINED] += 1
     row, at = _ONE_ROW if c == 1 else _COLUMNS
     asc = beq.take(order if c == 1 else order + np.arange(0, c * n, n)[:, None])
     for i in _rows(row((asc[:, :-1] <= asc[:, 1:]).all(axis=1)), False):
@@ -477,7 +533,7 @@ def _solve_block(beq, order, econ, paths, out=None):
     poorest = (row(asc[:, 0]) + xi_k) * net
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
-    kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn)
+    kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn, econ["tally"])
 
     bequests_next = np.multiply(delta, income, out=out)
     bequests_next -= delta * z * (total - kappa)
@@ -515,6 +571,24 @@ def _solve_block(beq, order, econ, paths, out=None):
     return bequests_next, ok, ok & (k_next == k), values
 
 
+@lru_cache(maxsize=64)
+def _spine_start(n: int, zeros: int) -> int:
+    """Where the least right-spine subtree of numpy's sum of N entries holding ``zeros:`` starts.
+
+    numpy sums float64 as a fixed tree: a leaf of 8 accumulators up to 128
+    entries, else a split at half the length rounded down to a multiple of
+    8.  A left subtree of zeros adds a zero to a positive sum, so a row of
+    ``zeros`` zeros, then positives, sums as that subtree, bit for bit.
+    """
+    start = 0
+    while n > 128:
+        half = n // 2 - n // 2 % 8
+        if zeros < start + half:
+            break
+        start, n = start + half, n - half
+    return start
+
+
 def _solve_zero_prefix(beq, order, econ, path, out):
     """The period of a one-row block whose vector ``beq`` holds ``N - count`` zeros, or None.
 
@@ -526,12 +600,13 @@ def _solve_zero_prefix(beq, order, econ, path, out):
     and the bequests are computed for the positive top alone, with the
     dense route's IEEE operations in its order, and the zeros as one
     scalar; the O(N) passes that stay are listed in :func:`_solve_block`.
-    Returns what that returns, or None where the dense route must run: a
-    stale order, a non-finite mean or total, a tilt that does not price, a
-    power past the float range, an uncertified root (the scan), poor heirs
-    that would save, and either error of the period.  What it leaves then,
-    a priced tilt and the buffers, the dense route computes alike or does
-    not read.
+    The root is certified at ``count`` or, where a rich dynasty drops, at
+    a retry below it.  Returns what that returns, or None where the dense
+    route must run: a stale order, a non-finite mean or total, a tilt that
+    does not price, a power past the float range, a root neither guess
+    certifies (the scan), poor heirs that would save, and either error of
+    the period.  What it leaves then, a priced tilt and the buffers, the
+    dense route computes alike or does not read.
     """
     n = beq.shape[1]
     count = econ["count"].item(0)
@@ -545,7 +620,7 @@ def _solve_zero_prefix(beq, order, econ, path, out):
     path.zeros = zeros if sorts else lo
     if not sorts:
         return None  # the order is stale: the dense route sorts again
-    asc_total = asc.sum(axis=1).item(0)
+    asc_total = asc[:, _spine_start(n, zeros):].sum(axis=1).item(0)  # asc.sum(axis=1), bit for bit
     k = econ["k"].item(0)
     if not (0.0 < k < np.inf and asc_total < np.inf):
         return None
@@ -565,8 +640,8 @@ def _solve_zero_prefix(beq, order, econ, path, out):
     income = np.add(asc[:, zeros - 1:], xi_k, out=cons[:, zeros - 1:])
     income *= net
     poorest = income.item(0)
-    kappa, certified = _certify(income[:, ::-1], count, z, total, delta, xnn, n)
-    if not certified:
+    kappa, how = _certify_row(income[:, ::-1], count, z, total, delta, xnn, n)
+    if how is None:
         return None
     drop, lift = delta * z * (total - kappa), xnn * kappa
     if not delta * poorest - drop - lift < 0.0:
@@ -578,6 +653,7 @@ def _solve_zero_prefix(beq, order, econ, path, out):
     np.maximum(0.0, kept, out=kept)
     kept /= 1.0 + delta
     spent = rich - kept
+    step = abs(kept - top).max().item()  # the vectors differ only where the old one is positive
     heirs = order[:, zeros:]
     bequests_next = np.empty((1, n)) if out is None else out
     bequests_next.fill(0.0)  # max(0, negative) / (1 + delta)
@@ -590,17 +666,22 @@ def _solve_zero_prefix(beq, order, econ, path, out):
         return None
     count_next = int(np.count_nonzero(kept > 0.0))
     econ[["k", "count"]][0] = (k_next, count_next)
-    return bequests_next, True, k_next == k, (k, gamma, g, k_next, avg, xi_k, net, count_next)
+    path.tally[_ROUTE] += 1
+    path.tally[how] += 1
+    return bequests_next, True, k_next == k, (k, gamma, g, k_next, avg, xi_k, net, count_next, step)
 
 
 def _record(path, beq, bequests_next, values) -> TemporaryEquilibrium:
     """The record of a period that ``path`` solved from ``beq``; ``values`` as one row's floats."""
-    k, gamma, gini, k_next, avg, xi_k, net, count = values
-    return TemporaryEquilibrium(
+    k, gamma, gini, k_next, avg, xi_k, net, count, *step = values
+    record = TemporaryEquilibrium(
         k=k, output=k ** path.params.alpha, gamma=gamma, gini=gini, bequests=beq,
         bequests_next=bequests_next, k_next=k_next, avg_consumption=avg,
         prices=factor_prices(k, path.params), taxes=path.taxes, m_count=count, xi_k=xi_k, net=net,
     )
+    if step:
+        object.__setattr__(record, "_step", step[0])
+    return record
 
 
 @dataclass(frozen=True)
@@ -1011,7 +1092,10 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
         if r is not last:  # a repeated record has the delta it had the period before
             d = abs(r.k_next - r.k)
             if not d >= tol:  # else the step is not below tol, whatever the vector's part
-                d = max(d, float(np.abs(r.bequests_next - r.bequests).max()))
+                step = r._step  # the route's, else a pass over every entry
+                if step is None:
+                    step = float(np.abs(r.bequests_next - r.bequests).max())
+                d = max(d, step)
             last = r
         deltas[t] = d
     below = deltas < tol

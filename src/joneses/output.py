@@ -8,7 +8,7 @@ coordinates.  Identical inputs therefore produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,11 +65,14 @@ def _record_cells(r, per_agent: bool) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path, per_agent: bool = False) -> None:
+    """The lines of :func:`trajectory_csv_lines`, each ended by a newline, one write per chunk."""
     lines = trajectory_csv_lines(traj, per_agent)  # an empty trajectory raises before the open
+    cells = CSV_HEADER.count(",") + 1 + (2 * traj.records[0].bequests.size if per_agent else 0)
+    rows = max(1, (1 << 15) // cells)  # 3,276 aggregate lines per write, or one of 16,384 dynasties
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        while chunk := list(islice(lines, rows)):
+            chunk.append("")  # the chunk's last newline
+            fh.write("\n".join(chunk))
 
 
 # ---------------------------------------------------------------------------

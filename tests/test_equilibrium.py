@@ -46,6 +46,8 @@ from joneses.equilibrium import (
     _run_paths,
     _scan_active_sets,
     _solve_block,
+    _spine_start,
+    _tally,
     _tilt_pairs,
     final_capitals,
 )
@@ -1319,6 +1321,41 @@ def test_zero_prefix_paths_equal_a_chain_of_first_periods(seed, n):
     )
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 5, 64, 1024]))
+@settings(max_examples=60, deadline=None)
+def test_zero_prefix_steps_are_the_sup_norm_of_the_step(seed, n):
+    # the route hands on max |bequests_next - bequests| over its heirs alone; it must be
+    # the norm over every entry, and detect_convergence must report as the formula does
+    horizon = 30 if n > 64 else 80
+    p, envy, start, nus = _zero_prefix_case(np.random.default_rng(seed), n, horizon)
+    records = _own_path((p, envy, start, nus), horizon).records
+    for r in records:
+        if r._step is not None:
+            want = np.abs(r.bequests_next - r.bequests).max().item()
+            assert r._step.hex() == want.hex()
+    if records:
+        traj = Trajectory(tuple(records))
+        for tol in (1e-9, 1e-6, 1e-3):
+            _assert_report_equals_oracle(traj, tol)
+
+
+def test_the_spine_subtree_sums_as_the_whole_row():
+    # the route sums its sorted buffer over the subtree of numpy's pairwise tree that holds
+    # the top; a numpy whose float64 sum groups otherwise fails here, not in the hashes
+    rng = np.random.default_rng(2)
+    sizes = [2, 3, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 1024, 4100, 16383, 16384]
+    for trial in range(3000):
+        n = sizes[trial % len(sizes)] if trial % 2 else int(rng.integers(2, 16385))
+        count = int(rng.integers(1, min(n, 40) + 1)) if trial % 3 else int(rng.integers(1, n + 1))
+        row = np.where(rng.random(n) < 0.5, 0.0, -0.0)[None]
+        row[0, n - count:] = np.sort(rng.random(count) * 10.0 ** rng.uniform(-5.0, 5.0, count))
+        start = _spine_start(n, n - count)
+        assert 0 <= start <= n - count
+        got, want = row[:, start:].sum(axis=1).item(0), row.sum(axis=1).item(0)
+        assert got.hex() == want.hex(), (n, count)
+    assert _spine_start(16384, 16368) == 16384 - 128  # 16 rich: the last leaf
+
+
 _N64 = validate_params(alpha=BASELINE.alpha, delta=BASELINE.delta, phi=BASELINE.phi, n_agents=64)
 _DROP_START = np.zeros(64)
 _DROP_START[[3, 40]], _DROP_START[17], _DROP_START[5] = 1.0, 0.1, -0.0
@@ -1340,9 +1377,10 @@ _DROP_START[[3, 40]], _DROP_START[17], _DROP_START[5] = 1.0, 0.1, -0.0
             [1.0] * 10 + [BASELINE.nu_upper] * 31, "d" + "R" * 8 + "d" * 3 + "R" * 28,
             id="announcement",
         ),
-        # the dynasty at 0.1 drops to zero in period 14, a scanned period, and the route
-        # resumes from a longer zero prefix
-        pytest.param(_N64, UNIT_ENVY, _DROP_START, [1.0] * 61, "d" + "R" * 13 + "d" + "R" * 30,
+        # the dynasty at 0.1 drops to zero in period 14: the route's guess, three, is one
+        # too many, its retry of two is certified, and the route goes on from a longer zero
+        # prefix
+        pytest.param(_N64, UNIT_ENVY, _DROP_START, [1.0] * 61, "d" + "R" * 44,
                      id="rich-dynasty-drops"),
         # the row sits at its fixed point, leaves the block and rejoins it at the tilt change
         pytest.param(BASELINE, UNIT_ENVY, np.array([0.4, 0.0, -0.0, 0.0]), [1.0] * 80 + [0.9] * 41,
@@ -1362,6 +1400,12 @@ def test_zero_prefix_witnesses(p, envy, start, nus, want):
     counts = [r.m_count for r in traj.records]
     if p is _N64:
         assert counts[:14] == [3] * 14 and counts[14:] == [2] * (horizon - 14)
+    # the kernel's counters agree with the spy: one period per route decision and root
+    tally = _tally(_own_path((p, envy, start, nus), horizon))
+    assert tally["route"] == taken.count("R") and tally["declined"] < taken.count("d")
+    assert tally["first"] + tally["retry"] + tally["scan"] == len(taken)
+    if p is _N64:  # period 14's guess of three is one too many: the retry certifies two
+        assert tally["retry"] >= 1 and tally["scan"] == 0
     _assert_path_is_a_chain_of_first_periods(p, envy, start, nus, horizon)
 
 
@@ -1378,6 +1422,38 @@ def test_a_polarised_path_takes_the_zero_prefix_route_after_its_first_period():
             traj = simulate(start, constant_schedule(1.0, p), 200, p, UNIT_ENVY)
         assert len(routes) > 10 and routes == [False] + [taken] * (len(routes) - 1)
         assert traj.records[-1].m_count == (8 if taken else p.n_agents)
+        path = _own_path((p, UNIT_ENVY, start, [1.0] * 201), 200)
+        solved = len(routes)
+        if taken:  # the dense first period guesses N, and its retry certifies the rich
+            want = {"route": solved - 1, "declined": 0, "first": solved - 1, "retry": 1, "scan": 0}
+        else:
+            want = {"route": 0, "declined": 0, "first": solved, "retry": 0, "scan": 0}
+        assert _tally(path) == want
+
+
+def test_a_polarised_first_period_is_certified_on_the_retry_without_a_scan(monkeypatch):
+    # every dynasty holds a positive bequest, so the dense first period guesses N; the
+    # poor do not save, and the retry, the incomes that save at the root of N, certifies
+    p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
+    rng = np.random.default_rng(16)
+    start = rng.random(p.n_agents) * 1e-5
+    start[rng.choice(p.n_agents, 16, replace=False)] = 1.0
+    scanned = []
+
+    def spy(desc, *columns):
+        scanned.append(desc.shape[0])
+        return _scan_active_sets(desc, *columns)
+
+    monkeypatch.setattr(equilibrium, "_scan_active_sets", spy)
+    path = _own_path((p, UNIT_ENVY, start, [1.0, 1.0]), 1)
+    assert scanned == []
+    assert _tally(path) == {"route": 0, "declined": 0, "first": 0, "retry": 1, "scan": 0}
+    record = path.records[0]
+    assert record.m_count == 16
+    order = np.argsort(start, kind="stable")
+    want = period_oracle(start, order, 1.0, 1.0, p, UNIT_ENVY)
+    _assert_same_records(record, want)
+    assert record.bequests_next.tobytes() == want.bequests_next.tobytes()
 
 
 def test_a_stale_order_hands_the_zero_prefix_route_to_the_dense_one():

@@ -92,6 +92,24 @@ class TestTrajectoryCsv:
         hb = hashlib.sha256(b.read_bytes()).hexdigest()
         assert ha == hb
 
+    @pytest.mark.parametrize(
+        "horizon, n_agents, per_agent",
+        [(10_000, 4, False), (40, 4, True), (40, 2_000, True)],
+        ids=["settled-long", "per-agent", "per-agent-wide"],
+    )
+    def test_the_file_is_the_lines_each_ended_by_a_newline(
+        self, tmp_path, horizon, n_agents, per_agent
+    ):
+        # the writer joins chunks of lines: a settled path of more than two chunks, and
+        # per-agent paths whose lines fit one chunk or fill six
+        p = validate_params(alpha=BASELINE.alpha, delta=BASELINE.delta, phi=BASELINE.phi,
+                            n_agents=n_agents)
+        start = np.random.default_rng(n_agents).random(n_agents)
+        traj = simulate(start, constant_schedule(1.0, p), horizon, p, UNIT_ENVY)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path, per_agent=per_agent)
+        want = "\n".join(trajectory_csv_lines(traj, per_agent=per_agent)) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
     @pytest.mark.parametrize("per_agent", [False, True])
     def test_an_empty_trajectory_is_named_and_leaves_no_file(self, tmp_path, per_agent):
