@@ -79,9 +79,10 @@ def _gini_weights(asc: np.ndarray, base, scale, total=None):
     """Gini and envy weight of each ascending, C-contiguous row of ``asc``.
 
     ``total``, if given, is the rows' ``sum(axis=1)``, which may be inf.
-    For one row, ``base``, ``scale``, ``total`` and the results are Python
-    floats, whose IEEE operations are numpy's; for C rows they are floats
-    or per-row values, C entries or (C x 1) columns, shaped like ``total``.
+    For one row, ``total`` and the Gini are Python floats, whose IEEE
+    operations are numpy's, and the weight is typed as ``base`` and
+    ``scale``; for C rows they are floats or per-row values, C entries or
+    (C x 1) columns, shaped like ``total``.
     ``np.vecdot`` runs BLAS's dot once per row, as ``ndarray.dot`` does, so
     a row gets the bytes it would get alone.  All equal (N=1 included)
     takes precedence over a single positive holder.  A row whose ``n *

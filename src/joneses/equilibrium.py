@@ -22,7 +22,7 @@ first tries one guess, its number of positive inherited bequests, which
 along a path is the last period's active set: the guess is certified in
 O(1) beyond one prefix sum when it is consistent and its poorest active
 dynasty saves by more than a bound on the rounding, which proves that no
-earlier candidate is consistent in floating point.  A one-row block
+earlier candidate is consistent in floating point.  A one-row period
 retries once, with the incomes that save at the failed guess's root (a
 first period guesses N).  The rows left (a kink, NaN, a block's failed
 guess) are found exactly by testing every candidate in one vectorised
@@ -38,40 +38,42 @@ wealth vector is validated once, where it enters: the public functions
 here take plain vectors, and nothing behind them validates the same
 vector again.
 
-There is one period kernel, which solves a (C x N) block of bequest
-rows in lockstep, and one driver, ``_run_paths``, which steps it through
-the periods: :func:`simulate`, :func:`solve_temporary` and the reform
-planner on one row, :func:`final_capitals` (the sweep's) on a block of
-cells that share the horizon and the number of dynasties, each row's
-economy held as columns.  Every row is rounded exactly as it would be
-alone: row-wise means, sums and cumulative sums equal the 1-D calls bit
-for bit, the Gini and weight come from the function that ``gini`` runs,
-and the per-row values repeat the scalar operations.  They are columns,
-or in a one-row block Python floats, so a path calls numpy only for its
-O(N) passes; the only per-row Python call is one power, and the Gini's
-rank dots are one ``np.vecdot`` over the block.  Every tilt is priced as
-a Python float.  The kernel has one float policy: numpy's warnings are
-off, and typed tests alone decide each row, which NaN and inf fail.  A
-row that raises is frozen with the error, and message, its own path
-raises; the other rows go on.  Each period counts its positive bequests
-once, and a row's count and mean are the next period's guess and mean.
+There is one driver, ``_run_paths``, which steps a (C x N) block of
+bequest rows through the periods in lockstep, and a period has two
+shapes: a block's per-row values are (C x 1) columns (``_solve_block``),
+one row's are Python floats (``_solve_row``), so a row alone calls numpy
+only for its O(N) passes.  :func:`simulate`, :func:`solve_temporary` and
+the reform planner run one row, :func:`final_capitals` (the sweep's) a
+block of cells that share the horizon and the number of dynasties.
+Every row is rounded exactly as it would be alone: row-wise means, sums
+and cumulative sums equal the 1-D calls bit for bit, the Gini and weight
+come from the function that ``gini`` runs, and both shapes repeat the
+same IEEE operations; a block's only per-row Python call is one power,
+and its rank dots are one ``np.vecdot``.  A row that the one-row shape
+declines (a stale order, a root neither guess certifies, an error) is
+solved as a one-row column block.  Every tilt is priced as a Python
+float.  The kernel has one float policy: numpy's warnings are off, and
+typed tests alone decide each row, which NaN and inf fail.  A row that
+raises is frozen with the error, and message, its own path raises; the
+other rows go on.  Each period counts its positive bequests once, and a
+row's count and mean are the next period's guess and mean.
 
 In the polarised regime the poor hold exact zeros from the first solved
-period on.  A one-row block whose zeros its path's last period wrote
-takes the zero-prefix route: they come first under the order, all earn
-one income and, while their heirs' bequest numerator stays negative,
-leave 0.0, so the incomes, the root and the bequests are computed for the
-positive top alone, with the dense route's operations in its order.  It
-keeps an O(N) pass only where the bytes depend on every entry's place:
-numpy's pairwise sums and BLAS's dot group entries by position, so the
-Gini's rank dot runs over a sorted buffer whose zero prefix persists
-between periods, and the sorted total over the subtree of numpy's
-summation tree that holds the top; the next vector is a full page summed
-for ``k_next``, and the consumptions are summed in dynasty order.  A
-rich dynasty that drops to zero stays on the route, by the retry.  Rows
-with no zeros, blocks and first periods take the dense route, as do poor
-heirs that would save, non-finite rows, the scan and the errors; so
-:func:`solve_temporary`, a first period, is the route's oracle.
+period on.  One row whose zeros its path's last period wrote takes the
+zero-prefix form: they come first under the order, all earn one income
+and, while their heirs' bequest numerator stays negative, leave 0.0, so
+the incomes, the root and the bequests are computed for the positive top
+alone, with the dense form's operations in its order.  It keeps an O(N)
+pass only where the bytes depend on every entry's place: numpy's
+pairwise sums and BLAS's dot group entries by position, so the Gini's
+rank dot runs over a sorted buffer whose zero prefix persists between
+periods, and the sorted total over the subtree of numpy's summation tree
+that holds the top; the next vector is a full page summed for
+``k_next``, and the consumptions are summed in dynasty order.  A rich
+dynasty that drops to zero keeps the form, by the retry.  Rows with no
+zeros and first periods take the dense form, and poor heirs that would
+save go to the columns; so :func:`solve_temporary`, a first period, is
+the zero-prefix form's oracle.
 
 In floating point a path does not just approach its steady state: from
 some period on it sits on it exactly, ``bequests_next`` equal to
@@ -97,7 +99,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,7 +151,7 @@ class TemporaryEquilibrium:
     m_count: int  # dynasties leaving positive bequests
     xi_k: float  # xi/nu_t * k, which each income adds to the inherited bequest
     net: float  # (1 - tau_s)(1 + r), which scales each income
-    _step = None  # max |bequests_next - bequests| from the zero-prefix route; not a field
+    _step = None  # max |bequests_next - bequests| from the zero-prefix form; not a field
 
     @property
     def consumptions(self) -> np.ndarray:
@@ -213,8 +214,8 @@ def _scan_active_sets(desc, z, total, delta, xnn):
 _UNIT = np.finfo(float).eps.item() / 2.0  # unit roundoff u, a Python float
 
 
-# The kernel's counters of a path: its one-row periods that the zero-prefix route took and
-# declined, and its roots certified at the first guess, certified on the retry, and scanned.
+# The kernel's counters of a path: its one-row periods that took the zero-prefix form and that
+# _solve_row declined, and its roots certified at the first guess, on the retry, and scanned.
 _COUNTS = ("route", "declined", "first", "retry", "scan")
 _ROUTE, _DECLINED, _FIRST, _RETRY, _SCAN = range(len(_COUNTS))
 
@@ -224,16 +225,16 @@ def _certify(desc, guess, z, total, delta, xnn, n=None):
 
     The arguments are those of :func:`_scan_active_sets` plus ``guess``, an
     integer in 1..N per row; the results are vectors of C entries, or
-    scalars when the per-row values are (Python floats in a one-row
-    block).  A one-row ``desc`` may hold only the row's top ``guess + 1``
-    incomes, when ``n`` gives its length N.  Candidate g = ``guess`` is
-    computed with the scan's own IEEE operations in its order (its prefix
-    sum from the same sequential cumsum, cut at g).  A row is certified
-    when g passes the scan's three tests and the poorest active dynasty's
-    float margin m = delta*I_g - tail_g exceeds E = err*(1 + 1/rho); then
-    no a < g passes the scan's tests, and ``kappa`` is bit for bit the
-    root the scan returns.  The
-    proof, in exact arithmetic on the float inputs, with s = delta*z -
+    scalars when the per-row values are (Python floats, as
+    :func:`_solve_row` passes them).  A one-row ``desc`` may hold only the
+    row's top ``guess + 1`` incomes, when ``n`` gives its length N.
+    Candidate g = ``guess`` is computed with the scan's own IEEE operations
+    in its order (its prefix sum from the same sequential cumsum, cut at
+    g).  A row is certified when g passes the scan's three tests and the
+    poorest active dynasty's float margin m = delta*I_g - tail_g exceeds
+    E = err*(1 + 1/rho); then no a < g passes the scan's tests, and
+    ``kappa`` is bit for bit the root the scan returns.  The proof, in
+    exact arithmetic on the float inputs, with s = delta*z -
     xi/nu_next, the heads h_j(kappa) = delta*I_j - delta*z*total +
     s*kappa, D_a = N(1+delta) - a*s and rho = min(1, D_g/(N(1+delta))):
 
@@ -258,9 +259,9 @@ def _certify(desc, guess, z, total, delta, xnn, n=None):
 
     The proof holds for any g, so a wrong guess costs only a scan.  Under
     the kernel's float policy, warnings off, a row with NaN or inf fails
-    the tests and an infinite bound certifies nothing.  Nor is a one-row
-    block whose D_g rounds to 0 (delta and gamma past 2**53) certified:
-    Python floats raise on a zero divisor.
+    the tests and an infinite bound certifies nothing.  Nor is a row in
+    Python floats whose D_g rounds to 0 (delta and gamma past 2**53)
+    certified: Python floats raise on a zero divisor.
     """
     c, n = len(desc), n or desc.shape[1]
     vectors = isinstance(z, np.ndarray)
@@ -292,8 +293,9 @@ def _certify_row(desc, guess, z, total, delta, xnn, n=None):
     """A one-row :func:`_certify` of ``guess`` g, then of a' where g fails: ``(kappa, how)``.
 
     a' counts the incomes whose head is positive at kappa_g, by one binary
-    search; the proof holds for any guess.  A ``desc`` cut to its top g + 1
-    cannot try a' > g.  ``how`` is ``_FIRST``, ``_RETRY`` or None.
+    search; the proof holds for any guess.  A ``desc`` cut short of its
+    length ``n`` cannot try a' = all it holds.  ``how`` is ``_FIRST``,
+    ``_RETRY`` or None.
     """
     kappa, certified = _certify(desc, guess, z, total, delta, xnn, n)
     if certified:
@@ -301,34 +303,25 @@ def _certify_row(desc, guess, z, total, delta, xnn, n=None):
     held = desc.shape[1]
     tail = delta * z * (total - kappa) + xnn * kappa
     retry = held - np.searchsorted(desc[0, ::-1], tail / delta, side="right").item()
-    if 1 <= retry != guess and (retry < held or n is None):
+    if 1 <= retry != guess and (retry < held or n in (None, held)):
         kappa, certified = _certify(desc, retry, z, total, delta, xnn, n)
         if certified:
             return kappa, _RETRY
     return kappa, None
 
 
-def _roots(desc, guess, z, total, delta, xnn, tally=None):
-    """The scan's root of each row, shaped like ``z``: certified, or else scanned.
+def _roots(desc, guess, z, total, delta, xnn, tally):
+    """The scan's root of each row, a (C x 1) column: certified, or else scanned.
 
-    One row retries (:func:`_certify_row`); each row's outcome is counted in
-    ``tally``, the block's (C x len(_COUNTS)) counters, if given.
+    Each row's outcome is counted in ``tally``, the block's (C x len(_COUNTS))
+    counters.
     """
-    if not isinstance(z, np.ndarray):  # one row, its values scalars
-        kappa, how = _certify_row(desc, guess, z, total, delta, xnn)
-        if how is None:
-            kappa, how = _scan_active_sets(desc, z, total, delta, xnn).item(0), _SCAN
-        if tally is not None:
-            tally[0, how] += 1
-        return kappa
     kappa, certified = _certify(desc, guess, z, total, delta, xnn)
-    if tally is not None:
-        tally[:, _FIRST] += certified
+    tally[:, _FIRST] += certified
     if not certified.all():
         rest = ~certified
         kappa[rest] = _scan_active_sets(desc[rest], z[rest], total[rest], delta[rest], xnn[rest])
-        if tally is not None:
-            tally[rest, _SCAN] += 1
+        tally[rest, _SCAN] += 1
     return kappa[:, None]
 
 
@@ -362,8 +355,8 @@ class _Path:
     path's row of block columns (``_ECONOMY``), and ``taxes`` are those of
     ``nu_t``.  ``records`` is a list only on a one-row path that keeps them.
     ``asc`` and ``cons`` are a one-row path's buffers for the zero-prefix
-    route (see :func:`_solve_zero_prefix`), made once a solved period has
-    left zeros; the first ``zeros`` entries of ``asc`` are zeros.
+    form (see :func:`_solve_row`), made once a solved period has left
+    zeros; the first ``zeros`` entries of ``asc`` are zeros.
     ``tally`` holds the kernel's counters of the path, read by :func:`_tally`.
     """
 
@@ -421,12 +414,6 @@ def _price(econ, i, path) -> None:
     )
 
 
-# A block's per-row values are Python scalars for one row, else (C x 1) columns.  Each pair
-# reads a C-vector's per-row value and row i of a per-row value.
-_ONE_ROW = (methodcaller("item", 0), lambda v, i: v)
-_COLUMNS = (itemgetter((slice(None), None)), np.ndarray.item)
-
-
 def _rows(mask, holds=True):
     """The rows where a per-row mask is ``holds``; a bool is the mask of one row."""
     if isinstance(mask, np.ndarray):
@@ -443,74 +430,58 @@ def _solve_block(beq, order, econ, paths, out=None):
     ``order[i]`` should sort it ascending.  A stale order is overwritten in
     place by a stable argsort, a row whose tilts are not priced is priced
     in place, and each row's ``k`` and ``count`` are overwritten with those
-    of the vector it hands on.  Each row is rounded as the one-row case
-    would round it (see the module docstring); only the power ``k **
-    (alpha - 1)`` is a scalar call per row, since numpy's elementwise power
-    rounds differently.  numpy's float warnings are off in here, for every
-    function it calls: typed tests decide each row (a finite positive mean
-    and ascending total, the root's consistency tests, which NaN and inf
-    fail, ``k_next > 0`` and the envy floor).  A row that fails one records
-    the error on its path and computes finite filler from then on; the
-    rest go on.
+    of the vector it hands on.  The per-row values are (C x 1) columns, and
+    each row is rounded as it would be alone (see the module docstring);
+    only the power ``k ** (alpha - 1)`` is a scalar call per row, since
+    numpy's elementwise power rounds differently.  numpy's float warnings
+    are off in here, for every function it calls: typed tests decide each
+    row (a finite positive mean and ascending total, the root's
+    consistency tests, which NaN and inf fail, ``k_next > 0`` and the envy
+    floor).  A row that fails one records the error on its path and
+    computes finite filler from then on; the rest go on.
 
-    A one-row block whose vector holds zeros that the path's last period
-    wrote takes the zero-prefix route, :func:`_solve_zero_prefix`; where it
-    declines, the period runs densely here.  That route works on the
-    positive top alone except in the O(N) passes whose bytes depend on
-    every entry's place, and each of those must stay:
-
-    * the Gini's rank dot: BLAS's dot groups the entries by position, so a
-      dot over the top alone rounds differently; it runs over the path's
-      sorted buffer, whose zero prefix persists and whose top alone is
-      gathered, and the sorted total over that buffer's spine subtree;
-    * the page: it is the record's vector and the next period's input, so
-      each zero is written (a fill), and its row sum is ``k_next``;
-    * the consumptions: their row sum, in dynasty order, is
-      ``avg_consumption``, so they are filled with the zeros' and given
-      the top's by scatter.
+    A one-row block is handed to :func:`_solve_row`; where that declines,
+    the row is solved here as a one-row column block.
 
     Returns ``(bequests_next, ok, same, values)``.  ``ok`` marks the rows
     that did not raise and ``same`` those of them with ``k_next == k``;
     ``values`` is ``(k, gamma, gini, k_next, avg_consumption, xi_k, net,
-    count)``, ``count`` the positive entries of ``bequests_next`` (the
-    route adds its step's sup-norm).  All are per-row values, from which
-    :func:`_record` builds a row's record.
+    count)``, ``count`` the positive entries of ``bequests_next``, from
+    which :func:`_record` builds a row's record.  For a one-row block all
+    of these are Python scalars, else per-row columns.
     ``bequests_next`` is written into ``out``, a (C x N) array, when one is
     given, else into a new one.
     """
     c, n = beq.shape
     if c == 1:
         path = paths[econ["path"].item(0)]
-        if path.asc is not None and econ["count"].item(0) < n:
-            solved = _solve_zero_prefix(beq, order, econ, path, out)
-            if solved is not None:
-                return solved
-            path.tally[_DECLINED] += 1
-    row, at = _ONE_ROW if c == 1 else _COLUMNS
-    asc = beq.take(order if c == 1 else order + np.arange(0, c * n, n)[:, None])
-    for i in _rows(row((asc[:, :-1] <= asc[:, 1:]).all(axis=1)), False):
+        solved = _solve_row(beq, order, econ, path, out)
+        if solved is not None:
+            return solved
+        path.tally[_DECLINED] += 1
+    asc = beq.take(order + np.arange(0, c * n, n)[:, None])
+    for i in _rows((asc[:, :-1] <= asc[:, 1:]).all(axis=1), False):
         order[i] = np.argsort(beq[i], kind="stable")
         asc[i] = beq[i, order[i]]
-    kv = econ["k"].copy()
-    k = row(kv)
-    asc_total = row(asc.sum(axis=1))  # can overflow where the row's own total did not
+    k = econ["k"][:, None].copy()
+    asc_total = asc.sum(axis=1)[:, None]  # can overflow where the row's own total did not
     ok, rows = np.ones(c, dtype=bool), econ["path"]
     good = (0.0 < k) & (k < np.inf) & (asc_total < np.inf)
-    for i in _rows(good & row(econ["priced"]), False):
+    for i in _rows(good & econ["priced"][:, None], False):
         p = paths[rows[i]]
         try:
-            if not at(good, i):
+            if not good.item(i):
                 as_distribution(asc[i])  # the Gini rejects a non-finite row,
-                factor_prices(kv.item(i), p.params)  # the prices a mean that is not > 0
+                factor_prices(k.item(i), p.params)  # the prices a mean that is not > 0
             _price(econ, i, p)
         except JonesesError as exc:
-            p.error, ok[i], kv[i] = exc, False, 1.0  # the mean's filler
+            p.error, ok[i], k[i] = exc, False, 1.0  # the mean's filler
 
-    g, gamma = _gini_weights(asc, row(econ["base"]), row(econ["scale"]), asc_total)
-    delta = row(econ["delta"])
+    g, gamma = _gini_weights(asc, econ["base"][:, None], econ["scale"][:, None], asc_total)
+    delta = econ["delta"][:, None]
     z = gamma / (1.0 + gamma)
 
-    k, kl, alphas = row(kv), kv.tolist(), econ["alpha"].tolist()
+    kl, alphas = k[:, 0].tolist(), econ["alpha"].tolist()
     try:
         gross = np.fromiter(map(gross_return, kl, alphas), float, c)
     except ModelError:  # a power past the float range: that row raises, the others go on
@@ -520,17 +491,17 @@ def _solve_block(beq, order, econ, paths, out=None):
                 gross[i] = gross_return(k_i, alpha)
             except ModelError as exc:
                 paths[rows[i]].error, ok[i] = exc, False
-    gross = row(gross)
-    net, xi_nu, xnn = (1.0 - row(econ["tau_s"])) * gross, row(econ["xi_nu"]), row(econ["xnn"])
+    net = (1.0 - econ["tau_s"][:, None]) * gross[:, None]
+    xi_nu, xnn = econ["xi_nu"][:, None], econ["xnn"][:, None]
     xi_k = xi_nu * k
     total = net * (xi_nu + 1.0) * k  # = (1-phi) * k**alpha
     income = xi_k + beq
     income *= net
-    guess = row(econ["count"])  # positive bequests: on a path, the last active set
+    guess = econ["count"]  # positive bequests: on a path, the last active set
     # the least bequest's income, income[order[0]] bit for bit (the same two operations, and
     # addition commutes); both are monotone, so it is the least income.  A NaN income fails
     # as short before the floor test reads it.
-    poorest = (row(asc[:, 0]) + xi_k) * net
+    poorest = (asc[:, :1] + xi_k) * net
     asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
     asc *= net
     kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn, econ["tally"])
@@ -540,35 +511,31 @@ def _solve_block(beq, order, econ, paths, out=None):
     bequests_next -= xnn * kappa
     np.maximum(0.0, bequests_next, out=bequests_next)
     bequests_next /= 1.0 + delta
-    k_next = row(bequests_next.sum(axis=1)) / n
+    k_next = bequests_next.sum(axis=1)[:, None] / n
     consumptions = np.subtract(income, bequests_next, out=asc)  # records recompute theirs
-    avg = row(consumptions.sum(axis=1)) / n
+    avg = consumptions.sum(axis=1)[:, None] / n
     floor = z * avg
     for i in _rows((k_next > 0.0) & (poorest > floor), False):
         if not ok[i]:
             continue
         # a root <= 0 leaves no head positive, a non-finite one NaN heads
-        if not at(k_next, i) > 0.0:
+        if not k_next.item(i) > 0.0:
             error = NoPositiveRoot("next-period capital intensity is not positive")
         else:
             error = EnvyTooStrong(
-                f"envy weight {at(gamma, i)} leaves a dynasty with income "
-                f"{income[i].min()} at or below the consumption floor {at(floor, i)}"
+                f"envy weight {gamma.item(i)} leaves a dynasty with income "
+                f"{income[i].min()} at or below the consumption floor {floor.item(i)}"
             )
         paths[rows[i]].error, ok[i] = error, False
 
-    positive = bequests_next > 0.0
-    if c == 1:
-        count = int(np.count_nonzero(positive))
-        econ[["k", "count"]][0] = (k_next, count)
-        if count < n and path.asc is None:  # the route's buffers: the next period's zeros are ours
-            path.asc, path.cons = np.empty((1, n)), np.empty((1, n))
-    else:
-        count = positive.sum(axis=1)
-        econ["k"], econ["count"] = k_next[:, 0], count
-    ok = row(ok)
+    count = (bequests_next > 0.0).sum(axis=1)
+    econ["k"], econ["count"] = k_next[:, 0], count
+    ok = ok[:, None]
+    same = ok & (k_next == k)
     values = (k, gamma, g, k_next, avg, xi_k, net, count)
-    return bequests_next, ok, ok & (k_next == k), values
+    if c == 1:  # a row that _solve_row declined: its record reads Python scalars
+        return bequests_next, ok.item(), same.item(), tuple(np.asarray(v).item() for v in values)
+    return bequests_next, ok, same, values
 
 
 @lru_cache(maxsize=64)
@@ -589,37 +556,46 @@ def _spine_start(n: int, zeros: int) -> int:
     return start
 
 
-def _solve_zero_prefix(beq, order, econ, path, out):
-    """The period of a one-row block whose vector ``beq`` holds ``N - count`` zeros, or None.
+def _solve_row(beq, order, econ, path, out):
+    """The period of a one-row block ``beq`` in Python floats, or None.
 
-    The zeros were written by the path's last solved period, so they are
-    exact, and they are the first ``N - count`` entries under ``order``,
-    which sorts the vector.  Every zero has the same income ``I0 = (xi_k +
-    0.0) * net`` and, while its heirs' numerator ``delta*I0 - ...`` stays
-    negative, the bequest 0.0.  So the incomes, the certificate's root
-    and the bequests are computed for the positive top alone, with the
-    dense route's IEEE operations in its order, and the zeros as one
-    scalar; the O(N) passes that stay are listed in :func:`_solve_block`.
-    The root is certified at ``count`` or, where a rich dynasty drops, at
-    a retry below it.  Returns what that returns, or None where the dense
-    route must run: a stale order, a non-finite mean or total, a tilt that
-    does not price, a power past the float range, a root neither guess
+    Its per-row values are Python floats, with the block's IEEE operations
+    in its order, so it calls numpy only for its O(N) passes.  Where the
+    path's last solved period left ``N - count`` zeros (the path has its
+    buffers ``asc`` and ``cons``), it takes the zero-prefix form: those
+    zeros are exact, and the first ``N - count`` entries under ``order``.
+    Every zero has the same income ``I0 = (xi_k + 0.0) * net`` and, while
+    its heirs' numerator ``delta*I0 - ...`` stays negative, the bequest
+    0.0.  So the incomes, the certificate's root and the bequests are
+    computed for the positive top alone, and the zeros as one scalar; it
+    keeps the O(N) passes that the module docstring names.  Any other row
+    takes the dense form, over every entry in dynasty order.  Either form
+    certifies its root at ``count`` or on the retry (:func:`_certify_row`).
+
+    Returns what :func:`_solve_block` returns, the zero-prefix form adding
+    its step's sup-norm to ``values``, or None where the block's columns
+    must run: a stale order, a non-finite mean or total, a tilt that does
+    not price, a power past the float range, a root neither guess
     certifies (the scan), poor heirs that would save, and either error of
     the period.  What it leaves then, a priced tilt and the buffers, the
-    dense route computes alike or does not read.
+    columns compute alike or do not read.
     """
     n = beq.shape[1]
     count = econ["count"].item(0)
-    zeros = n - count
-    asc, cons = path.asc, path.cons
-    # asc[:, :lo] are zeros of any ascending order of this vector: a vector's zeros come first
-    lo = min(path.zeros, zeros)
-    np.take(beq, order[:, lo:], out=asc[:, lo:], mode="clip")  # "clip" writes out unbuffered
-    top = asc[:, zeros:]
-    sorts = top.item(0) > 0.0 and (top[:, :-1] <= top[:, 1:]).all()
-    path.zeros = zeros if sorts else lo
+    zeros = n - count if path.asc is not None else 0
+    if zeros:
+        asc, cons = path.asc, path.cons
+        # asc[:, :lo] are zeros of any ascending order of this vector: a vector's zeros come first
+        lo = min(path.zeros, zeros)
+        np.take(beq, order[:, lo:], out=asc[:, lo:], mode="clip")  # "clip" writes out unbuffered
+        top = asc[:, zeros:]
+        sorts = top.item(0) > 0.0 and (top[:, :-1] <= top[:, 1:]).all()
+        path.zeros = zeros if sorts else lo
+    else:
+        asc = beq.take(order)
+        sorts = (asc[:, :-1] <= asc[:, 1:]).all()
     if not sorts:
-        return None  # the order is stale: the dense route sorts again
+        return None  # the order is stale: the columns sort again
     asc_total = asc[:, _spine_start(n, zeros):].sum(axis=1).item(0)  # asc.sum(axis=1), bit for bit
     k = econ["k"].item(0)
     if not (0.0 < k < np.inf and asc_total < np.inf):
@@ -636,39 +612,53 @@ def _solve_zero_prefix(beq, order, econ, path, out):
     net = (1.0 - tau_s) * gross
     xi_k = xi_nu * k
     total = net * (xi_nu + 1.0) * k
-    # one zero's income, then the top's, ascending; cons is free until the consumptions
-    income = np.add(asc[:, zeros - 1:], xi_k, out=cons[:, zeros - 1:])
+    # the sorted incomes: one zero's and then the top's in cons, which is free until the
+    # consumptions, or every entry's in asc, which the Gini is done with
+    first, into = (zeros - 1, cons) if zeros else (0, asc)
+    income = np.add(asc[:, first:], xi_k, out=into[:, first:])
     income *= net
     poorest = income.item(0)
     kappa, how = _certify_row(income[:, ::-1], count, z, total, delta, xnn, n)
     if how is None:
         return None
     drop, lift = delta * z * (total - kappa), xnn * kappa
-    if not delta * poorest - drop - lift < 0.0:
-        return None  # the poor would save: past the certificate's inactive test, by rounding
-    rich = income[:, 1:]
-    kept = np.multiply(delta, rich)
+    if zeros:
+        if not delta * poorest - drop - lift < 0.0:
+            return None  # the poor would save: past the certificate's inactive test, by rounding
+        income = income[:, 1:]
+    else:
+        income = xi_k + beq
+        income *= net
+    kept = np.multiply(delta, income, out=None if zeros else out)
     kept -= drop
     kept -= lift
     np.maximum(0.0, kept, out=kept)
     kept /= 1.0 + delta
-    spent = rich - kept
-    step = abs(kept - top).max().item()  # the vectors differ only where the old one is positive
-    heirs = order[:, zeros:]
-    bequests_next = np.empty((1, n)) if out is None else out
-    bequests_next.fill(0.0)  # max(0, negative) / (1 + delta)
-    np.put(bequests_next, heirs, kept)
+    count_next = int(np.count_nonzero(kept > 0.0))
+    if zeros:
+        spent = income - kept
+        step = abs(kept - top).max().item()  # the vectors differ only where the old one is positive
+        heirs = order[:, zeros:]
+        bequests_next = np.empty((1, n)) if out is None else out
+        bequests_next.fill(0.0)  # max(0, negative) / (1 + delta)
+        np.put(bequests_next, heirs, kept)
+        cons.fill(poorest)  # I0 - 0.0
+        np.put(cons, heirs, spent)
+    else:
+        bequests_next, cons = kept, np.subtract(income, kept, out=asc)
     k_next = bequests_next.sum(axis=1).item(0) / n
-    cons.fill(poorest)  # I0 - 0.0
-    np.put(cons, heirs, spent)
     avg = cons.sum(axis=1).item(0) / n
     if not (k_next > 0.0 and poorest > z * avg):
         return None
-    count_next = int(np.count_nonzero(kept > 0.0))
     econ[["k", "count"]][0] = (k_next, count_next)
-    path.tally[_ROUTE] += 1
     path.tally[how] += 1
-    return bequests_next, True, k_next == k, (k, gamma, g, k_next, avg, xi_k, net, count_next, step)
+    values = (k, gamma, g, k_next, avg, xi_k, net, count_next)
+    if zeros:
+        path.tally[_ROUTE] += 1
+        values += (step,)
+    elif count_next < n and path.asc is None:  # the zero-prefix buffers: the next zeros are ours
+        path.asc, path.cons = np.empty((1, n)), np.empty((1, n))
+    return bequests_next, True, k_next == k, values
 
 
 def _record(path, beq, bequests_next, values) -> TemporaryEquilibrium:
@@ -917,7 +907,9 @@ def egalitarian_steady(
     the rate is s = (1 - phi) delta / (L + delta), L = (1 + xi/nu)(1 + G_N),
     so consumption is (1 - phi) k**alpha L / (L + delta): computed so, it
     keeps its digits at a large delta, where 1 - phi and s all but cancel.
+    A tilt outside the admissible segment raises :class:`NuOutOfBounds`.
     """
+    tax_rates(nu, params)  # the tilt's bounds, which the savings rate does not check
     n = params.n_agents
     gamma_eq = gamma_uniform_top(envy, n, n)
     rate = savings_rate(gamma_eq, 1.0, nu, params)
@@ -950,8 +942,10 @@ def polarised_steady(
     saving).  The rich each bequeath (N/J) k; their consumption follows
     from the household budget
     c = (1 - tau_s)(1 + r)(xi/nu * k + s) - s, and the poor consume
-    their net wage.
+    their net wage.  A tilt outside the admissible segment raises
+    :class:`NuOutOfBounds` before any warning.
     """
+    taxes = tax_rates(nu, params)
     n = params.n_agents
     if not isinstance(rich_count, int) or isinstance(rich_count, bool):
         raise DomainError(f"rich_count must be an integer, got {rich_count!r}")
@@ -967,7 +961,6 @@ def polarised_steady(
     m = rich_count / n
     rate = savings_rate(gamma_pol, m, nu, params)
     k = rate ** (1.0 / (1.0 - params.alpha))
-    taxes = tax_rates(nu, params)
     prices = factor_prices(k, params)
     s_rich = (n / rich_count) * k
     net_return = (1.0 - taxes.tau_s) * prices.gross_return
@@ -1016,9 +1009,11 @@ def classify(
     dynasties tied at the highest initial bequest (counted by exact
     value equality) end up holding everything.  Within 1e-12 of the
     threshold the long-run limit is not claimed ("boundary").
-    ``gamma0`` is bit for bit ``envy.weight(initial)``.  A start whose
-    mean period 0 cannot price raises what its path raises there.
+    ``gamma0`` is bit for bit ``envy.weight(initial)``.  A tilt outside
+    the admissible segment, or a start whose mean period 0 cannot price,
+    raises what its path raises there.
     """
+    tax_rates(nu, params)  # a path at this tilt raises NuOutOfBounds: it has no regime
     beq = as_distribution(initial, params.n_agents)
     weight = partial(gamma_uniform_top, envy, n_agents=params.n_agents)
     return _regime(*_start_facts(beq, params, envy), nu, params, weight)
@@ -1092,7 +1087,7 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
         if r is not last:  # a repeated record has the delta it had the period before
             d = abs(r.k_next - r.k)
             if not d >= tol:  # else the step is not below tol, whatever the vector's part
-                step = r._step  # the route's, else a pass over every entry
+                step = r._step  # the zero-prefix form's, else a pass over every entry
                 if step is None:
                     step = float(np.abs(r.bequests_next - r.bequests).max())
                 d = max(d, step)

@@ -4,10 +4,11 @@ import csv
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from joneses import gamma_star
+from joneses import equilibrium, gamma_star
 from joneses.cli import main
 from joneses.output import fmt
 from support import BASELINE
@@ -439,3 +440,46 @@ class TestUsage:
     def test_missing_required_flag(self, scenario_file, capsys):
         assert main(["plan-reform", scenario_file(), "--stage1", "0.7"]) == 1
         assert "usage:" in capsys.readouterr().err
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# the kernel's counters of each shipped command, summed over the paths it runs (ROADMAP
+# item 9's gate): any change to which shape or certificate a shipped period takes shows here
+_SHIPPED_COUNTS = {
+    "simulate_equal_start": (["simulate", "equal_start.json", "--per-agent"], {"first": 200}),
+    "simulate_polarised_start": (
+        ["simulate", "polarised_start.json", "--per-agent"], {"route": 34, "first": 35}
+    ),
+    "simulate_reform_candidate": (["simulate", "reform_candidate.json", "--per-agent"], {"first": 91}),
+    "sweep_nu_sweep": (["sweep", "nu_sweep.json", "--out", "{out}"], {"first": 1580, "scan": 16}),
+    "plan_reform": (
+        ["plan-reform", "reform_candidate.json", "--stage1", "0.7", "--stage2", "1.1764705882352942"],
+        {"first": 4},
+    ),
+    "plot_savings": (["plot-savings", "reform_candidate.json", "--out", "{out}.svg"], {}),
+    "plot_phase": (
+        ["plot-phase", "equal_start.json", "--curve", "0,1,1", "--curve", "0.75,0.25,1",
+         "--out", "{out}.svg"],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_COUNTS))
+def test_the_shipped_commands_keep_their_kernel_counters(name, tmp_path, monkeypatch, capsys):
+    argv, want = _SHIPPED_COUNTS[name]
+    paths, economy = [], equilibrium._economy
+
+    def spy(block_paths, beq):
+        paths.extend(block_paths)
+        return economy(block_paths, beq)
+
+    monkeypatch.setattr(equilibrium, "_economy", spy)
+    argv = [str(SCENARIOS / a) if a.endswith(".json") else a.format(out=tmp_path / name) for a in argv]
+    assert main(argv) == 0
+    got = dict.fromkeys(equilibrium._COUNTS, 0)
+    for path in paths:
+        for counter, count in equilibrium._tally(path).items():
+            got[counter] += count
+    assert got == {**dict.fromkeys(equilibrium._COUNTS, 0), **want}

@@ -38,8 +38,12 @@ from joneses import (
 )
 from joneses import equilibrium
 from joneses.equilibrium import (
+    _COUNTS,
+    _DECLINED,
+    _ROUTE,
     _Path,
     _certify,
+    _certify_row,
     _economy,
     _record,
     _roots,
@@ -460,6 +464,18 @@ def _one_row_scalars(income, z, total, delta, xnn):
     return np.sort(income)[::-1][None], *(float(v) for v in (z, total, delta, xnn))
 
 
+def _column_root(desc, guess, *columns):
+    """``_roots`` of a one-row column block, with the certificate's counters it leaves."""
+    tally = np.zeros((1, len(_COUNTS)), np.intp)
+    return _roots(desc, guess, *columns, tally)[0], dict(zip(_COUNTS, tally[0].tolist()))
+
+
+def _float_root(desc, guess, *scalars):
+    """The root of a one-row block in Python floats: ``_certify_row``, else the scan."""
+    kappa, how = _certify_row(desc, guess, *scalars)
+    return kappa if how is not None else _scan_active_sets(desc, *scalars).item(0)
+
+
 @given(
     instance=st.one_of(
         fixed_point_instances(), kink_instances(), stuck_kink_instances(), block_edge_instances()
@@ -477,16 +493,18 @@ def test_certified_root_is_the_oracle_root(instance, data):
     kappa, certified = _certify(row[0], guess, *row[1:])
     if certified[0]:
         assert kappa[0] == want
-    assert _roots(row[0], guess, *row[1:])[0] == want
+    root, tally = _column_root(row[0], guess, *row[1:])
+    assert root == want
+    assert (tally["first"], tally["scan"]) == (int(certified[0]), int(not certified[0]))
     # the one-row form: the same row with its guess a Python int and its coefficients
-    # Python floats, the types _solve_block hands a one-row block's _certify
+    # Python floats, the types _solve_row hands _certify
     row = _one_row_scalars(*instance)
     kappa_s, certified_s = _certify(row[0], int(guess[0]), *row[1:])
     assert np.ndim(kappa_s) == np.ndim(certified_s) == 0
     assert certified_s == certified[0]
     if certified_s:
         assert kappa_s == want
-    assert _roots(row[0], int(guess[0]), *row[1:]) == want
+    assert _float_root(row[0], int(guess[0]), *row[1:]) == want
 
 
 @pytest.mark.parametrize("m", BLOCK_EDGES)
@@ -525,7 +543,9 @@ def test_a_consistent_guess_after_an_earlier_consistent_set_is_not_certified():
     row = _one_row(*args)
     kappa, certified = _certify(row[0], np.array([3]), *row[1:])
     assert not certified[0] and kappa[0] != active_set_oracle(*args)
-    assert _roots(row[0], np.array([3]), *row[1:])[0] == active_set_oracle(*args)
+    assert _column_root(row[0], np.array([3]), *row[1:])[0] == active_set_oracle(*args)
+    desc, *scalars = _one_row_scalars(*args)
+    assert _float_root(desc, 3, *scalars) == active_set_oracle(*args)
 
 
 def test_a_saving_path_is_certified_in_every_period(monkeypatch):
@@ -1247,7 +1267,7 @@ def _assert_bits_equal(got, want, name="record"):
 def _assert_path_is_a_chain_of_first_periods(p, envy, start, nus, horizon):
     """``simulate`` equals, bit for bit, ``solve_temporary`` called period by period, and
     raises where that chain raises, with the same message.  Each call of the chain solves
-    a first period, which takes the dense route."""
+    a first period, which takes the dense form."""
     chain, error, beq = [], None, start
     for t in range(horizon):
         try:
@@ -1272,20 +1292,21 @@ def _assert_path_is_a_chain_of_first_periods(p, envy, start, nus, horizon):
 @contextlib.contextmanager
 def _route_spy():
     """Per solved period of a path, in order: whether it took the zero-prefix route."""
-    routes, solve, route = [], equilibrium._solve_block, equilibrium._solve_zero_prefix
+    routes, solve, row = [], equilibrium._solve_block, equilibrium._solve_row
 
     def solve_spy(beq, order, econ, paths, out=None):
         routes.append(False)
         return solve(beq, order, econ, paths, out)
 
-    def route_spy(*args):
-        solved = route(*args)
-        routes[-1] = solved is not None
+    def row_spy(beq, order, econ, path, out):
+        taken = path.tally[_ROUTE]
+        solved = row(beq, order, econ, path, out)
+        routes[-1] = path.tally[_ROUTE] > taken  # only the zero-prefix form counts a route
         return solved
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibrium, "_solve_block", solve_spy)
-        patch.setattr(equilibrium, "_solve_zero_prefix", route_spy)
+        patch.setattr(equilibrium, "_solve_row", row_spy)
         yield routes
 
 
@@ -1457,8 +1478,9 @@ def test_a_polarised_first_period_is_certified_on_the_retry_without_a_scan(monke
 
 
 def test_a_stale_order_hands_the_zero_prefix_route_to_the_dense_one():
-    # a path's order never goes stale, as the period map is monotone; one handed in must
-    # still give the oracle's bytes, and leave the sorted buffer good for the next period
+    # a path's order never goes stale, as the period map is monotone; one handed in is
+    # declined to the columns, which must still give the oracle's bytes, and leave the
+    # sorted buffer good for the next period
     start = np.zeros(64)
     start[[2, 30, 31, 50]] = [0.5, 1.0, 0.8, 1.0]
     path = _Path(_N64, UNIT_ENVY)
@@ -1466,7 +1488,7 @@ def test_a_stale_order_hands_the_zero_prefix_route_to_the_dense_one():
     beq, order = start[None], np.argsort(start)[None]
     econ = _economy([path], beq)
     stale = order[:, ::-1].copy()
-    orders = [order, stale, stale]  # dense, stale, then as the dense route repaired it
+    orders = [order, stale, stale]  # dense, stale, then as the declined columns repaired it
     records = []
     with _route_spy() as routes:
         for each in orders:
@@ -1477,6 +1499,60 @@ def test_a_stale_order_hands_the_zero_prefix_route_to_the_dense_one():
     assert np.all(np.diff(records[2].bequests[stale[0]]) >= 0.0)
     for record in records:
         _assert_bits_equal(record, solve_temporary(record.bequests, 1.0, 1.0, _N64, UNIT_ENVY))
+
+
+@contextlib.contextmanager
+def _declined_twin_spy():
+    """Solve each period that ``_solve_row`` solves again, as ``_solve_block``'s declined
+    columns, on a copy of its inputs, and assert the same bits.  Yields a one-item list,
+    the number of periods compared."""
+    compared, solve_row = [0], equilibrium._solve_row
+
+    def spy(beq, order, econ, path, out):
+        twin = _Path(path.params, path.envy)
+        twin.nu_t, twin.nu_next = path.nu_t, path.nu_next
+        inputs = beq.copy(), order.copy(), econ.copy()
+        solved = solve_row(beq, order, econ, path, out)
+        if solved is None:
+            return None
+        twin_econ = inputs[2]
+        twin_econ["path"], twin_econ["tally"], twin.tally = 0, 0, twin_econ["tally"][0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equilibrium, "_solve_row", lambda *args: None)
+            columns = equilibrium._solve_block(*inputs, [twin])
+        assert twin.tally[_DECLINED] == 1
+        (nxt, ok, same, values), (twin_nxt, twin_ok, twin_same, twin_values) = solved, columns
+        assert (ok, same) == (twin_ok, twin_same)
+        assert nxt.tobytes() == twin_nxt.tobytes()
+        assert len(twin_values) == 8  # the zero-prefix form adds its step
+        names = ("k", "gamma", "gini", "k_next", "avg_consumption", "xi_k", "net", "count")
+        for name, got, want in zip(names, values, twin_values):
+            _assert_bits_equal(got, want, name)
+        for name in ("k", "count"):
+            _assert_bits_equal(econ[name].item(0), twin_econ[name].item(0), name)
+        compared[0] += 1
+        return solved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_solve_row", spy)
+        yield compared
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 5, 64, 1024]),
+    case=st.sampled_from([_zero_prefix_case, _block_row]),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_row_solved_in_floats_equals_its_declined_column_block(seed, n, case):
+    # nothing on a shipped path declines _solve_row, so this is where a one-row column block
+    # is checked: each period solved in Python floats, zero-prefix or dense, is solved again
+    # as columns, and must give the same bits
+    horizon = 20
+    with _declined_twin_spy() as compared:
+        path = _own_path(case(np.random.default_rng(seed), n, horizon), horizon)
+    tally = _tally(path)
+    assert compared[0] == tally["first"] + tally["retry"] + tally["scan"] - tally["declined"]
 
 
 class TestLockstepKernel:
@@ -1644,6 +1720,13 @@ def _exact_savings_rate(gamma, m, nu, p):
     return prefactor * a * d * (1 + m * x + gamma * (1 - m)) / ((1 + d + m * x) * (1 + gamma) - m * d * gamma)
 
 
+# tilts that no path can run at BASELINE: simulate raises NuOutOfBounds at each
+_OUTSIDE_THE_SEGMENT = [
+    5.0, float(np.nextafter(BASELINE.nu_lower, 0.0)), float(np.nextafter(BASELINE.nu_upper, 2.0)),
+    float("nan"),
+]
+
+
 class TestSteadyStates:
     def test_egalitarian_values(self):
         state = egalitarian_steady(BASELINE, 1.0, UNIT_ENVY)
@@ -1725,6 +1808,18 @@ class TestSteadyStates:
         with pytest.raises(DomainError, match=re.escape("rich_count must be an integer, got 1.0")):
             polarised_steady(BASELINE, 1.0, UNIT_ENVY, rich_count=1.0)
 
+    @pytest.mark.parametrize("nu", _OUTSIDE_THE_SEGMENT)
+    def test_a_tilt_outside_the_segment_raises_before_any_warning(self, nu):
+        # the savings rate does not check the tilt's bounds: egalitarian_steady returned a
+        # state no path reaches, and polarised_steady warned EnvyBoundWarning, then raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NuOutOfBounds):
+                egalitarian_steady(BASELINE, nu, UNIT_ENVY)
+            for envy in (UNIT_ENVY, EnvySpec(0.0, 50.0)):
+                with pytest.raises(NuOutOfBounds):
+                    polarised_steady(BASELINE, nu, envy, rich_count=1)
+
     def test_egalitarian_output_dominates_polarised(self):
         rng = np.random.default_rng(61)
         found = 0
@@ -1785,6 +1880,18 @@ class TestClassify:
             simulate(start, [1.0] * 2, 1, p, UNIT_ENVY)
         with pytest.raises(type(path_error.value), match=re.escape(str(path_error.value))):
             classify(start, 1.0, p, UNIT_ENVY)
+
+    @pytest.mark.parametrize("nu", _OUTSIDE_THE_SEGMENT)
+    def test_a_tilt_outside_the_segment_names_no_regime(self, nu):
+        # at nu = 5.0 classify used to return an egalitarian limit_k of 0.2296..., which
+        # no path reaches: a path at that tilt raises in period 0, and so must classify
+        start = [0.4, 0.3, 0.2, 0.1]
+        with pytest.raises(NuOutOfBounds) as path_error:
+            simulate(start, [nu] * 2, 1, BASELINE, UNIT_ENVY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NuOutOfBounds, match=re.escape(str(path_error.value))):
+                classify(start, nu, BASELINE, UNIT_ENVY)
 
     def test_classification_matches_long_simulation(self):
         rng = np.random.default_rng(67)
