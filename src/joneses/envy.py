@@ -108,8 +108,8 @@ def _gini_weights(asc: np.ndarray, base, scale, total=None):
             dot = np.vecdot(asc, _ranks(n)).item(0)
             g = min(max(2.0 * dot / (n * total) - (n + 1.0) / n, 0.0), top)
         return g, base + scale * g
-    huge = total > _FLOAT_MAX / n
-    if huge.any():
+    if total.max() > _FLOAT_MAX / n:  # NaN is not
+        huge = total > _FLOAT_MAX / n
         rows, asc, total = huge.reshape(c), asc.copy(), total.copy()
         asc[rows] /= asc[rows, -1:]
         total[huge] = asc[rows].sum(axis=1)

@@ -97,8 +97,10 @@ period solver.
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import cycle, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,9 +217,10 @@ _UNIT = np.finfo(float).eps.item() / 2.0  # unit roundoff u, a Python float
 
 
 # The kernel's counters of a path: its one-row periods that took the zero-prefix form and that
-# _solve_row declined, and its roots certified at the first guess, on the retry, and scanned.
-_COUNTS = ("route", "declined", "first", "retry", "scan")
-_ROUTE, _DECLINED, _FIRST, _RETRY, _SCAN = range(len(_COUNTS))
+# _solve_row declined, its roots certified at the first guess, on the retry, and scanned, and
+# the periods it covered by repeating a cycle instead of solving them.
+_COUNTS = ("route", "declined", "first", "retry", "scan", "repeat")
+_ROUTE, _DECLINED, _FIRST, _RETRY, _SCAN, _REPEAT = range(len(_COUNTS))
 
 
 def _certify(desc, guess, z, total, delta, xnn, n=None):
@@ -268,13 +271,15 @@ def _certify(desc, guess, z, total, delta, xnn, n=None):
     if vectors:  # (C x 1) columns, worked as vectors: 2-D arithmetic costs more per call
         rows, g, least = np.arange(c), guess.reshape(c), np.minimum
         z, total, delta, xnn = z[:, 0], total[:, 0], delta[:, 0], xnn[:, 0]
-        csum = desc[:, : g.max()].cumsum(axis=1)[rows, g - 1]
-        richest, poorest, inactive = (desc[rows, j] for j in (0, g - 1, g % n))
+        last = g - 1
+        csum = desc[:, : g.max()].cumsum(axis=1)[rows, last]
+        richest, poorest, inactive = desc[:, 0], desc[rows, last], desc[rows, g % n]
     else:  # one row, its values scalars: Python floats overflow to inf silently
         g, csum, least = guess, desc[:, :guess].cumsum(axis=1).item(guess - 1), min
         richest, poorest, inactive = map(desc.item, (0, g - 1, g % n))
     a = g * 1.0
-    base, dz = n * (1.0 + delta), delta * z
+    d1, dz = 1.0 + delta, delta * z
+    base = n * d1
     den = base - a * (dz - xnn)
     if not (vectors or den > 0.0):
         return 0.0, False
@@ -284,8 +289,8 @@ def _certify(desc, guess, z, total, delta, xnn, n=None):
     # the richest inactive, if any; a NaN there has already failed the root's tests
     ok = (0.0 < kappa) & (kappa < total) & (head > tail) & ((g == n) | (delta * inactive <= tail))
     rho = least(den / base, 1.0)
-    p = delta * richest + dz * total + (1.0 + delta + dz + xnn) * (2.0 * total / rho)
-    err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * (1.0 + delta)))
+    p = delta * richest + dz * total + (d1 + dz + xnn) * (2.0 * total / rho)
+    err = 2.0 * (a + 16.0) * _UNIT * p * (1.0 + (dz + xnn) / (rho * d1))
     return kappa, ok & (head - tail > err + err / rho)
 
 
@@ -352,8 +357,9 @@ class _Path:
     ``pairs`` maps each period in which the path's tilt pair may change to
     that pair ``(nu_t, nu_next)`` (see :func:`_tilt_pairs`); ``nu_t`` and
     ``nu_next`` hold the pair in effect.  ``params`` and ``envy`` fill the
-    path's row of block columns (``_ECONOMY``), and ``taxes`` are those of
-    ``nu_t``.  ``records`` is a list only on a one-row path that keeps them.
+    path's constants in a block (:class:`_Block`), and ``taxes`` are those
+    of ``nu_t``.  ``records`` is a list only on a one-row path that keeps
+    them; ``final`` is the mean of the path's vector at the horizon.
     ``asc`` and ``cons`` are a one-row path's buffers for the zero-prefix
     form (see :func:`_solve_row`), made once a solved period has left
     zeros; the first ``zeros`` entries of ``asc`` are zeros.
@@ -361,181 +367,276 @@ class _Path:
     """
 
     __slots__ = (
-        "params", "envy", "pairs", "nu_t", "nu_next", "taxes", "records", "error",
+        "params", "envy", "pairs", "nu_t", "nu_next", "taxes", "records", "error", "final",
         "asc", "cons", "zeros", "tally",
     )
 
     def __init__(self, params: EconomyParams, envy: EnvySpec, pairs=None, keep=False):
         self.params, self.envy, self.pairs = params, envy, pairs
-        self.records, self.error = ([] if keep else None), None
-        self.asc = self.cons = None
+        self.records, self.error, self.final = ([] if keep else None), None, None
+        self.asc = self.cons = self.tally = None
         self.zeros = 0
-        self.tally = np.zeros(len(_COUNTS), np.intp)
 
 
 def _tally(path: _Path) -> dict:
-    """The kernel's counters of ``path`` since its block economy was built, by name."""
+    """The kernel's counters of ``path`` since its driver started, by name."""
     return dict(zip(_COUNTS, path.tally.tolist()))
 
 
-# A block's economy, one record per row: the index of its path, what holds for the whole
-# path, tau_s, xi/nu_t and xi/nu_next, priced again once ``priced`` is cleared, and the mean
-# ``k`` and the number of positive entries ``count`` of the row's vector, which each period
-# writes for the next: the same sum over the same array, and the count counted once; and the
-# row's path's kernel counters, ``tally``, which each path reads through a view of its row.
-_ECONOMY = np.dtype([
-    ("path", np.intp), ("alpha", float), ("delta", float), ("base", float), ("scale", float),
-    ("tau_s", float), ("xi_nu", float), ("xnn", float), ("priced", bool),
-    ("k", float), ("count", np.intp), ("tally", np.intp, (len(_COUNTS),)),
-], align=True)  # numpy buffers arithmetic on unaligned columns
+# A row's constants in a block, each the float of the expression it names: the power's alpha
+# and alpha - 1, delta and 1 + delta, the envy base and scale, and those a tilt pair prices,
+# 1 - tau_s, xi/nu_t, xi/nu_t + 1 and xi/nu_next.
+_CONSTANTS = ("alpha", "power", "delta", "delta1", "base", "scale", "one_tau", "xi_nu", "xi1", "xnn")
+_TILT = slice(_CONSTANTS.index("one_tau"), None)
+_CYCLE = 8  # the longest cycle a row repeats, and so the states it keeps to compare
+
+
+class _Block:
+    """The live rows of a lockstep block, contiguous (see :func:`_run_paths`).
+
+    Row j is ``paths[j]``, row ``rows[j]`` of the driver's block, and
+    ``where`` maps each row of the driver's block to its row here, or -1.
+    ``beq`` holds the vectors the rows inherit and ``order`` sorts each;
+    ``k`` (C x 1) and ``count`` are each vector's mean and number of
+    positive entries, which each period writes for the next: the same sum
+    over the same array, and the count counted once.  ``cols`` holds the
+    rows' constants (``_CONSTANTS``), one contiguous row of C each, which
+    the (C x 1) attributes of the same names view; a tilt's are priced
+    again for the rows listed in ``unpriced``.  ``tally`` holds the
+    kernel's counters of each row until the driver adds them to its
+    path's.  ``hb`` holds the last ``_CYCLE`` states the rows inherited,
+    newest first, each a block and the ``where`` that finds a row in it,
+    and ``hk`` (C x _CYCLE) their means, a ring whose column ``head``
+    holds the newest, NaN before a row's last tilt change.
+    """
+
+    __slots__ = (
+        "paths", "rows", "where", "beq", "order", "k", "count", "cols", "powers", "unpriced",
+        "tally", "hb", "hk", "head", "offsets", "alpha", *_CONSTANTS[2:],
+    )
+
+    def __init__(self, paths, rows, size, beq, order, k, count, cols, hk, head=0, hb=None):
+        c, n = beq.shape
+        self.paths, self.rows, self.beq, self.order, self.k, self.count = paths, rows, beq, order, k, count
+        self.where = np.full(size, -1)
+        self.where[rows] = np.arange(c)
+        self.cols, self.hk, self.head, self.powers = cols, hk, head, cols[1].tolist()
+        for name, col in zip(_CONSTANTS, cols):
+            if name != "power":
+                setattr(self, name, col[:, None])
+        self.hb = deque(hb or (), _CYCLE)
+        self.hb.appendleft((beq, self.where))
+        self.unpriced, self.tally = list(range(c)), np.zeros((c, len(_COUNTS)), np.intp)
+        self.offsets = np.arange(0, c * n, n)[:, None]  # row i's entries in the flat block
+
+
+def _constants(paths, n: int) -> np.ndarray:
+    """The ``cols`` of a block of ``paths`` with N dynasties, their tilts not yet priced."""
+    fixed = [
+        (p.params.alpha, p.params.alpha - 1.0, p.params.delta, 1.0 + p.params.delta,
+         p.envy.base, p.envy.scale)
+        for p in paths
+    ]
+    cols = np.zeros((len(_CONSTANTS), len(paths)))
+    cols[:_TILT.start] = np.array(fixed).reshape(len(paths), _TILT.start).T
+    return cols
 
 
 @np.errstate(all="ignore")  # a row that is not finite raises in the kernel
-def _economy(paths, beq) -> np.ndarray:
-    """The block economy of ``paths`` from their starts ``beq``, its tilts not yet priced."""
-    fixed = [(p.params.alpha, p.params.delta, p.envy.base, p.envy.scale) for p in paths]
-    econ = np.array(
-        [(i, *f, 0.0, 0.0, 0.0, False, 0.0, 0, 0) for i, f in enumerate(fixed)], dtype=_ECONOMY
+def _block(paths, beq, order) -> _Block:
+    """The block of ``paths`` from their vectors ``beq``, which ``order`` sorts; every tilt unpriced."""
+    c, n = beq.shape
+    k = _row_sums(beq) / n  # ndarray.mean, bit for bit
+    count = np.maximum((beq > 0.0).sum(axis=1), 1)  # a row with none raises; 1 guesses
+    hk = np.full((c, _CYCLE), np.nan)
+    hk[:, 0] = k[:, 0]
+    return _Block(_objects(paths), np.arange(c), c, beq, order, k, count, _constants(paths, n), hk)
+
+
+def _objects(items) -> np.ndarray:
+    """``items`` as a 1-D array of objects, which one ``take`` regroups."""
+    array = np.empty(len(items), dtype=object)
+    array[:] = items
+    return array
+
+
+def _regroup(blk, leave, back, paths) -> _Block:
+    """``blk`` without its rows at ``leave`` and with the parked rows of ``back`` appended.
+
+    ``back`` maps each rejoining row of ``paths`` to its state: its vector,
+    an order that sorts it, and its mean.  Those rows' tilts are unpriced,
+    and their history starts at that state; the others keep theirs.
+    """
+    stay = np.delete(np.arange(len(blk.rows)), leave)
+    rows, beq, order, k, count, hk = (
+        a.take(stay, axis=0) for a in (blk.rows, blk.beq, blk.order, blk.k, blk.count, blk.hk)
     )
-    econ["k"] = beq.sum(axis=1) / beq.shape[1]  # ndarray.mean, bit for bit
-    econ["count"] = np.maximum((beq > 0.0).sum(axis=1), 1)  # a row with none raises; 1 guesses
-    for p, tally in zip(paths, econ["tally"]):  # a path reads its counters from its row
-        p.tally = tally
-    return econ
+    members, cols = blk.paths.take(stay), blk.cols.take(stay, axis=1)
+    if back:
+        vectors, orders, ks = (np.array(part) for part in zip(*back.values()))
+        joined = [paths[i] for i in back]
+        hist = np.full((len(back), _CYCLE), np.nan)
+        hist[:, blk.head] = ks
+        rows = np.concatenate((rows, list(back)))
+        beq, order = np.concatenate((beq, vectors)), np.concatenate((order, orders))
+        k, count = np.concatenate((k, ks[:, None])), np.concatenate((count, (vectors > 0.0).sum(axis=1)))
+        members = np.concatenate((members, _objects(joined)))
+        cols = np.concatenate((cols, _constants(joined, beq.shape[1])), axis=1)
+        hk = np.concatenate((hk, hist))
+    new = _Block(members, rows, len(blk.where), beq, order, k, count, cols, hk, blk.head, list(blk.hb)[1:])
+    new.unpriced = list(range(len(stay), len(rows)))
+    return new
 
 
-def _price(econ, i, path) -> None:
-    """Price row i's tilt pair into ``econ``: its taxes, xi/nu_t and xi/nu_next."""
+def _price(blk, j) -> None:
+    """Price row j's tilt pair into ``blk``: its path's taxes, and the tilt's constants."""
+    path = blk.paths[j]
     path.taxes, xi = tax_rates(path.nu_t, path.params), path.params.xi
     if not path.nu_next > 0.0:
         raise DomainError(f"nu_next must be > 0, got {path.nu_next}")
-    econ[["tau_s", "xi_nu", "xnn", "priced"]][i] = (
-        path.taxes.tau_s, xi / path.nu_t, xi / path.nu_next, True
-    )
+    xi_nu = xi / path.nu_t
+    blk.cols[_TILT, j] = (1.0 - path.taxes.tau_s, xi_nu, xi_nu + 1.0, xi / path.nu_next)
 
 
 def _rows(mask, holds=True):
     """The rows where a per-row mask is ``holds``; a bool is the mask of one row."""
-    if isinstance(mask, np.ndarray):
-        return np.flatnonzero(mask if holds else ~mask)
-    return (0,) if mask == holds else ()
+    if not isinstance(mask, np.ndarray):
+        return [0] if mask == holds else []
+    if not holds and mask.all():
+        return []
+    return np.flatnonzero(mask if holds else ~mask).tolist()
 
 
 @np.errstate(all="ignore")
-def _solve_block(beq, order, econ, paths, out=None):
-    """Solve one period for every row of ``beq``, a (C x N) block of bequests.
+def _solve_block(blk, out=None):
+    """Solve one period for every row of ``blk``, a :class:`_Block` of C rows.
 
-    Row i is the inherited vector of ``paths[econ["path"][i]]``, whose
-    economy, mean and count of positive entries are ``econ[i]``;
-    ``order[i]`` should sort it ascending.  A stale order is overwritten in
-    place by a stable argsort, a row whose tilts are not priced is priced
-    in place, and each row's ``k`` and ``count`` are overwritten with those
-    of the vector it hands on.  The per-row values are (C x 1) columns, and
-    each row is rounded as it would be alone (see the module docstring);
-    only the power ``k ** (alpha - 1)`` is a scalar call per row, since
-    numpy's elementwise power rounds differently.  numpy's float warnings
-    are off in here, for every function it calls: typed tests decide each
-    row (a finite positive mean and ascending total, the root's
-    consistency tests, which NaN and inf fail, ``k_next > 0`` and the envy
-    floor).  A row that fails one records the error on its path and
-    computes finite filler from then on; the rest go on.
+    Row i is the inherited vector ``blk.beq[i]`` of ``blk.paths[i]``, whose
+    mean, count of positive entries and constants ``blk`` holds;
+    ``blk.order[i]`` should sort it ascending.  A stale order is
+    overwritten in place by a stable argsort, a row whose tilts are not
+    priced is priced in place, and each row's ``k`` and ``count`` are
+    overwritten with those of the vector it hands on.  The per-row values
+    are (C x 1) columns, and each row is rounded as it would be alone (see
+    the module docstring); only the power ``k ** (alpha - 1)`` is a scalar
+    call per row, since numpy's elementwise power rounds differently.
+    numpy's float warnings are off in here, for every function it calls:
+    typed tests decide each row (a finite positive mean and ascending
+    total, the root's consistency tests, which NaN and inf fail, ``k_next
+    > 0`` and the envy floor), each checked once for the whole block and
+    row by row only where it fails.  A row that fails one records the
+    error on its path and computes finite filler from then on; the rest go
+    on.
 
     A one-row block is handed to :func:`_solve_row`; where that declines,
     the row is solved here as a one-row column block.
 
-    Returns ``(bequests_next, ok, same, values)``.  ``ok`` marks the rows
-    that did not raise and ``same`` those of them with ``k_next == k``;
-    ``values`` is ``(k, gamma, gini, k_next, avg_consumption, xi_k, net,
-    count)``, ``count`` the positive entries of ``bequests_next``, from
-    which :func:`_record` builds a row's record.  For a one-row block all
-    of these are Python scalars, else per-row columns.
-    ``bequests_next`` is written into ``out``, a (C x N) array, when one is
-    given, else into a new one.
+    Returns ``(bequests_next, ok, values)``.  ``ok`` marks the rows that
+    did not raise; ``values`` is ``(k, gamma, gini, k_next,
+    avg_consumption, xi_k, net, count)``, ``count`` the positive entries of
+    ``bequests_next``, from which :func:`_record` builds a row's record.
+    For a one-row block ``ok`` and ``values`` are Python scalars, else
+    per-row columns.  ``bequests_next`` is written into ``out``, a (C x N)
+    array, when one is given, else into a new one.
     """
+    beq, order, paths = blk.beq, blk.order, blk.paths
     c, n = beq.shape
     if c == 1:
-        path = paths[econ["path"].item(0)]
-        solved = _solve_row(beq, order, econ, path, out)
+        solved = _solve_row(blk, out)
         if solved is not None:
             return solved
-        path.tally[_DECLINED] += 1
-    asc = beq.take(order + np.arange(0, c * n, n)[:, None])
-    for i in _rows((asc[:, :-1] <= asc[:, 1:]).all(axis=1), False):
-        order[i] = np.argsort(beq[i], kind="stable")
-        asc[i] = beq[i, order[i]]
-    k = econ["k"][:, None].copy()
-    asc_total = asc.sum(axis=1)[:, None]  # can overflow where the row's own total did not
-    ok, rows = np.ones(c, dtype=bool), econ["path"]
-    good = (0.0 < k) & (k < np.inf) & (asc_total < np.inf)
-    for i in _rows(good & econ["priced"][:, None], False):
-        p = paths[rows[i]]
-        try:
-            if not good.item(i):
-                as_distribution(asc[i])  # the Gini rejects a non-finite row,
-                factor_prices(k.item(i), p.params)  # the prices a mean that is not > 0
-            _price(econ, i, p)
-        except JonesesError as exc:
-            p.error, ok[i], k[i] = exc, False, 1.0  # the mean's filler
+        blk.tally[0, _DECLINED] += 1
+    flat = order + blk.offsets  # each row's order into the flat block
+    asc = beq.take(flat)
+    if not (asc[:, :-1] <= asc[:, 1:]).all():
+        for i in _rows((asc[:, :-1] <= asc[:, 1:]).all(axis=1), False):
+            order[i] = np.argsort(beq[i], kind="stable")
+            asc[i] = beq[i, order[i]]
+        flat = order + blk.offsets
+    k = blk.k
+    asc_total = _row_sums(asc)  # can overflow where the row's own total did not
+    ok = np.ones(c, dtype=bool)
+    if blk.unpriced or not (k.min() > 0.0 and (k + asc_total).max() < np.inf):
+        good, k = (0.0 < k) & (k < np.inf) & (asc_total < np.inf), k.copy()
+        for i in sorted({*_rows(good[:, 0], False), *blk.unpriced}):
+            p = paths[i]
+            try:
+                if not good.item(i):
+                    as_distribution(asc[i])  # the Gini rejects a non-finite row,
+                    factor_prices(k.item(i), p.params)  # the prices a mean that is not > 0
+                _price(blk, i)
+            except JonesesError as exc:
+                p.error, ok[i], k[i] = exc, False, 1.0  # the mean's filler
+        blk.unpriced = []
 
-    g, gamma = _gini_weights(asc, econ["base"][:, None], econ["scale"][:, None], asc_total)
-    delta = econ["delta"][:, None]
+    g, gamma = _gini_weights(asc, blk.base, blk.scale, asc_total)
+    delta = blk.delta
     z = gamma / (1.0 + gamma)
 
-    kl, alphas = k[:, 0].tolist(), econ["alpha"].tolist()
-    try:
-        gross = np.fromiter(map(gross_return, kl, alphas), float, c)
-    except ModelError:  # a power past the float range: that row raises, the others go on
-        gross = np.array(alphas)  # the return at k = 1, a finite filler
-        for i, (k_i, alpha) in enumerate(zip(kl, alphas)):
+    kl = k[:, 0].tolist()
+    try:  # gross_return's operations: alpha * k ** (alpha - 1), the power a Python call
+        gross = blk.alpha * np.fromiter(map(pow, kl, blk.powers), float, c)[:, None]
+    except OverflowError:  # a power past the float range: that row raises, the others go on
+        gross = blk.alpha.copy()  # the return at k = 1, a finite filler
+        for i, (k_i, alpha) in enumerate(zip(kl, blk.cols[0].tolist())):
             try:
                 gross[i] = gross_return(k_i, alpha)
             except ModelError as exc:
-                paths[rows[i]].error, ok[i] = exc, False
-    net = (1.0 - econ["tau_s"][:, None]) * gross[:, None]
-    xi_nu, xnn = econ["xi_nu"][:, None], econ["xnn"][:, None]
-    xi_k = xi_nu * k
-    total = net * (xi_nu + 1.0) * k  # = (1-phi) * k**alpha
+                paths[i].error, ok[i] = exc, False
+    net = blk.one_tau * gross
+    xi_k = blk.xi_nu * k
+    total = net * blk.xi1 * k  # = (1-phi) * k**alpha
     income = xi_k + beq
     income *= net
-    guess = econ["count"]  # positive bequests: on a path, the last active set
-    # the least bequest's income, income[order[0]] bit for bit (the same two operations, and
-    # addition commutes); both are monotone, so it is the least income.  A NaN income fails
-    # as short before the floor test reads it.
-    poorest = (asc[:, :1] + xi_k) * net
-    asc += xi_k  # the Gini is done with asc: it becomes the sorted incomes
-    asc *= net
-    kappa = _roots(asc[:, ::-1], guess, z, total, delta, xnn, econ["tally"])
+    np.take(income, flat, out=asc)  # the Gini is done with asc: it becomes the sorted incomes
+    # the least bequest's income, so the least income, as the map is monotone.  A NaN income
+    # fails as short before the floor test reads it.
+    poorest = asc[:, :1].copy()
+    # the guess is each row's positive bequests: on a path, the last active set
+    kappa = _roots(asc[:, ::-1], blk.count, z, total, delta, blk.xnn, blk.tally)
 
     bequests_next = np.multiply(delta, income, out=out)
     bequests_next -= delta * z * (total - kappa)
-    bequests_next -= xnn * kappa
+    bequests_next -= blk.xnn * kappa
     np.maximum(0.0, bequests_next, out=bequests_next)
-    bequests_next /= 1.0 + delta
-    k_next = bequests_next.sum(axis=1)[:, None] / n
+    bequests_next /= blk.delta1
+    k_next = _row_sums(bequests_next) / n
     consumptions = np.subtract(income, bequests_next, out=asc)  # records recompute theirs
-    avg = consumptions.sum(axis=1)[:, None] / n
+    avg = _row_sums(consumptions) / n
     floor = z * avg
-    for i in _rows((k_next > 0.0) & (poorest > floor), False):
-        if not ok[i]:
-            continue
-        # a root <= 0 leaves no head positive, a non-finite one NaN heads
-        if not k_next.item(i) > 0.0:
-            error = NoPositiveRoot("next-period capital intensity is not positive")
-        else:
-            error = EnvyTooStrong(
-                f"envy weight {gamma.item(i)} leaves a dynasty with income "
-                f"{income[i].min()} at or below the consumption floor {floor.item(i)}"
-            )
-        paths[rows[i]].error, ok[i] = error, False
+    held = (k_next > 0.0) & (poorest > floor)
+    if not held.all():
+        for i in _rows(held[:, 0] | ~ok, False):  # a row that raised before keeps its error
+            # a root <= 0 leaves no head positive, a non-finite one NaN heads
+            if not k_next.item(i) > 0.0:
+                error = NoPositiveRoot("next-period capital intensity is not positive")
+            else:
+                error = EnvyTooStrong(
+                    f"envy weight {gamma.item(i)} leaves a dynasty with income "
+                    f"{income[i].min()} at or below the consumption floor {floor.item(i)}"
+                )
+            paths[i].error, ok[i] = error, False
 
     count = (bequests_next > 0.0).sum(axis=1)
-    econ["k"], econ["count"] = k_next[:, 0], count
-    ok = ok[:, None]
-    same = ok & (k_next == k)
+    blk.k, blk.count = k_next, count
     values = (k, gamma, g, k_next, avg, xi_k, net, count)
     if c == 1:  # a row that _solve_row declined: its record reads Python scalars
-        return bequests_next, ok.item(), same.item(), tuple(np.asarray(v).item() for v in values)
-    return bequests_next, ok, same, values
+        return bequests_next, ok.item(), tuple(np.asarray(v).item() for v in values)
+    return bequests_next, ok, values
+
+
+def _row_sums(a) -> np.ndarray:
+    """``a.sum(axis=1)`` as a (C x 1) column, bit for bit.
+
+    numpy sums fewer than 8 entries in order, so a short row is summed as
+    its columns added left to right, which costs less than the reduction.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)[:, None]
+    total = a[:, 0].copy()  # 1-D: numpy loops over a (C x 1) column as over C rows
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total[:, None]
 
 
 @lru_cache(maxsize=64)
@@ -556,8 +657,8 @@ def _spine_start(n: int, zeros: int) -> int:
     return start
 
 
-def _solve_row(beq, order, econ, path, out):
-    """The period of a one-row block ``beq`` in Python floats, or None.
+def _solve_row(blk, out):
+    """The period of a one-row block ``blk`` in Python floats, or None.
 
     Its per-row values are Python floats, with the block's IEEE operations
     in its order, so it calls numpy only for its O(N) passes.  Where the
@@ -580,8 +681,9 @@ def _solve_row(beq, order, econ, path, out):
     the period.  What it leaves then, a priced tilt and the buffers, the
     columns compute alike or do not read.
     """
+    path, beq, order = blk.paths[0], blk.beq, blk.order
     n = beq.shape[1]
-    count = econ["count"].item(0)
+    count = blk.count.item(0)
     zeros = n - count if path.asc is not None else 0
     if zeros:
         asc, cons = path.asc, path.cons
@@ -597,21 +699,22 @@ def _solve_row(beq, order, econ, path, out):
     if not sorts:
         return None  # the order is stale: the columns sort again
     asc_total = asc[:, _spine_start(n, zeros):].sum(axis=1).item(0)  # asc.sum(axis=1), bit for bit
-    k = econ["k"].item(0)
+    k = blk.k.item(0)
     if not (0.0 < k < np.inf and asc_total < np.inf):
         return None
     try:
-        if not econ["priced"].item(0):
-            _price(econ, 0, path)
-        _, alpha, delta, base, scale, tau_s, xi_nu, xnn, *_ = econ.item(0)
+        if blk.unpriced:
+            _price(blk, 0)
+            blk.unpriced = []
+        alpha, _, delta, delta1, base, scale, one_tau, xi_nu, xi1, xnn = blk.cols[:, 0].tolist()
         gross = gross_return(k, alpha)
     except JonesesError:
         return None
     g, gamma = _gini_weights(asc, base, scale, asc_total)
     z = gamma / (1.0 + gamma)
-    net = (1.0 - tau_s) * gross
+    net = one_tau * gross
     xi_k = xi_nu * k
-    total = net * (xi_nu + 1.0) * k
+    total = net * xi1 * k
     # the sorted incomes: one zero's and then the top's in cons, which is free until the
     # consumptions, or every entry's in asc, which the Gini is done with
     first, into = (zeros - 1, cons) if zeros else (0, asc)
@@ -633,7 +736,7 @@ def _solve_row(beq, order, econ, path, out):
     kept -= drop
     kept -= lift
     np.maximum(0.0, kept, out=kept)
-    kept /= 1.0 + delta
+    kept /= delta1
     count_next = int(np.count_nonzero(kept > 0.0))
     if zeros:
         spent = income - kept
@@ -650,15 +753,15 @@ def _solve_row(beq, order, econ, path, out):
     avg = cons.sum(axis=1).item(0) / n
     if not (k_next > 0.0 and poorest > z * avg):
         return None
-    econ[["k", "count"]][0] = (k_next, count_next)
-    path.tally[how] += 1
+    blk.k[0, 0], blk.count[0] = k_next, count_next
+    blk.tally[0, how] += 1
     values = (k, gamma, g, k_next, avg, xi_k, net, count_next)
     if zeros:
-        path.tally[_ROUTE] += 1
+        blk.tally[0, _ROUTE] += 1
         values += (step,)
     elif count_next < n and path.asc is None:  # the zero-prefix buffers: the next zeros are ours
         path.asc, path.cons = np.empty((1, n)), np.empty((1, n))
-    return bequests_next, True, k_next == k, values
+    return bequests_next, True, values
 
 
 def _record(path, beq, bequests_next, values) -> TemporaryEquilibrium:
@@ -751,73 +854,135 @@ _SLAB_BYTES = 8 << 20
 def _run_paths(beq, paths, horizon: int):
     """Advance row i of ``beq`` (C x N) along ``paths[i]`` for ``horizon`` periods.
 
-    The one loop over periods.  The rows that need solving in a period
-    are solved as one block.  A row whose solved period is stationary
-    leaves the block until the next period in which its tilt pair
-    (nu_t, nu_{t+1}) may change, a key of its ``pairs``; a row that
-    raises is frozen with its error for good.  With no row left, the
-    driver jumps to the next such period, or ends.  After each period in
-    which it solved a block it yields ``(bequests, order)``: the (C x N)
-    block the paths hand on, and the orders that sort the block they
-    inherited.  The last block yielded holds the final bequests.
+    The one loop over periods.  The rows that need solving in a period are
+    solved as one block, the live :class:`_Block`, which stays contiguous
+    while its rows hold and is taken again only where a row leaves or
+    rejoins it.  A row whose solved period hands on the state it inherited
+    p <= ``_CYCLE`` periods before (its mean first, then its bytes), all
+    under one tilt pair (nu_t, nu_{t+1}), is on an exact cycle: it leaves
+    the block until the next period in which its pair may change, a key of
+    its ``pairs``, and rejoins there with the cycle's state of that period.
+    A row that raises is frozen with its error for good.  With no row
+    left, the driver jumps to the next such period, or ends.  After each
+    period in which it solved a block it yields ``(bequests, order)``: the
+    block the live rows hand on, and the orders that sort it.  Each path's
+    ``final`` is the mean of its vector at the horizon, written once.
 
     Only a one-row path keeps records (``simulate``): each period it
     solves writes its ``bequests_next`` into the next page of a slab, one
     array of at least ``_SLAB_BYTES`` and at most as many pages as periods
-    are left, which its record keeps alive.  Over a jump it repeats its
-    last record.
+    are left, which its record keeps alive.  Over a cycle's stretch it
+    repeats its last p records.
     """
-    c, path = len(paths), paths[0]
+    c, n = beq.shape
+    path = paths[0]
     keep = path.records is not None  # a one-row path
-    order = np.argsort(beq, axis=1)
-    econ = _economy(paths, beq)
+    blk = _block(paths, beq, np.argsort(beq, axis=1))
+    counts = np.zeros((c, len(_COUNTS)), np.intp)
     changes = {}
     for i, p in enumerate(paths):
-        for t in p.pairs:
-            changes.setdefault(t, []).append(i)
+        p.tally = counts[i]
+        keys = list(p.pairs)
+        for t, until in zip(keys, keys[1:] + [horizon]):
+            changes.setdefault(t, []).append((i, until))
     stops = [*sorted(changes), horizon]
-    live, n_live = np.ones(c, dtype=bool), c
+    until = [0] * c  # each row's next stop
+    leave, back, parked = [], {}, {}
     slab, used, page, t, s = (), 0, None, 0, 0
-    while t < horizon:
-        if t == stops[s]:
-            for i in changes[t]:
-                p = paths[i]
-                p.nu_t, p.nu_next = p.pairs[t]
-                econ["priced"][i] = False
-                if not live[i] and p.error is None:
-                    live[i], n_live = True, n_live + 1
-            s += 1
-        if not n_live:  # nothing changes before the next stop
-            if keep and path.error is None:
-                path.records += path.records[-1:] * (stops[s] - t)
-            t = stops[s]
-            continue
-        whole = n_live == c
-        idx = range(c) if whole else np.flatnonzero(live)
-        # take and put: indexing a structured array with idx is ~5x slower
-        b, o, e = (beq, order, econ) if whole else (beq[idx], order[idx], econ.take(idx))
-        if keep:
-            if used == len(slab):
-                pages = min(-(-_SLAB_BYTES // beq.nbytes), horizon - t)
-                slab, used = np.empty((pages, *beq.shape)), 0
-            page, used = slab[used], used + 1
-        nxt, ok, same, values = _solve_block(b, o, e, paths, page)
-        if keep and ok:
-            path.records.append(_record(path, beq[0], nxt[0], values))
-        if not whole:
-            order[idx] = o
-            np.put(econ, idx, e)
-        for j in _rows(same):
-            if nxt[j].tobytes() == b[j].tobytes():
-                live[idx[j]], n_live = False, n_live - 1
-        for j in _rows(ok, False):
-            live[idx[j]], n_live = False, n_live - 1
-        if whole:
-            beq = nxt
-        else:
-            beq[idx] = nxt
-        t += 1
-        yield beq, order
+    try:
+        while t < horizon:
+            retilt = []
+            if t == stops[s]:
+                for i, stop in changes[t]:
+                    p, until[i] = paths[i], stop
+                    p.nu_t, p.nu_next = p.pairs[t]
+                    if i in parked:
+                        back[i] = parked.pop(i)
+                    else:
+                        retilt.append(i)
+                s += 1
+            if leave or back:
+                counts[blk.rows] += blk.tally
+                blk = _regroup(blk, leave, back, paths)
+                leave, back = [], {}
+            if retilt:  # a live row's older states were solved under another pair
+                moved = blk.where[retilt]
+                moved = moved[moved >= 0]  # not a row frozen by its error
+                blk.unpriced += moved.tolist()
+                newest = blk.hk[moved, blk.head]
+                blk.hk[moved] = np.nan
+                blk.hk[moved, blk.head] = newest
+            if not len(blk.rows):  # nothing changes before the next stop
+                t = stops[s]
+                continue
+            if keep:
+                if used == len(slab):
+                    pages = min(-(-_SLAB_BYTES // blk.beq.nbytes), horizon - t)
+                    slab, used = np.empty((pages, 1, n)), 0
+                page, used = slab[used], used + 1
+            nxt, ok, values = _solve_block(blk, page)
+            if keep and ok:
+                path.records.append(_record(path, blk.beq[0], nxt[0], values))
+            leave = _rows(ok, False)
+            hits = blk.hk == values[3]
+            if np.count_nonzero(hits):  # a mean seen before: the bytes decide
+                for j, lag in _cycles(hits, nxt, blk, leave):
+                    stop = until[blk.rows.item(j)]
+                    if stop > t + 1:
+                        _park(blk, j, lag, stop - t - 1, nxt, None if stop == horizon else parked)
+                        leave.append(j)
+            blk.head = (blk.head + 1) % _CYCLE  # the oldest state gives way to the newest
+            blk.hk[:, blk.head] = blk.k[:, 0]
+            blk.hb.appendleft((nxt, blk.where))
+            blk.beq = nxt
+            t += 1
+            yield nxt, blk.order
+        for p, k in zip(blk.paths, blk.k[:, 0].tolist()):
+            p.final = k
+    finally:
+        counts[blk.rows] += blk.tally
+
+
+def _cycles(hits, nxt, blk, failed):
+    """(row, p) for each row of ``nxt`` whose bytes are those of its state p periods back.
+
+    ``hits`` marks where the rows' new means equal those in the ring
+    ``blk.hk``; each row takes its least p.  The rows in ``failed`` raised.
+    """
+    rows, cols = np.nonzero(hits)
+    found = set(failed)
+    for j, back in sorted(zip(rows.tolist(), ((blk.head - cols) % _CYCLE).tolist())):
+        if j not in found and nxt[j].tobytes() == _state(blk, j, back).tobytes():
+            found.add(j)
+            yield j, back + 1
+
+
+def _state(blk, j, back):
+    """The vector that row j of ``blk`` inherited ``back`` periods before its last."""
+    block, where = blk.hb[back]
+    return block[where[blk.rows.item(j)]]
+
+
+def _park(blk, j, lag, stretch, nxt, parked) -> None:
+    """Take row j of ``blk`` off the block for the ``stretch`` periods its ``lag``-cycle repeats.
+
+    ``nxt`` is the block the rows hand on.  The row's state after the
+    stretch is the cycle's, ``-stretch % lag`` periods before the one it
+    hands on: its mean is the path's ``final`` when ``parked`` is None (the
+    stretch ends at the horizon), and else ``parked`` keeps the state, with
+    an order that sorts it, for the rejoin.  A path that keeps records
+    repeats its last ``lag`` of them over the stretch.
+    """
+    path, back = blk.paths[j], -stretch % lag
+    blk.tally[j, _REPEAT] += stretch
+    if path.records is not None:
+        path.records += islice(cycle(path.records[-lag:]), stretch)
+    k = blk.k.item(j) if not back else blk.hk.item(j, (blk.head - back + 1) % _CYCLE)
+    if parked is None:
+        path.final = k
+    else:
+        vector = nxt[j] if not back else _state(blk, j, back - 1)
+        parked[blk.rows.item(j)] = (vector.copy(), blk.order[j].copy(), k)
 
 
 def simulate(
@@ -878,10 +1043,9 @@ def final_capitals(
                 f"path {i}: expected {p.n_agents} bequest entries, got {sizes[0]}"
             )
     paths = [_Path(p, e, _tilt_pairs(s, horizon)) for s, p, e in zip(schedules, params, envys)]
-    for beq, _ in _run_paths(np.stack(initials), paths, horizon):
+    for _ in _run_paths(np.stack(initials), paths, horizon):
         pass
-    k_final = beq.mean(axis=1).tolist()
-    return [k if p.error is None else p.error for p, k in zip(paths, k_final)]
+    return [p.final if p.error is None else p.error for p in paths]
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,10 @@ def plan_reform(
     stage 2 one period early, so its realised weight at the trigger
     differs (the test suite checks it also lies below the target).  The
     projected long-run capital is the egalitarian steady state under
-    stage 2.  A stage-1 path that reaches its exact fixed point with the
-    weight still at or above the target would repeat that period up to
-    ``max_horizon``; the driver ends there instead of stepping through
-    them, and the planner raises :class:`Infeasible`.  ``max_horizon``
+    stage 2.  A stage-1 path that reaches an exact cycle (a fixed point
+    is one of length 1) with the weight still at or above the target would
+    repeat the cycle up to ``max_horizon``; the driver ends there instead
+    of stepping through it, and the planner raises :class:`Infeasible`.  ``max_horizon``
     must be an integer >= 0.
     """
     integral = isinstance(max_horizon, numbers.Integral) and not isinstance(max_horizon, bool)
@@ -196,7 +196,7 @@ def plan_reform(
         step = next(periods, None)
         if path.error is not None:
             raise path.error
-        # the driver ends early at an exact fixed point: every later period repeats it
+        # the driver ends early on an exact cycle: every later period repeats one of its weights
         if step is None or trigger == max_horizon:
             raise Infeasible(
                 f"envy weight did not fall below {target} within {max_horizon} periods"
@@ -204,6 +204,7 @@ def plan_reform(
         block, order = step
         trigger += 1
         gamma_t = envy.weight(block[0, order[0]])
+    periods.close()  # the driver adds the kernel's counters to the path's on closing
     n = params.n_agents
     limit = steady_capital(gamma_uniform_top(envy, n, n), 1.0, stage2_nu, params)
     return ReformPlan(

@@ -445,14 +445,22 @@ class TestUsage:
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # the kernel's counters of each shipped command, summed over the paths it runs (ROADMAP
-# item 9's gate): any change to which shape or certificate a shipped period takes shows here
+# item 9's gate): any change to which shape or certificate a shipped period takes, or to
+# which periods repeat a cycle, shows here.  equal_start ends on an exact 4-cycle from
+# period 30, and the sweep's cells on cycles of length 1 to 4.
 _SHIPPED_COUNTS = {
-    "simulate_equal_start": (["simulate", "equal_start.json", "--per-agent"], {"first": 200}),
-    "simulate_polarised_start": (
-        ["simulate", "polarised_start.json", "--per-agent"], {"route": 34, "first": 35}
+    "simulate_equal_start": (
+        ["simulate", "equal_start.json", "--per-agent"], {"first": 34, "repeat": 166}
     ),
-    "simulate_reform_candidate": (["simulate", "reform_candidate.json", "--per-agent"], {"first": 91}),
-    "sweep_nu_sweep": (["sweep", "nu_sweep.json", "--out", "{out}"], {"first": 1580, "scan": 16}),
+    "simulate_polarised_start": (
+        ["simulate", "polarised_start.json", "--per-agent"], {"route": 34, "first": 35, "repeat": 165}
+    ),
+    "simulate_reform_candidate": (
+        ["simulate", "reform_candidate.json", "--per-agent"], {"first": 91, "repeat": 309}
+    ),
+    "sweep_nu_sweep": (
+        ["sweep", "nu_sweep.json", "--out", "{out}"], {"first": 1218, "scan": 16, "repeat": 1526}
+    ),
     "plan_reform": (
         ["plan-reform", "reform_candidate.json", "--stage1", "0.7", "--stage2", "1.1764705882352942"],
         {"first": 4},
@@ -469,13 +477,13 @@ _SHIPPED_COUNTS = {
 @pytest.mark.parametrize("name", sorted(_SHIPPED_COUNTS))
 def test_the_shipped_commands_keep_their_kernel_counters(name, tmp_path, monkeypatch, capsys):
     argv, want = _SHIPPED_COUNTS[name]
-    paths, economy = [], equilibrium._economy
+    paths, block = [], equilibrium._block
 
-    def spy(block_paths, beq):
+    def spy(block_paths, beq, order):
         paths.extend(block_paths)
-        return economy(block_paths, beq)
+        return block(block_paths, beq, order)
 
-    monkeypatch.setattr(equilibrium, "_economy", spy)
+    monkeypatch.setattr(equilibrium, "_block", spy)
     argv = [str(SCENARIOS / a) if a.endswith(".json") else a.format(out=tmp_path / name) for a in argv]
     assert main(argv) == 0
     got = dict.fromkeys(equilibrium._COUNTS, 0)

@@ -44,7 +44,7 @@ from joneses.equilibrium import (
     _Path,
     _certify,
     _certify_row,
-    _economy,
+    _block,
     _record,
     _roots,
     _run_paths,
@@ -729,7 +729,7 @@ def _row_values(values, i):
 
 def _block_records(beq, order, paths):
     """One period of the block ``beq`` solved by the kernel: each row's record, or None."""
-    nxt, ok, _, values = _solve_block(beq, order, _economy(paths, beq), paths)
+    nxt, ok, values = _solve_block(_block(paths, beq, order))
     ok = np.reshape(ok, -1)
     return [
         _record(paths[i], beq[i], nxt[i], _row_values(values, i)) if ok[i] else None
@@ -804,8 +804,8 @@ def test_a_path_keeps_one_vector_per_solved_period():
 
 
 def _distinct(records):
-    """The records of a path in order, each repeated record once."""
-    return [r for t, r in enumerate(records) if not t or r is not records[t - 1]]
+    """The records of a path in order, each repeated record once: a cycle's recur apart."""
+    return list({id(r): r for r in records}.values())
 
 
 def _assert_slab_records(records, horizon):
@@ -824,11 +824,17 @@ def _assert_slab_records(records, horizon):
 def test_a_path_writes_its_vectors_into_slabs():
     p = validate_params(alpha=1 / 3, delta=1.0, phi=0.1, n_agents=4096)
     initial = np.random.default_rng(4096).random(p.n_agents)
-    for horizon in (1, 20, 300):  # one slab of 1 or 20 pages, or slabs of 256 and 44
-        traj = simulate(initial, constant_schedule(1.0, p), horizon, p, UNIT_ENVY)
+    # one slab of 1, 20 or 256 pages: under a constant tilt the path repeats a 6-cycle from
+    # period 98; under a tilt pair that changes every period it solves all 300, in slabs of
+    # 256 and 44
+    constant, alternating = constant_schedule(1.0, p), [1.0, 0.9] * 151
+    for horizon, schedule, pages in [
+        (1, constant, [1]), (20, constant, [20]), (300, constant, [256]), (300, alternating, [44, 256])
+    ]:
+        traj = simulate(initial, schedule, horizon, p, UNIT_ENVY)
         _assert_slab_records(traj.records, horizon)
         slabs = {id(r.bequests_next.base): r.bequests_next.base for r in traj.records}
-        assert sorted(s.shape[0] for s in slabs.values()) == {1: [1], 20: [20], 300: [44, 256]}[horizon]
+        assert sorted(s.shape[0] for s in slabs.values()) == pages
         # each record inherits the record before's vector, not a copy of it
         distinct = _distinct(traj.records)
         for prev, r in zip(distinct, distinct[1:]):
@@ -1081,9 +1087,9 @@ class TestStationaryRepeat:
         horizon, start = len(nus) - 1, np.array([0.1, 0.2, 0.3, 0.4])
         solve, solved = equilibrium._solve_block, []
 
-        def spy(beq, order, econ, paths, out=None):
-            solved.append(econ["path"].tolist())
-            return solve(beq, order, econ, paths, out)
+        def spy(blk, out=None):
+            solved.append(blk.rows.tolist())
+            return solve(blk, out)
 
         monkeypatch.setattr(equilibrium, "_solve_block", spy)
         with pytest.raises(NuOutOfBounds, match="nu=5.0") as first:
@@ -1189,14 +1195,15 @@ def _block_spy():
     """Spy on the kernel: per path index, the record of every row it solves, in order."""
     solved, solve = {}, equilibrium._solve_block
 
-    def spy(beq, order, econ, paths, out=None):
-        nxt, ok, same, values = solve(beq, order, econ, paths, out)
+    def spy(blk, out=None):
+        beq = blk.beq
+        nxt, ok, values = solve(blk, out)
         rows_ok = np.reshape(ok, -1)
-        for i, j in enumerate(econ["path"].tolist()):
+        for i, j in enumerate(blk.rows.tolist()):
             if rows_ok[i]:
-                record = _record(paths[j], beq[i].copy(), nxt[i].copy(), _row_values(values, i))
+                record = _record(blk.paths[i], beq[i].copy(), nxt[i].copy(), _row_values(values, i))
                 solved.setdefault(j, []).append(record)
-        return nxt, ok, same, values
+        return nxt, ok, values
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibrium, "_solve_block", spy)
@@ -1294,14 +1301,14 @@ def _route_spy():
     """Per solved period of a path, in order: whether it took the zero-prefix route."""
     routes, solve, row = [], equilibrium._solve_block, equilibrium._solve_row
 
-    def solve_spy(beq, order, econ, paths, out=None):
+    def solve_spy(blk, out=None):
         routes.append(False)
-        return solve(beq, order, econ, paths, out)
+        return solve(blk, out)
 
-    def row_spy(beq, order, econ, path, out):
-        taken = path.tally[_ROUTE]
-        solved = row(beq, order, econ, path, out)
-        routes[-1] = path.tally[_ROUTE] > taken  # only the zero-prefix form counts a route
+    def row_spy(blk, out):
+        taken = blk.tally[0, _ROUTE]
+        solved = row(blk, out)
+        routes[-1] = blk.tally[0, _ROUTE] > taken  # only the zero-prefix form counts a route
         return solved
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1445,10 +1452,12 @@ def test_a_polarised_path_takes_the_zero_prefix_route_after_its_first_period():
         assert traj.records[-1].m_count == (8 if taken else p.n_agents)
         path = _own_path((p, UNIT_ENVY, start, [1.0] * 201), 200)
         solved = len(routes)
+        repeat = 200 - solved  # the settled path's periods after its fixed point
         if taken:  # the dense first period guesses N, and its retry certifies the rich
             want = {"route": solved - 1, "declined": 0, "first": solved - 1, "retry": 1, "scan": 0}
         else:
             want = {"route": 0, "declined": 0, "first": solved, "retry": 0, "scan": 0}
+        want["repeat"] = repeat
         assert _tally(path) == want
 
 
@@ -1468,7 +1477,7 @@ def test_a_polarised_first_period_is_certified_on_the_retry_without_a_scan(monke
     monkeypatch.setattr(equilibrium, "_scan_active_sets", spy)
     path = _own_path((p, UNIT_ENVY, start, [1.0, 1.0]), 1)
     assert scanned == []
-    assert _tally(path) == {"route": 0, "declined": 0, "first": 0, "retry": 1, "scan": 0}
+    assert _tally(path) == {"route": 0, "declined": 0, "first": 0, "retry": 1, "scan": 0, "repeat": 0}
     record = path.records[0]
     assert record.m_count == 16
     order = np.argsort(start, kind="stable")
@@ -1486,13 +1495,14 @@ def test_a_stale_order_hands_the_zero_prefix_route_to_the_dense_one():
     path = _Path(_N64, UNIT_ENVY)
     path.nu_t = path.nu_next = 1.0
     beq, order = start[None], np.argsort(start)[None]
-    econ = _economy([path], beq)
+    blk = _block([path], beq, order)
     stale = order[:, ::-1].copy()
     orders = [order, stale, stale]  # dense, stale, then as the declined columns repaired it
     records = []
     with _route_spy() as routes:
         for each in orders:
-            nxt, ok, _, values = equilibrium._solve_block(beq, each, econ, [path])
+            blk.beq, blk.order = beq, each
+            nxt, ok, values = equilibrium._solve_block(blk)
             records.append(_record(path, beq[0], nxt[0], values))
             beq = nxt
     assert routes == [False, False, True] and ok
@@ -1508,28 +1518,29 @@ def _declined_twin_spy():
     the number of periods compared."""
     compared, solve_row = [0], equilibrium._solve_row
 
-    def spy(beq, order, econ, path, out):
+    def spy(blk, out):
+        path = blk.paths[0]
         twin = _Path(path.params, path.envy)
         twin.nu_t, twin.nu_next = path.nu_t, path.nu_next
-        inputs = beq.copy(), order.copy(), econ.copy()
-        solved = solve_row(beq, order, econ, path, out)
+        twin_blk = _block([twin], blk.beq.copy(), blk.order.copy())
+        twin_blk.k, twin_blk.count, twin_blk.unpriced = blk.k.copy(), blk.count.copy(), list(blk.unpriced)
+        twin_blk.cols[:] = blk.cols  # the columns view it: a tilt priced before stays priced
+        solved = solve_row(blk, out)
         if solved is None:
             return None
-        twin_econ = inputs[2]
-        twin_econ["path"], twin_econ["tally"], twin.tally = 0, 0, twin_econ["tally"][0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibrium, "_solve_row", lambda *args: None)
-            columns = equilibrium._solve_block(*inputs, [twin])
-        assert twin.tally[_DECLINED] == 1
-        (nxt, ok, same, values), (twin_nxt, twin_ok, twin_same, twin_values) = solved, columns
-        assert (ok, same) == (twin_ok, twin_same)
+            columns = equilibrium._solve_block(twin_blk)
+        assert twin_blk.tally[0, _DECLINED] == 1
+        (nxt, ok, values), (twin_nxt, twin_ok, twin_values) = solved, columns
+        assert ok == twin_ok and (values[3] == values[0]) == (twin_values[3] == twin_values[0])
         assert nxt.tobytes() == twin_nxt.tobytes()
         assert len(twin_values) == 8  # the zero-prefix form adds its step
         names = ("k", "gamma", "gini", "k_next", "avg_consumption", "xi_k", "net", "count")
         for name, got, want in zip(names, values, twin_values):
             _assert_bits_equal(got, want, name)
         for name in ("k", "count"):
-            _assert_bits_equal(econ[name].item(0), twin_econ[name].item(0), name)
+            _assert_bits_equal(getattr(blk, name).item(0), getattr(twin_blk, name).item(0), name)
         compared[0] += 1
         return solved
 
