@@ -8,6 +8,7 @@ coordinates.  Identical inputs therefore produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import EconomyParams, NuForGamma, nu_for_gamma, savings_rate, steady_capital, tax_rates
 from .envy import EnvySpec, gamma_uniform_top
-from .equilibrium import Trajectory
+from .equilibrium import Trajectory, _per_record
 from .errors import DomainError
 
 CSV_HEADER = "t,k,y,gamma,gini,m_count,savings_rate,tau_w,tau_s,avg_consumption"
@@ -37,12 +38,9 @@ def trajectory_csv_lines(traj: Trajectory, per_agent: bool = False) -> Iterator[
 
 
 def _csv_rows(records, per_agent: bool) -> Iterator[str]:
-    last = row = None
-    for t, r in enumerate(records):
-        if r is not last:  # a repeated record differs from its last row only in t
-            row = _record_cells(r, per_agent)
-            last = r
-        yield f"{t},{row}"
+    # a repeated record, in a run or on a cycle, differs from its first row only in t
+    cells = _per_record(records, partial(_record_cells, per_agent=per_agent))
+    return (f"{t},{row}" for t, row in enumerate(cells))
 
 
 def _record_cells(r, per_agent: bool) -> str:

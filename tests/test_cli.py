@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, stream discipline."""
 
 import csv
+import importlib.util
 import json
 import sys
 import warnings
@@ -479,9 +480,9 @@ def test_the_shipped_commands_keep_their_kernel_counters(name, tmp_path, monkeyp
     argv, want = _SHIPPED_COUNTS[name]
     paths, block = [], equilibrium._block
 
-    def spy(block_paths, beq, order):
-        paths.extend(block_paths)
-        return block(block_paths, beq, order)
+    def spy(block_paths, *args, **kwargs):  # a rejoining row comes back in a block of its own
+        paths.extend(p for p in block_paths if all(p is not q for q in paths))
+        return block(block_paths, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "_block", spy)
     argv = [str(SCENARIOS / a) if a.endswith(".json") else a.format(out=tmp_path / name) for a in argv]
@@ -491,3 +492,46 @@ def test_the_shipped_commands_keep_their_kernel_counters(name, tmp_path, monkeyp
         for counter, count in equilibrium._tally(path).items():
             got[counter] += count
     assert got == {**dict.fromkeys(equilibrium._COUNTS, 0), **want}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, imported read-only: no bytecode is written beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SCENARIOS.parent / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+# the kernel's counters over the paths of one pass of each in-process benchmark workload at
+# its default seed: the polarised path repeats its fixed point from period 33, and the sweep's
+# cells their cycles of length 1 to 4
+_WORKLOAD_COUNTS = {
+    "path_polarised": {"route": 32, "first": 32, "retry": 1, "repeat": 967},
+    "path_egalitarian": {"first": 60},
+    "sweep_grid": {"first": 17320, "scan": 23, "repeat": 7497},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_COUNTS))
+def test_the_in_process_workloads_keep_their_kernel_counters(name, workloads, tmp_path, monkeypatch):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(str(SCENARIOS.parent), workloads.DEFAULT_SEED)
+    paths, block = [], equilibrium._block
+
+    def spy(block_paths, *args, **kwargs):  # a rejoining row comes back in a block of its own
+        paths.extend(p for p in block_paths if all(p is not q for q in paths))
+        return block(block_paths, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_block", spy)
+    workload.run_pass(inputs, str(tmp_path))
+    got = dict.fromkeys(equilibrium._COUNTS, 0)
+    for path in paths:
+        for counter, count in equilibrium._tally(path).items():
+            got[counter] += count
+    assert got == {**dict.fromkeys(equilibrium._COUNTS, 0), **_WORKLOAD_COUNTS[name]}

@@ -47,6 +47,7 @@ from joneses.equilibrium import (
     _block,
     _record,
     _roots,
+    _row_sums,
     _run_paths,
     _scan_active_sets,
     _solve_block,
@@ -1067,12 +1068,14 @@ class TestStationaryRepeat:
         assert traj.final_bequests.tobytes() == short.final_bequests.tobytes()
 
     def test_a_settled_block_jumps_to_its_horizon(self):
-        # both rows settle by period 96; an equal start would end on a cycle, solved each period
-        starts = [np.array([0.4, 0.0, 0.0, 0.0]), np.array([0.4, 0.4, 0.0, 0.0])]
+        # the first two rows settle by period 96 (under OpenBLAS's Prescott core the second
+        # ends on an exact 4-cycle instead), and the equal start enters an exact 4-cycle at
+        # period 30: each leaves the block, and 10**9 is 200 modulo 4
+        starts = [np.array([0.4, 0.0, 0.0, 0.0]), np.array([0.4, 0.4, 0.0, 0.0]), np.full(4, 0.1)]
 
         def finals(horizon):
-            schedules = [constant_schedule(1.0, BASELINE)] * 2
-            return final_capitals(starts, schedules, horizon, [BASELINE] * 2, [UNIT_ENVY] * 2)
+            schedules = [constant_schedule(1.0, BASELINE)] * 3
+            return final_capitals(starts, schedules, horizon, [BASELINE] * 3, [UNIT_ENVY] * 3)
 
         short = finals(200)
         began = time.perf_counter()
@@ -1101,6 +1104,101 @@ class TestStationaryRepeat:
         assert type(finals[0]) is NuOutOfBounds and str(finals[0]) == str(first.value)
         assert solved[:4] == [[0, 1]] * 4 and all(rows == [1] for rows in solved[4:])
         assert finals[1] == simulate(start, steady, horizon, BASELINE, UNIT_ENVY).final_k
+
+
+def _cycle_case(rng, n, horizon=300):
+    """A small economy, a start and a schedule under which the path may repeat exact cycles.
+
+    Most such paths end on an exact cycle, of length 1 to 4 and now and then
+    longer, after about 100 periods.  The schedule has one to three
+    segments, each change at a random period, and alternates two tilts.
+    """
+    drawn = random_params(rng)
+    p = validate_params(alpha=drawn.alpha, delta=drawn.delta, phi=drawn.phi, n_agents=n)
+    envy, start = random_envy(rng, p), random_initial(rng, p)
+    tilts = [random_nu(rng, p) for _ in range(2)]
+    cuts = sorted(int(c) for c in rng.integers(1, horizon, size=int(rng.integers(0, 3))))
+    nus = []
+    for segment, (a, b) in enumerate(zip([0, *cuts], [*cuts, horizon + 1])):
+        nus += [tilts[segment % 2]] * (b - a)
+    return p, envy, start, nus
+
+
+def _first_cycle(records):
+    """(t, p): the first period whose record is that of a period before it, p periods back."""
+    seen = {}
+    for t, r in enumerate(records):
+        if id(r) in seen:
+            return t, t - seen[id(r)]
+        seen[id(r)] = t
+    return None, None
+
+
+@example(seed=1, n=3)  # the witnesses of test_a_row_leaves_on_its_cycle_and_rejoins_at_a_tilt
+@example(seed=9, n=4)
+@example(seed=3, n=5)
+@example(seed=504, n=2)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+@settings(max_examples=40, deadline=None)
+def test_paths_on_exact_cycles_equal_a_chain_of_solves_and_their_block_rows(seed, n):
+    # a row that repeats a cycle of its last states leaves the block and rejoins it at its
+    # next tilt change in the cycle's phase: each period equals a solve_temporary call, and
+    # final_capitals each row's own path
+    rng = np.random.default_rng(seed)
+    horizon = 300
+    cases = [_cycle_case(rng, n, horizon) for _ in range(3)]
+    for case in cases:
+        _assert_path_is_a_chain_of_first_periods(*case, horizon)
+    p, envys, starts, nus = zip(*cases)
+    finals = final_capitals(starts, nus, horizon, p, envys)
+    for case, final in zip(cases, finals):
+        try:
+            want = simulate(case[2], case[3], horizon, case[0], case[1]).final_k
+        except JonesesError as exc:
+            assert type(final) is type(exc) and str(final) == str(exc)
+        else:
+            assert final.hex() == want.hex()
+
+
+@pytest.mark.parametrize("seed, n, lag", [(1, 3, 1), (9, 4, 2), (3, 5, 3), (504, 2, 4)])
+def test_a_row_leaves_on_its_cycle_and_rejoins_at_a_tilt(seed, n, lag):
+    # the property's pinned examples: a path that repeats a cycle of each length 1 to 4, and
+    # solves again after its next tilt change
+    case = _cycle_case(np.random.default_rng(seed), n)
+    horizon = len(case[3]) - 1
+    path = _own_path(case, horizon)
+    records = path.records
+    t, p = _first_cycle(records)
+    assert p == lag
+    seen = {id(r) for r in records[:t]}
+    again = [u for u in range(t, horizon) if id(records[u]) not in seen]
+    assert again and again[0] in _tilt_pairs(case[3], horizon)  # solved again at a tilt change
+    tally = _tally(path)
+    solved = tally["first"] + tally["retry"] + tally["scan"]
+    assert solved == len(seen) + len({id(records[u]) for u in again})
+    assert tally["repeat"] == horizon - solved > 0
+
+
+@pytest.mark.parametrize("horizon", [33, 34, 35, 200, 10**6])
+def test_the_equal_start_repeats_its_four_cycle(horizon):
+    # [0.1] * 4 enters an exact 4-cycle at period 30: it solves periods 0 to 33 and repeats
+    # records 30 to 33 from period 34 on, the same objects, in the cycle's phase
+    schedule = constant_schedule(1.0, BASELINE)
+    began = time.perf_counter()
+    traj = simulate([0.1] * 4, schedule, horizon, BASELINE, UNIT_ENVY)
+    elapsed = time.perf_counter() - began
+    records, solved = traj.records, min(horizon, 34)
+    assert traj.horizon == horizon and len({id(r) for r in records}) == solved
+    assert all(records[t] is records[t - 4] for t in range(34, horizon))
+    tally = _tally(_own_path((BASELINE, UNIT_ENVY, np.full(4, 0.1), schedule), horizon))
+    assert (tally["first"], tally["scan"], tally["repeat"]) == (solved, 0, horizon - solved)
+    if horizon <= 200:
+        nus = [1.0] * (horizon + 1)
+        _assert_bitwise_paths(traj, _chain_of_solves([0.1] * 4, nus, horizon, BASELINE, UNIT_ENVY))
+    else:
+        assert elapsed < 2.0
+        short = simulate([0.1] * 4, schedule, 34, BASELINE, UNIT_ENVY)
+        assert traj.final_bequests.tobytes() == short.records[30 + (horizon - 31) % 4].bequests_next.tobytes()
 
 
 _TILTS = [0.7, 0.9, 1.1, np.float32(0.9), np.float32(1.1), float(np.float32(0.9))]
@@ -1382,6 +1480,18 @@ def test_the_spine_subtree_sums_as_the_whole_row():
         got, want = row[:, start:].sum(axis=1).item(0), row.sum(axis=1).item(0)
         assert got.hex() == want.hex(), (n, count)
     assert _spine_start(16384, 16368) == 16384 - 128  # 16 rich: the last leaf
+
+
+def test_a_short_row_sums_as_its_columns_in_order():
+    # a block's row sums add a row of fewer than 8 columns left to right, which is how numpy
+    # sums so few entries; a numpy that groups them otherwise fails here, not in the hashes
+    rng = np.random.default_rng(3)
+    for n in range(1, 17):
+        rows = rng.random((400, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (400, n))
+        rows[rng.random((400, n)) < 0.3] = -0.0
+        rows[:, rng.integers(n)] += 1.0  # a positive entry in every row, as every solved row has
+        rows[rng.random((400, n)) < 0.01] = np.inf
+        assert _row_sums(rows).tobytes() == rows.sum(axis=1)[:, None].tobytes(), n
 
 
 _N64 = validate_params(alpha=BASELINE.alpha, delta=BASELINE.delta, phi=BASELINE.phi, n_agents=64)

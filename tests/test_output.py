@@ -15,6 +15,7 @@ from joneses import (
     steady_capital,
     validate_params,
 )
+from joneses import output
 from joneses.errors import DomainError
 from joneses.output import (
     CSV_HEADER,
@@ -71,6 +72,27 @@ class TestTrajectoryCsv:
         assert len({id(r) for r in traj.records}) < 40  # the path repeats its fixed point
         got = list(trajectory_csv_lines(traj, per_agent=per_agent))
         assert len(got) == 61
+        for t, r in enumerate(traj.records):
+            alone = list(trajectory_csv_lines(Trajectory((r,)), per_agent=per_agent))[1]
+            assert got[t + 1] == f"{t}," + alone.split(",", 1)[1]
+
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_a_cycling_path_formats_each_distinct_record_once(self, per_agent, monkeypatch):
+        # the equal start repeats an exact 4-cycle from period 30: its records recur four
+        # periods apart, not in a run, and each is formatted once
+        traj = _equal_start_traj(200)
+        assert traj.records[34] is traj.records[30] and traj.records[33] is not traj.records[30]
+        formatted, cells = [], output._record_cells
+
+        def spy(r, per_agent):
+            formatted.append(r)
+            return cells(r, per_agent)
+
+        monkeypatch.setattr(output, "_record_cells", spy)
+        got = list(trajectory_csv_lines(traj, per_agent=per_agent))
+        assert len(formatted) == len({id(r) for r in formatted}) == len({id(r) for r in traj.records}) == 34
+        monkeypatch.undo()
+        assert len(got) == 201
         for t, r in enumerate(traj.records):
             alone = list(trajectory_csv_lines(Trajectory((r,)), per_agent=per_agent))[1]
             assert got[t + 1] == f"{t}," + alone.split(",", 1)[1]

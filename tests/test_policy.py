@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from joneses import equilibrium
+
 from joneses import (
     build_schedule,
     budget_check,
@@ -175,6 +177,22 @@ class TestPlanReform:
                 margin=1.0,
                 max_horizon=10**9,
             )
+
+    def test_an_exact_cycle_stops_the_search(self, monkeypatch):
+        # [0.1] * 4 enters an exact 4-cycle at period 30, its weight 0 never below a target
+        # of -1: the search ends once the cycle closes, in period 33, not after 10**9 periods
+        paths, block = [], equilibrium._block
+
+        def spy(block_paths, *args, **kwargs):
+            paths.extend(block_paths)
+            return block(block_paths, *args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "_block", spy)
+        margin = gamma_star(1.0, BASELINE) + 1.0
+        with pytest.raises(Infeasible, match=r"within 1000000000 periods$"):
+            plan_reform([0.1] * 4, BASELINE, UNIT_ENVY, 1.0, 1.0, margin=margin, max_horizon=10**9)
+        (path,) = paths
+        assert equilibrium._tally(path)["first"] == 34
 
     @pytest.mark.parametrize("max_horizon", [-1, 2.0, True])
     def test_max_horizon_must_be_a_nonnegative_integer(self, max_horizon):
