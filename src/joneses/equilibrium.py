@@ -45,20 +45,21 @@ one row's are Python floats (``_solve_row``), so a row alone calls numpy
 only for its O(N) passes.  :func:`simulate`, :func:`solve_temporary` and
 the reform planner run one row, :func:`final_capitals` (the sweep's) a
 block of cells that share the horizon and the number of dynasties.  The
-rows still being solved stay one contiguous block, taken again only where
-a row leaves or rejoins it, and their per-row constants are priced once
-per tilt.  Every row is rounded exactly as it would be alone: row-wise means, sums
-and cumulative sums equal the 1-D calls bit for bit, the Gini and weight
-come from the function that ``gini`` runs, and both shapes repeat the
-same IEEE operations; a block's only per-row Python call is one power,
-and its rank dots are one ``np.vecdot``.  A row that the one-row shape
-declines (a stale order, a root neither guess certifies, an error) is
-solved as a one-row column block.  Every tilt is priced as a Python
-float.  The kernel has one float policy: numpy's warnings are off, and
-typed tests alone decide each row, which NaN and inf fail.  A row that
-raises is frozen with the error, and message, its own path raises; the
-other rows go on.  Each period counts its positive bequests once, and a
-row's count and mean are the next period's guess and mean.
+rows still being solved stay one contiguous block, taken again only
+where a row leaves or rejoins it, and their per-row constants are priced
+once per tilt.  Every row is rounded exactly as it would be alone:
+row-wise means, sums and cumulative sums equal the 1-D calls bit for
+bit, the Gini and weight come from the function that ``gini`` runs, and
+both shapes repeat the same IEEE operations; a block's only per-row
+Python call is one power, and its rank dots are one ``np.vecdot``.  A
+row that the one-row shape declines (a stale order, a root neither guess
+certifies, an error) is solved as a one-row column block.  Every tilt is
+priced as a Python float.  The kernel has one float policy: numpy's
+warnings are off, and typed tests alone decide each row, which NaN and
+inf fail.  A row that raises is frozen with the error, and message, its
+own path raises; the other rows go on.  Each period counts its positive
+bequests once, and a row's count and mean are the next period's guess
+and mean.
 
 In the polarised regime the poor hold exact zeros from the first solved
 period on.  One row whose zeros its path's last period wrote takes the
@@ -903,8 +904,8 @@ def _run_paths(beq, paths, horizon: int):
                 joined = None
                 if back:
                     vectors, orders = (np.array(part) for part in zip(*back.values()))
-                    joined = [paths[i] for i in back]
-                    joined = _block(joined, vectors, orders, np.array(list(back)), c, blk.head)
+                    members = [paths[i] for i in back]
+                    joined = _block(members, vectors, orders, np.array(list(back)), c, blk.head)
                 blk = _regroup(blk, leave, joined)
                 leave, back = [], {}
             if retilt:  # a live row's older states were solved under another pair
@@ -928,10 +929,16 @@ def _run_paths(beq, paths, horizon: int):
             leave = _rows(ok, False)
             hits = blk.hk == values[3]
             if np.count_nonzero(hits):  # a mean seen before: the bytes decide
-                for j, lag in _cycles(hits, nxt, blk, leave):
+                found, (rows, cols) = set(leave), np.nonzero(hits)
+                # each row takes its least lag, ago + 1 periods
+                for j, ago in sorted(zip(rows.tolist(), ((blk.head - cols) % _CYCLE).tolist())):
+                    if j in found or nxt[j].tobytes() != _state(blk, j, ago).tobytes():
+                        continue
+                    found.add(j)
                     stop = until[blk.rows.item(j)]
                     if stop > t + 1:
-                        _park(blk, j, lag, stop - t - 1, nxt, None if stop == horizon else parked)
+                        store = None if stop == horizon else parked
+                        _park(blk, j, ago + 1, stop - t - 1, nxt, store)
                         leave.append(j)
             blk.head = (blk.head + 1) % _CYCLE  # the oldest state gives way to the newest
             blk.hk[:, blk.head] = blk.k[:, 0]
@@ -943,20 +950,6 @@ def _run_paths(beq, paths, horizon: int):
             p.final = k
     finally:
         counts[blk.rows] += blk.tally
-
-
-def _cycles(hits, nxt, blk, failed):
-    """(row, p) for each row of ``nxt`` whose bytes are those of its state p periods back.
-
-    ``hits`` marks where the rows' new means equal those in the ring
-    ``blk.hk``; each row takes its least p.  The rows in ``failed`` raised.
-    """
-    rows, cols = np.nonzero(hits)
-    found = set(failed)
-    for j, back in sorted(zip(rows.tolist(), ((blk.head - cols) % _CYCLE).tolist())):
-        if j not in found and nxt[j].tobytes() == _state(blk, j, back).tobytes():
-            found.add(j)
-            yield j, back + 1
 
 
 def _state(blk, j, back):
