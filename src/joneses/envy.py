@@ -115,9 +115,8 @@ def _gini_weights(asc: np.ndarray, base, scale, total=None):
         total[huge] = asc[rows].sum(axis=1)
     dots = np.vecdot(asc, _ranks(n)).reshape(total.shape)
     g = np.minimum(np.maximum(2.0 * dots / (n * total) - (n + 1.0) / n, 0.0), top)
-    for extreme, value in ((asc[:, -min(n, 2)] == 0.0, top), (asc[:, 0] == asc[:, -1], 0.0)):
-        if np.count_nonzero(extreme):  # a single positive holder, then all equal
-            g[extreme] = value
+    g[asc[:, -min(n, 2)] == 0.0] = top
+    g[asc[:, 0] == asc[:, -1]] = 0.0
     return g, base + scale * g
 
 

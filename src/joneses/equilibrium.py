@@ -403,20 +403,17 @@ _CYCLE = 8  # the longest cycle a row repeats, and so the states it keeps to com
 class _Block:
     """The live rows of a lockstep block, contiguous (see :func:`_run_paths`).
 
-    Row j is ``paths[j]``, row ``rows[j]`` of the driver's block, and
-    ``where`` maps each row of the driver's block to its row here, or -1.
-    ``beq`` holds the vectors the rows inherit and ``order`` sorts each;
-    ``k`` (C x 1) and ``count`` are each vector's mean and number of
-    positive entries, which each period writes for the next: the same sum
-    over the same array, and the count counted once.  ``cols`` holds the
-    rows' constants (``_CONSTANTS``), one contiguous row of C each, which
-    the (C x 1) attributes of the same names view; a tilt's are priced
-    again for the rows listed in ``unpriced``.  ``tally`` holds the
-    kernel's counters of each row until the driver adds them to its
-    path's.  ``hb`` holds the last ``_CYCLE`` states the rows inherited,
-    newest first, each a block and the ``where`` that finds a row in it,
-    and ``hk`` (C x _CYCLE) their means, a ring whose column ``head``
-    holds the newest, NaN before a row's last tilt change.
+    Row j is ``paths[j]``, row ``rows[j]`` of the driver's block; ``where``
+    maps a row of the driver's block to its row here, or -1.  ``beq`` holds
+    the vectors the rows inherit and ``order`` sorts each; ``k`` (C x 1)
+    and ``count`` are each vector's mean and positive entries, which each
+    period writes for the next.  ``cols`` holds the rows' ``_CONSTANTS``,
+    a contiguous row each, viewed as (C x 1) attributes of the same names;
+    the rows in ``unpriced`` price their tilt's again.  ``tally`` counts
+    until the driver adds it to the paths'.  ``hb`` holds the last
+    ``_CYCLE`` inherited blocks, newest first, each with its ``where``, and
+    ``hk`` their means: a ring whose column ``head`` is the newest, NaN
+    before a row's last tilt change.
     """
 
     __slots__ = (
@@ -899,6 +896,8 @@ def _run_paths(beq, paths, horizon: int):
                     else:
                         retilt.append(i)
                 s += 1
+            if len(leave) == len(blk.rows) and not back and stops[s] == horizon:
+                return  # every row has left, and none comes back
             if leave or back:
                 counts[blk.rows] += blk.tally
                 joined = None
@@ -961,12 +960,10 @@ def _state(blk, j, back):
 def _park(blk, j, lag, stretch, nxt, parked) -> None:
     """Take row j of ``blk`` off the block for the ``stretch`` periods its ``lag``-cycle repeats.
 
-    ``nxt`` is the block the rows hand on.  The row's state after the
-    stretch is the cycle's, ``-stretch % lag`` periods before the one it
-    hands on: its mean is the path's ``final`` when ``parked`` is None (the
-    stretch ends at the horizon), and else ``parked`` keeps its vector, with
-    an order that sorts it, for the rejoin.  A path that keeps records
-    repeats its last ``lag`` of them over the stretch.
+    The state after the stretch is the cycle's, ``-stretch % lag`` periods
+    before ``nxt[j]``: its mean is the path's ``final`` where ``parked`` is
+    None (the horizon), else ``parked`` keeps it, with its order, for the
+    rejoin.  A path that keeps records repeats its last ``lag``.
     """
     path, back = blk.paths[j], -stretch % lag
     blk.tally[j, _REPEAT] += stretch

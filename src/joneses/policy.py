@@ -163,10 +163,10 @@ def plan_reform(
     differs (the test suite checks it also lies below the target).  The
     projected long-run capital is the egalitarian steady state under
     stage 2.  A stage-1 path that reaches an exact cycle (a fixed point
-    is one of length 1) with the weight still at or above the target would
-    repeat the cycle up to ``max_horizon``; the driver ends there instead
-    of stepping through it, and the planner raises :class:`Infeasible`.  ``max_horizon``
-    must be an integer >= 0.
+    is one of length 1) with the weight still at or above the target
+    would repeat the cycle up to ``max_horizon``; the driver ends there
+    instead of stepping through it, and the planner raises
+    :class:`Infeasible`.  ``max_horizon`` must be an integer >= 0.
     """
     integral = isinstance(max_horizon, numbers.Integral) and not isinstance(max_horizon, bool)
     if not (integral and max_horizon >= 0):
