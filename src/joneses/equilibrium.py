@@ -428,8 +428,8 @@ class _Block:
         self.where = np.full(size, -1)
         self.where[self.rows] = np.arange(c)
         self.cols, self.head = cols, head
-        for name, col in zip(_CONSTANTS, cols):
-            setattr(self, name, col[:, None])
+        for name, col in zip(_CONSTANTS, cols[:, :, None]):
+            setattr(self, name, col)
         self.powers = [alpha - 1.0 for alpha in cols[0].tolist()]  # gross_return's exponents
         self.hb = deque(hb, _CYCLE)
         self.hb.appendleft((self.beq, self.where))
@@ -446,7 +446,7 @@ def _block(paths, beq, order, rows=None, size=None, head=0) -> _Block:
     vector, in column ``head`` of the ring.
     """
     c, n = beq.shape
-    k = _row_sums(beq) / n  # ndarray.mean, bit for bit
+    k = beq.sum(axis=1)[:, None] / n  # ndarray.mean, bit for bit
     count = np.maximum((beq > 0.0).sum(axis=1), 1)  # a row with none raises; 1 guesses
     hk = np.full((c, _CYCLE), np.nan)
     hk[:, head] = k[:, 0]
@@ -548,7 +548,7 @@ def _solve_block(blk, out=None):
             asc[i] = beq[i, order[i]]
         flat = order + blk.offsets
     k = blk.k
-    asc_total = _row_sums(asc)  # can overflow where the row's own total did not
+    asc_total = asc.sum(axis=1)[:, None]  # can overflow where the row's own total did not
     ok = np.ones(c, dtype=bool)
     if blk.unpriced or not (k.min() > 0.0 and (k + asc_total).max() < np.inf):
         good, k = (0.0 < k) & (k < np.inf) & (asc_total < np.inf), k.copy()
@@ -594,9 +594,9 @@ def _solve_block(blk, out=None):
     bequests_next -= blk.xnn * kappa
     np.maximum(0.0, bequests_next, out=bequests_next)
     bequests_next /= blk.delta1
-    k_next = _row_sums(bequests_next) / n
+    k_next = bequests_next.sum(axis=1)[:, None] / n
     consumptions = np.subtract(income, bequests_next, out=asc)  # records recompute theirs
-    avg = _row_sums(consumptions) / n
+    avg = consumptions.sum(axis=1)[:, None] / n
     floor = z * avg
     held = (k_next > 0.0) & (poorest > floor)
     if not held.all():
@@ -617,21 +617,6 @@ def _solve_block(blk, out=None):
     if c == 1:  # a row that _solve_row declined: its record reads Python scalars
         return bequests_next, ok.item(), tuple(np.asarray(v).item() for v in values)
     return bequests_next, ok, values
-
-
-def _row_sums(a) -> np.ndarray:
-    """``a.sum(axis=1)`` as a (C x 1) column, bit for bit.
-
-    numpy sums fewer than 8 entries in order, so a short row is summed as
-    its columns added left to right, which costs less than the reduction.
-    """
-    n = a.shape[1]
-    if n >= 8 or n < 2:
-        return a.sum(axis=1)[:, None]
-    total = a[:, 0] + a[:, 1]  # 1-D: numpy loops over a (C x 1) column as over C rows
-    for j in range(2, n):
-        total += a[:, j]
-    return total[:, None]
 
 
 @lru_cache(maxsize=64)
@@ -893,7 +878,7 @@ def _run_paths(beq, paths, horizon: int):
                     p.nu_t, p.nu_next = p.pairs[t]
                     if i in parked:
                         back[i] = parked.pop(i)
-                    else:
+                    elif t:  # at 0 the block is new: every tilt unpriced, no older state
                         retilt.append(i)
                 s += 1
             if len(leave) == len(blk.rows) and not back and stops[s] == horizon:
@@ -925,10 +910,11 @@ def _run_paths(beq, paths, horizon: int):
             nxt, ok, values = _solve_block(blk, page)
             if keep and ok:
                 path.records.append(_record(path, blk.beq[0], nxt[0], values))
-            leave = _rows(ok, False)
-            hits = blk.hk == values[3]
-            if np.count_nonzero(hits):  # a mean seen before: the bytes decide
-                found, (rows, cols) = set(leave), np.nonzero(hits)
+            leave, k_next = _rows(ok, False), values[3]
+            # a mean seen before: the bytes decide.  A lone row's mean is a float, its ring a list
+            lone = isinstance(k_next, float)
+            if k_next in blk.hk[0].tolist() if lone else np.count_nonzero(blk.hk == k_next):
+                found, (rows, cols) = set(leave), np.nonzero(blk.hk == k_next)
                 # each row takes its least lag, ago + 1 periods
                 for j, ago in sorted(zip(rows.tolist(), ((blk.head - cols) % _CYCLE).tolist())):
                     if j in found or nxt[j].tobytes() != _state(blk, j, ago).tobytes():
@@ -940,7 +926,10 @@ def _run_paths(beq, paths, horizon: int):
                         _park(blk, j, ago + 1, stop - t - 1, nxt, store)
                         leave.append(j)
             blk.head = (blk.head + 1) % _CYCLE  # the oldest state gives way to the newest
-            blk.hk[:, blk.head] = blk.k[:, 0]
+            if lone:
+                blk.hk[0, blk.head] = k_next
+            else:
+                blk.hk[:, blk.head] = k_next[:, 0]
             blk.hb.appendleft((nxt, blk.where))
             blk.beq = nxt
             t += 1
@@ -1212,22 +1201,24 @@ def _regime(
     )
 
 
-def _per_record(records, work):
-    """``work(r)`` of each record ``r`` in turn, computed once per distinct record.
+def _once(work):
+    """``work`` computed once per distinct record, keyed by identity.
 
     A path's repeats are the same record objects, in a run or, on a cycle,
-    ``p`` apart; so the results of the last ``_CYCLE`` distinct records are
-    kept, keyed by identity.
+    ``p`` apart, so the results of the last ``_CYCLE`` distinct records are
+    kept.
     """
-    memo, last, done = {}, None, None
-    for r in records:
-        if r is not last:
-            last, done = r, memo.get(id(r))
-            if done is None:
-                done = memo[id(r)] = work(r)
-                if len(memo) > _CYCLE:
-                    del memo[next(iter(memo))]
-        yield done
+    memo = {}
+
+    def once(r):
+        done = memo.get(id(r))
+        if done is None:
+            done = memo[id(r)] = work(r)
+            if len(memo) > _CYCLE:
+                del memo[next(iter(memo))]
+        return done
+
+    return once
 
 
 @dataclass(frozen=True)
@@ -1264,7 +1255,11 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
             d = max(d, step)
         return d
 
-    deltas = np.fromiter(_per_record(traj.records, delta), float, len(traj.records))
+    once, last, deltas = _once(delta), None, np.empty(len(traj.records))
+    for t, r in enumerate(traj.records):
+        if r is not last:  # a repeated record has the delta it had the period before
+            d, last = once(r), r
+        deltas[t] = d
     below = deltas < tol
     if not below[-1]:
         return None
