@@ -85,14 +85,16 @@ state, and 2 to 4 on the cycles that rounding leaves, as the equal start
 of ``equal_start.json`` from period 30.  The period solver is a pure
 function of those bytes and of the two tilts, so while the tilt pair
 holds every later period would recompute the cycle's records.  A row
-compares each state it hands on with its last ``_CYCLE`` states; on a
-match it leaves the block, and rejoins it, in the cycle's phase, where
-the schedule next changes its tilt.  A block with no row left jumps to
-that change, or to the horizon, so repeated periods cost nothing; a path
-that keeps records repeats its last p over them.  This is exact, not a
-tolerance.  At seed 0 the benchmark's sweep solves 17,343 of its 24,840
-row-periods, in 105 block periods of 120, its cells ending on cycles of
-length 1 (166 cells), 2 (14), 3 (24) and 4 (3).
+compares each state it hands on with its last ``_CYCLE`` states, which
+the driver keeps: the blocks of its last ``_CYCLE`` periods, and in each
+block a ring of its rows' means.  On a match the row leaves the block,
+and rejoins it, in the cycle's phase, where the schedule next changes
+its tilt.  A block with no row left jumps to that change, or to the
+horizon, so repeated periods cost nothing; a path that keeps records
+repeats its last p over them.  This is exact, not a tolerance.  At seed
+0 the benchmark's sweep solves 17,343 of its 24,840 row-periods, in 105
+block periods of 120, its cells ending on cycles of length 1 (166
+cells), 2 (14), 3 (24) and 4 (3).
 
 An economy run under a constant tilt settles, depending on whether the
 initial envy weight sits below or above the threshold ``gamma_star(nu)``,
@@ -302,7 +304,7 @@ def _certify(desc, guess, z, total, delta, xnn, n=None):
     return kappa, ok & (head - tail > err + err / rho)
 
 
-def _certify_row(desc, guess, z, total, delta, xnn, n=None):
+def _certify_row(desc, guess, z, total, delta, xnn, n):
     """A one-row :func:`_certify` of ``guess`` g, then of a' where g fails: ``(kappa, how)``.
 
     a' counts the incomes whose head is positive at kappa_g, by one binary
@@ -316,7 +318,7 @@ def _certify_row(desc, guess, z, total, delta, xnn, n=None):
     held = desc.shape[1]
     tail = delta * z * (total - kappa) + xnn * kappa
     retry = held - np.searchsorted(desc[0, ::-1], tail / delta, side="right").item()
-    if 1 <= retry != guess and (retry < held or n in (None, held)):
+    if 1 <= retry != guess and (retry < held or n == held):
         kappa, certified = _certify(desc, retry, z, total, delta, xnn, n)
         if certified:
             return kappa, _RETRY
@@ -410,29 +412,23 @@ class _Block:
     period writes for the next.  ``cols`` holds the rows' ``_CONSTANTS``,
     a contiguous row each, viewed as (C x 1) attributes of the same names;
     the rows in ``unpriced`` price their tilt's again.  ``tally`` counts
-    until the driver adds it to the paths'.  ``hb`` holds the last
-    ``_CYCLE`` inherited blocks, newest first, each with its ``where``, and
-    ``hk`` their means: a ring whose column ``head`` is the newest, NaN
-    before a row's last tilt change.
+    until the driver adds it to the paths'.  ``hk`` holds the means of each
+    row's last ``_CYCLE`` inherited vectors, a ring whose newest column the
+    driver keeps, NaN before the row's last tilt change or its rejoin.
     """
 
-    __slots__ = (
-        *_ROWS, *_CONSTANTS, "where", "cols", "powers", "unpriced", "tally", "hb", "head",
-        "offsets",
-    )
+    __slots__ = (*_ROWS, *_CONSTANTS, "where", "cols", "powers", "unpriced", "tally", "offsets")
 
-    def __init__(self, arrays, cols, size, head=0, hb=()):
+    def __init__(self, arrays, cols, size):
         for name, array in zip(_ROWS, arrays):
             setattr(self, name, array)
         c, n = self.beq.shape
         self.where = np.full(size, -1)
         self.where[self.rows] = np.arange(c)
-        self.cols, self.head = cols, head
+        self.cols = cols
         for name, col in zip(_CONSTANTS, cols[:, :, None]):
             setattr(self, name, col)
         self.powers = [alpha - 1.0 for alpha in cols[0].tolist()]  # gross_return's exponents
-        self.hb = deque(hb, _CYCLE)
-        self.hb.appendleft((self.beq, self.where))
         self.unpriced, self.tally = [], np.zeros((c, len(_COUNTS)), np.intp)
         self.offsets = np.arange(0, c * n, n)[:, None]  # row i's entries in the flat block
 
@@ -442,8 +438,8 @@ def _block(paths, beq, order, rows=None, size=None, head=0) -> _Block:
     """The block of ``paths`` from their vectors ``beq``, which ``order`` sorts.
 
     They are rows ``rows`` (0 to C-1) of a driver's block of ``size`` (C)
-    rows.  Every tilt is unpriced, and each row's history starts at its
-    vector, in column ``head`` of the ring.
+    rows.  Every tilt is unpriced, and each row's ring of means starts at
+    its vector's, in column ``head``.
     """
     c, n = beq.shape
     k = beq.sum(axis=1)[:, None] / n  # ndarray.mean, bit for bit
@@ -459,7 +455,7 @@ def _block(paths, beq, order, rows=None, size=None, head=0) -> _Block:
     cols = np.zeros((len(_CONSTANTS), c))
     cols[: _TILT.start] = np.array(fixed).reshape(c, _TILT.start).T
     rows = np.arange(c) if rows is None else rows
-    blk = _Block((objects, rows, beq, order, k, count, hk), cols, c if size is None else size, head)
+    blk = _Block((objects, rows, beq, order, k, count, hk), cols, c if size is None else size)
     blk.unpriced = list(range(c))
     return blk
 
@@ -467,7 +463,7 @@ def _block(paths, beq, order, rows=None, size=None, head=0) -> _Block:
 def _regroup(blk, leave, back) -> _Block:
     """``blk`` without its rows at ``leave``, then the rows of the block ``back``, if any.
 
-    The rows that stay keep their history and their priced tilts.
+    The rows that stay keep their ring of means and their priced tilts.
     """
     stay = np.ones(len(blk.rows), dtype=bool)
     stay[leave] = False
@@ -477,7 +473,7 @@ def _regroup(blk, leave, back) -> _Block:
     if back is not None:
         arrays = [np.concatenate((a, getattr(back, name))) for a, name in zip(arrays, _ROWS)]
         cols = np.concatenate((cols, back.cols), axis=1)
-    new = _Block(arrays, cols, len(blk.where), blk.head, list(blk.hb)[1:])
+    new = _Block(arrays, cols, len(blk.where))
     new.unpriced = list(range(len(stay), len(new.rows)))
     return new
 
@@ -492,13 +488,11 @@ def _price(blk, j) -> None:
     blk.cols[_TILT, j] = (1.0 - path.taxes.tau_s, xi_nu, xi_nu + 1.0, xi / path.nu_next)
 
 
-def _rows(mask, holds=True):
-    """The rows where a per-row mask is ``holds``; a bool is the mask of one row."""
+def _failed(mask):
+    """The rows where a per-row mask is False; a bool is the mask of one row."""
     if not isinstance(mask, np.ndarray):
-        return [0] if mask == holds else []
-    if not holds and mask.all():
-        return []
-    return np.flatnonzero(mask if holds else ~mask).tolist()
+        return [] if mask else [0]
+    return [] if mask.all() else np.flatnonzero(~mask).tolist()
 
 
 @np.errstate(all="ignore")
@@ -543,7 +537,7 @@ def _solve_block(blk, out=None):
     flat = order + blk.offsets  # each row's order into the flat block
     asc = beq.take(flat)
     if not (asc[:, :-1] <= asc[:, 1:]).all():
-        for i in _rows((asc[:, :-1] <= asc[:, 1:]).all(axis=1), False):
+        for i in _failed((asc[:, :-1] <= asc[:, 1:]).all(axis=1)):
             order[i] = np.argsort(beq[i], kind="stable")
             asc[i] = beq[i, order[i]]
         flat = order + blk.offsets
@@ -552,7 +546,7 @@ def _solve_block(blk, out=None):
     ok = np.ones(c, dtype=bool)
     if blk.unpriced or not (k.min() > 0.0 and (k + asc_total).max() < np.inf):
         good, k = (0.0 < k) & (k < np.inf) & (asc_total < np.inf), k.copy()
-        for i in sorted({*_rows(good[:, 0], False), *blk.unpriced}):
+        for i in sorted({*_failed(good[:, 0]), *blk.unpriced}):
             p = paths[i]
             try:
                 if not good.item(i):
@@ -600,7 +594,7 @@ def _solve_block(blk, out=None):
     floor = z * avg
     held = (k_next > 0.0) & (poorest > floor)
     if not held.all():
-        for i in _rows(held[:, 0] | ~ok, False):  # a row that raised before keeps its error
+        for i in _failed(held[:, 0] | ~ok):  # a row that raised before keeps its error
             # a root <= 0 leaves no head positive, a non-finite one NaN heads
             if not k_next.item(i) > 0.0:
                 error = NoPositiveRoot("next-period capital intensity is not positive")
@@ -842,10 +836,13 @@ def _run_paths(beq, paths, horizon: int):
     under one tilt pair (nu_t, nu_{t+1}), is on an exact cycle: it leaves
     the block until the next period in which its pair may change, a key of
     its ``pairs``, and rejoins there with the cycle's state of that period.
-    A row that raises is frozen with its error for good.  With no row
-    left, the driver jumps to the next such period, or ends.  After each
-    period in which it solved a block it yields ``(bequests, order)``: the
-    block the live rows hand on, and the orders that sort it.  Each path's
+    The driver keeps the states it compares with: ``hb``, the last
+    ``_CYCLE`` inherited blocks, newest first, each with its ``where``, and
+    ``head``, the newest column of the rows' rings of means (``_Block.hk``).
+    A row that raises is frozen with its error for good.  With no row left,
+    the driver jumps to the next such period, or ends.  After each period
+    in which it solved a block it yields ``(bequests, order)``: the block
+    the live rows hand on, and the orders that sort it.  Each path's
     ``final`` is the mean of its vector at the horizon, written once.
 
     Only a one-row path keeps records (``simulate``): each period it
@@ -866,7 +863,8 @@ def _run_paths(beq, paths, horizon: int):
             changes.setdefault(t, []).append((i, until))
     stops = [*sorted(changes), horizon]
     until = [0] * c  # each row's next stop
-    blk = _block(paths, beq, np.argsort(beq, axis=1))
+    blk, head = _block(paths, beq, np.argsort(beq, axis=1)), 0
+    hb = deque([(blk.beq, blk.where)], _CYCLE)
     leave, back, parked = [], {}, {}
     slab, used, page, t, s = (), 0, None, 0, 0
     try:
@@ -889,16 +887,17 @@ def _run_paths(beq, paths, horizon: int):
                 if back:
                     vectors, orders = (np.array(part) for part in zip(*back.values()))
                     members = [paths[i] for i in back]
-                    joined = _block(members, vectors, orders, np.array(list(back)), c, blk.head)
+                    joined = _block(members, vectors, orders, np.array(list(back)), c, head)
                 blk = _regroup(blk, leave, joined)
+                hb[0] = (blk.beq, blk.where)
                 leave, back = [], {}
             if retilt:  # a live row's older states were solved under another pair
                 moved = blk.where[retilt]
                 moved = moved[moved >= 0]  # not a row frozen by its error
                 blk.unpriced += moved.tolist()
-                newest = blk.hk[moved, blk.head]
+                newest = blk.hk[moved, head]
                 blk.hk[moved] = np.nan
-                blk.hk[moved, blk.head] = newest
+                blk.hk[moved, head] = newest
             if not len(blk.rows):  # nothing changes before the next stop
                 t = stops[s]
                 continue
@@ -910,27 +909,29 @@ def _run_paths(beq, paths, horizon: int):
             nxt, ok, values = _solve_block(blk, page)
             if keep and ok:
                 path.records.append(_record(path, blk.beq[0], nxt[0], values))
-            leave, k_next = _rows(ok, False), values[3]
+            leave, k_next, cycles = _failed(ok), values[3], []
             # a mean seen before: the bytes decide.  A lone row's mean is a float, its ring a list
             lone = isinstance(k_next, float)
             if k_next in blk.hk[0].tolist() if lone else np.count_nonzero(blk.hk == k_next):
                 found, (rows, cols) = set(leave), np.nonzero(blk.hk == k_next)
                 # each row takes its least lag, ago + 1 periods
-                for j, ago in sorted(zip(rows.tolist(), ((blk.head - cols) % _CYCLE).tolist())):
-                    if j in found or nxt[j].tobytes() != _state(blk, j, ago).tobytes():
+                for j, ago in sorted(zip(rows.tolist(), ((head - cols) % _CYCLE).tolist())):
+                    if j in found:
                         continue
-                    found.add(j)
-                    stop = until[blk.rows.item(j)]
-                    if stop > t + 1:
-                        store = None if stop == horizon else parked
-                        _park(blk, j, ago + 1, stop - t - 1, nxt, store)
-                        leave.append(j)
-            blk.head = (blk.head + 1) % _CYCLE  # the oldest state gives way to the newest
+                    i, (block, where) = blk.rows.item(j), hb[ago]
+                    if nxt[j].tobytes() == block[where[i]].tobytes():
+                        found.add(j)
+                        if until[i] > t + 1:
+                            cycles.append((j, ago + 1, until[i]))
+            head = (head + 1) % _CYCLE  # the oldest state gives way to the newest
             if lone:
-                blk.hk[0, blk.head] = k_next
+                blk.hk[0, head] = k_next
             else:
-                blk.hk[:, blk.head] = k_next[:, 0]
-            blk.hb.appendleft((nxt, blk.where))
+                blk.hk[:, head] = k_next[:, 0]
+            hb.appendleft((nxt, blk.where))
+            for j, lag, stop in cycles:
+                _park(blk, j, lag, stop - t - 1, hb, head, None if stop == horizon else parked)
+                leave.append(j)
             blk.beq = nxt
             t += 1
             yield nxt, blk.order
@@ -940,29 +941,25 @@ def _run_paths(beq, paths, horizon: int):
         counts[blk.rows] += blk.tally
 
 
-def _state(blk, j, back):
-    """The vector that row j of ``blk`` inherited ``back`` periods before its last."""
-    block, where = blk.hb[back]
-    return block[where[blk.rows.item(j)]]
-
-
-def _park(blk, j, lag, stretch, nxt, parked) -> None:
+def _park(blk, j, lag, stretch, hb, head, parked) -> None:
     """Take row j of ``blk`` off the block for the ``stretch`` periods its ``lag``-cycle repeats.
 
-    The state after the stretch is the cycle's, ``-stretch % lag`` periods
-    before ``nxt[j]``: its mean is the path's ``final`` where ``parked`` is
-    None (the horizon), else ``parked`` keeps it, with its order, for the
-    rejoin.  A path that keeps records repeats its last ``lag``.
+    ``hb`` and ``head`` are the driver's history, advanced past the row's
+    solved period.  The state after the stretch is the cycle's, ``back =
+    -stretch % lag`` periods before the newest: its mean is the path's
+    ``final`` where ``parked`` is None (the horizon), else ``parked`` keeps
+    its vector, with its order, for the rejoin.  A path that keeps records
+    repeats its last ``lag``.
     """
-    path, back = blk.paths[j], -stretch % lag
+    path, back, i = blk.paths[j], -stretch % lag, blk.rows.item(j)
     blk.tally[j, _REPEAT] += stretch
     if path.records is not None:
         path.records += islice(cycle(path.records[-lag:]), stretch)
     if parked is None:
-        path.final = blk.k.item(j) if not back else blk.hk.item(j, (blk.head - back + 1) % _CYCLE)
+        path.final = blk.hk.item(j, (head - back) % _CYCLE)
     else:
-        vector = nxt[j] if not back else _state(blk, j, back - 1)
-        parked[blk.rows.item(j)] = (vector.copy(), blk.order[j].copy())
+        block, where = hb[back]
+        parked[i] = (block[where[i]].copy(), blk.order[j].copy())
 
 
 def simulate(
@@ -1201,24 +1198,23 @@ def _regime(
     )
 
 
-def _once(work):
-    """``work`` computed once per distinct record, keyed by identity.
+def _per_period(records, work):
+    """``work(r)`` of each period's record ``r`` in turn, computed once per distinct record.
 
     A path's repeats are the same record objects, in a run or, on a cycle,
-    ``p`` apart, so the results of the last ``_CYCLE`` distinct records are
-    kept.
+    ``p`` apart: a record that repeats the period before takes its result,
+    and any other is looked up by identity among the last ``_CYCLE``
+    distinct records.
     """
-    memo = {}
-
-    def once(r):
-        done = memo.get(id(r))
-        if done is None:
-            done = memo[id(r)] = work(r)
-            if len(memo) > _CYCLE:
-                del memo[next(iter(memo))]
-        return done
-
-    return once
+    memo, last = {}, None
+    for r in records:
+        if r is not last:
+            last, done = r, memo.get(id(r))
+            if done is None:
+                done = memo[id(r)] = work(r)
+                if len(memo) > _CYCLE:
+                    del memo[next(iter(memo))]
+        yield done
 
 
 @dataclass(frozen=True)
@@ -1255,11 +1251,7 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
             d = max(d, step)
         return d
 
-    once, last, deltas = _once(delta), None, np.empty(len(traj.records))
-    for t, r in enumerate(traj.records):
-        if r is not last:  # a repeated record has the delta it had the period before
-            d, last = once(r), r
-        deltas[t] = d
+    deltas = np.fromiter(_per_period(traj.records, delta), float, len(traj.records))
     below = deltas < tol
     if not below[-1]:
         return None

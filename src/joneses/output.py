@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import EconomyParams, NuForGamma, nu_for_gamma, savings_rate, steady_capital, tax_rates
 from .envy import EnvySpec, gamma_uniform_top
-from .equilibrium import Trajectory, _once
+from .equilibrium import Trajectory, _per_period
 from .errors import DomainError
 
 CSV_HEADER = "t,k,y,gamma,gini,m_count,savings_rate,tau_w,tau_s,avg_consumption"
@@ -38,10 +38,8 @@ def trajectory_csv_lines(traj: Trajectory, per_agent: bool = False) -> Iterator[
 
 
 def _csv_rows(records, per_agent: bool) -> Iterator[str]:
-    cells, last = _once(partial(_record_cells, per_agent=per_agent)), None
-    for t, r in enumerate(records):
-        if r is not last:  # a repeated record, in a run or on a cycle, differs only in t
-            row, last = cells(r), r
+    """Each period's CSV row: a repeated record, in a run or on a cycle, differs only in t."""
+    for t, row in enumerate(_per_period(records, partial(_record_cells, per_agent=per_agent))):
         yield f"{t},{row}"
 
 

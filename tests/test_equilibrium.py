@@ -472,7 +472,7 @@ def _column_root(desc, guess, *columns):
 
 def _float_root(desc, guess, *scalars):
     """The root of a one-row block in Python floats: ``_certify_row``, else the scan."""
-    kappa, how = _certify_row(desc, guess, *scalars)
+    kappa, how = _certify_row(desc, guess, *scalars, desc.shape[1])
     return kappa if how is not None else _scan_active_sets(desc, *scalars).item(0)
 
 
@@ -1215,6 +1215,62 @@ def test_the_equal_start_repeats_its_four_cycle(horizon):
         assert elapsed < 2.0
         short = simulate([0.1] * 4, schedule, 34, BASELINE, UNIT_ENVY)
         assert traj.final_bequests.tobytes() == short.records[30 + (horizon - 31) % 4].bequests_next.tobytes()
+
+
+def _cycling_kernel(lags, calls):
+    """A ``_solve_block`` under which row i of the driver hands on a cycle of ``lags[i]`` states.
+
+    State s is the vector [1 + s, 1, 1, 1], and its next is s + 1 modulo
+    the lag, whatever the tilts; ``calls[i]`` counts the periods row i is
+    solved.
+    """
+
+    def solve(blk, out=None):
+        for j in blk.unpriced:  # a record reads its path's taxes
+            equilibrium._price(blk, j)
+        rows, blk.unpriced = blk.rows.tolist(), []
+        nxt = blk.beq.copy()
+        nxt[:, :1] = 1.0 + blk.beq[:, :1] % np.array([[lags[i]] for i in rows])
+        k_next, count = nxt.sum(axis=1)[:, None] / nxt.shape[1], np.full(len(rows), nxt.shape[1])
+        zero = 0.0 * k_next
+        values = (blk.k, zero, zero, k_next, k_next, zero, zero + 1.0, count)
+        blk.k, blk.count = k_next, count
+        for i in rows:
+            calls[i] += 1
+        if len(rows) == 1:  # a lone row's values are Python scalars, as _solve_row's
+            return nxt, True, tuple(np.asarray(v).item() for v in values)
+        return nxt, np.ones(len(rows), dtype=bool), values
+
+    return solve
+
+
+@pytest.mark.parametrize("lag", [1, 2, 7, 8, 9, 10])
+def test_a_cycle_repeats_up_to_the_length_of_the_window(lag, monkeypatch):
+    # a row that hands on a cycle of `lag` states solves one cycle and repeats the rest, up to
+    # the _CYCLE = 8 states it keeps; a longer cycle is solved in every period.  Under a tilt
+    # change at period 49 the row rejoins in the cycle's phase, solves period 49 under its
+    # changing pair and one more cycle from period 50.  Alone and in a two-row block beside a
+    # row whose cycle is longer than the horizon.
+    horizon, start = 100, np.ones(4)
+    for nus, cycles in (([1.0] * (horizon + 1), 1), ([1.0] * 50 + [0.9] * 51, 2)):
+        solved = cycles * lag + cycles - 1 if lag <= 8 else horizon
+        phases = [1.0 + t % lag for t in range(horizon + 1)]
+        calls = [0, 0]
+        monkeypatch.setattr(equilibrium, "_solve_block", _cycling_kernel([lag], calls))
+        path = _own_path((BASELINE, UNIT_ENVY, start, nus), horizon)
+        assert calls[0] == len({id(r) for r in path.records}) == solved
+        assert _tally(path)["repeat"] == horizon - solved
+        assert [r.bequests.item(0) for r in path.records] == phases[:-1]
+        assert path.records[-1].bequests_next.item(0) == phases[-1]
+        assert path.final == (3.0 + phases[-1]) / 4.0
+        calls = [0, 0]
+        monkeypatch.setattr(equilibrium, "_solve_block", _cycling_kernel([lag, horizon + 1], calls))
+        paths = [_Path(BASELINE, UNIT_ENVY, _tilt_pairs(nus, horizon)) for _ in range(2)]
+        for _ in _run_paths(np.stack([start, start]), paths, horizon):
+            pass
+        assert calls == [solved, horizon]
+        assert [_tally(p)["repeat"] for p in paths] == [horizon - solved, 0]
+        assert [p.final for p in paths] == [(3.0 + phases[-1]) / 4.0, (4.0 + horizon) / 4.0]
 
 
 _TILTS = [0.7, 0.9, 1.1, np.float32(0.9), np.float32(1.1), float(np.float32(0.9))]

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from joneses import EnvySpec, classify, constant_schedule, locate_regime_flip, simulate, sweep
@@ -457,6 +457,7 @@ TEMPLATE_CHANGES = (
     lambda o: o["initial"].update(values=[1.7976931348623157e308, 0, 0, 0]),  # sum overflows
     lambda o: o.update(initial={"generator": "top_share", "share": 0.9, "rich": 2, "total": 2}),
     lambda o: o.update(initial={"generator": "random", "total": 0.3}, run={"horizon": 8, "seed": 5}),
+    lambda o: o.update(initial={"generator": "top_share", "share": 0.6, "rich": 1}),  # total 1.0
     lambda o: o.pop("schedule"),  # a nu axis supplies it
     lambda o: o["schedule"]["segments"].append({"start": 4, "nu": 1.2}),
     lambda o: o.update(envy=None),
@@ -478,7 +479,15 @@ def sweep_grids(draw):
     return {"template": obj, "axes": axes}
 
 
+def _generated_start_without_total():
+    """A grid of ``gini0`` cells over a template whose generated start names no total."""
+    obj = {**template(), "initial": {"generator": "top_share", "share": 0.6, "rich": 1}}
+    obj["run"]["horizon"] = 8
+    return {"template": obj, "axes": [{"name": "gini0", "values": [0.0, 0.5]}]}
+
+
 @ONLY_ORACLES_WARN
+@example(obj=_generated_start_without_total())  # each cell's gini_target start takes total 1.0
 @given(obj=sweep_grids())
 @settings(max_examples=300, deadline=None)
 def test_cells_from_parts_equal_cells_parsed_whole(tmp_path_factory, obj):
