@@ -20,13 +20,7 @@ from .equilibrium import (
     simulate,
 )
 from .errors import InputError, ModelError
-from .output import (
-    fmt,
-    render_phase_plot,
-    render_savings_step_plot,
-    trajectory_csv_lines,
-    write_trajectory_csv,
-)
+from .output import fmt, render_phase_plot, render_savings_step_plot, write_trajectory_csv
 from .policy import compose_reform_schedule, plan_reform
 from .scenario import load_scenario
 from .sweep import load_grid, run_sweep
@@ -119,11 +113,7 @@ def _cmd_validate(args) -> int:
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     traj = simulate(sc.initial, sc.schedule, sc.horizon, sc.params, sc.envy)
-    if args.csv:
-        write_trajectory_csv(traj, args.csv, per_agent=args.per_agent)
-    else:
-        for line in trajectory_csv_lines(traj, per_agent=args.per_agent):
-            print(line)
+    write_trajectory_csv(traj, args.csv or sys.stdout, per_agent=args.per_agent)
     report = detect_convergence(traj, sc.tol)
     settled = (
         f"settled at period {report.period} (tol {sc.tol})"

@@ -91,10 +91,7 @@ block a ring of its rows' means.  On a match the row leaves the block,
 and rejoins it, in the cycle's phase, where the schedule next changes
 its tilt.  A block with no row left jumps to that change, or to the
 horizon, so repeated periods cost nothing; a path that keeps records
-repeats its last p over them.  This is exact, not a tolerance.  At seed
-0 the benchmark's sweep solves 17,343 of its 24,840 row-periods, in 105
-block periods of 120, its cells ending on cycles of length 1 (166
-cells), 2 (14), 3 (24) and 4 (3).
+repeats its last p over them.  This is exact, not a tolerance.
 
 An economy run under a constant tilt settles, depending on whether the
 initial envy weight sits below or above the threshold ``gamma_star(nu)``,
@@ -839,6 +836,11 @@ def _run_paths(beq, paths, horizon: int):
     The driver keeps the states it compares with: ``hb``, the last
     ``_CYCLE`` inherited blocks, newest first, each with its ``where``, and
     ``head``, the newest column of the rows' rings of means (``_Block.hk``).
+    A regroup leaves them as they are: a row that stays reads the same
+    bytes through the old block's ``where``, and a parked row rejoins only
+    at the last period of a tilt run, whose pair holds for that one period
+    (the next key is ``t + 1``, where its ring restarts), so it cannot
+    park there.
     A row that raises is frozen with its error for good.  With no row left,
     the driver jumps to the next such period, or ends.  After each period
     in which it solved a block it yields ``(bequests, order)``: the block
@@ -889,7 +891,6 @@ def _run_paths(beq, paths, horizon: int):
                     members = [paths[i] for i in back]
                     joined = _block(members, vectors, orders, np.array(list(back)), c, head)
                 blk = _regroup(blk, leave, joined)
-                hb[0] = (blk.beq, blk.where)
                 leave, back = [], {}
             if retilt:  # a live row's older states were solved under another pair
                 moved = blk.where[retilt]
@@ -1198,15 +1199,15 @@ def _regime(
     )
 
 
-def _per_period(records, work):
-    """``work(r)`` of each period's record ``r`` in turn, computed once per distinct record.
+def _per_period(records, work) -> list:
+    """``work(r)`` of each period's record ``r``, a list, computed once per distinct record.
 
     A path's repeats are the same record objects, in a run or, on a cycle,
     ``p`` apart: a record that repeats the period before takes its result,
     and any other is looked up by identity among the last ``_CYCLE``
     distinct records.
     """
-    memo, last = {}, None
+    memo, last, out = {}, None, []
     for r in records:
         if r is not last:
             last, done = r, memo.get(id(r))
@@ -1214,7 +1215,8 @@ def _per_period(records, work):
                 done = memo[id(r)] = work(r)
                 if len(memo) > _CYCLE:
                     del memo[next(iter(memo))]
-        yield done
+        out.append(done)
+    return out
 
 
 @dataclass(frozen=True)
@@ -1251,7 +1253,7 @@ def detect_convergence(traj: Trajectory, tol: float) -> ConvergenceReport | None
             d = max(d, step)
         return d
 
-    deltas = np.fromiter(_per_period(traj.records, delta), float, len(traj.records))
+    deltas = np.array(_per_period(traj.records, delta), float)
     below = deltas < tol
     if not below[-1]:
         return None

@@ -7,6 +7,7 @@ coordinates.  Identical inputs therefore produce byte-identical files.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -34,13 +35,9 @@ def trajectory_csv_lines(traj: Trajectory, per_agent: bool = False) -> Iterator[
     header = CSV_HEADER
     if per_agent:
         header += "".join(f",s_{j},c_{j}" for j in range(1, traj.records[0].bequests.size + 1))
-    return chain((header,), _csv_rows(traj.records, per_agent))
-
-
-def _csv_rows(records, per_agent: bool) -> Iterator[str]:
-    """Each period's CSV row: a repeated record, in a run or on a cycle, differs only in t."""
-    for t, row in enumerate(_per_period(records, partial(_record_cells, per_agent=per_agent))):
-        yield f"{t},{row}"
+    # a repeated record, in a run or on a cycle, gives the same cells: only t differs
+    rows = _per_period(traj.records, partial(_record_cells, per_agent=per_agent))
+    return chain((header,), (f"{t},{row}" for t, row in enumerate(rows)))
 
 
 def _record_cells(r, per_agent: bool) -> str:
@@ -63,11 +60,15 @@ def _record_cells(r, per_agent: bool) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path, per_agent: bool = False) -> None:
-    """The lines of :func:`trajectory_csv_lines`, each ended by a newline, one write per chunk."""
+    """The lines of :func:`trajectory_csv_lines`, each ended by a newline, one write per chunk.
+
+    ``path`` is a file path or an open text stream, which is left open.
+    """
     lines = trajectory_csv_lines(traj, per_agent)  # an empty trajectory raises before the open
     cells = CSV_HEADER.count(",") + 1 + (2 * traj.records[0].bequests.size if per_agent else 0)
     rows = max(1, (1 << 15) // cells)  # 3,276 aggregate lines per write, or one of 16,384 dynasties
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    stream = hasattr(path, "write")
+    with nullcontext(path) if stream else open(path, "w", encoding="utf-8", newline="\n") as fh:
         while chunk := list(islice(lines, rows)):
             chunk.append("")  # the chunk's last newline
             fh.write("\n".join(chunk))

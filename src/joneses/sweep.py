@@ -32,7 +32,7 @@ from .envy import EnvySpec, gamma_uniform_top
 from .equilibrium import _regime, _start_facts, classify, final_capitals
 from .errors import JonesesError, ValidationError
 from .output import fmt
-from .scenario import SECTIONS, _assemble, _check_sections, numbers, read_json
+from .scenario import SECTIONS, _assemble, _check_sections, _reject_unknown, numbers, read_json
 
 DEFAULT_CELL_CAP = 10**6
 
@@ -70,9 +70,7 @@ class SweepGrid:
 def parse_grid(obj, source: str = "<grid>") -> SweepGrid:
     if not isinstance(obj, dict):
         raise ValidationError(source, "expected an object")
-    unknown = set(obj) - {"template", "axes", "cap"}
-    if unknown:
-        raise ValidationError(source, f"unknown field(s): {', '.join(sorted(unknown))}")
+    _reject_unknown(obj, {"template", "axes", "cap"}, source)
     template = obj.get("template")
     if not isinstance(template, dict):
         raise ValidationError("template", "expected a scenario object")

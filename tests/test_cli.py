@@ -445,6 +445,19 @@ class TestUsage:
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
+
+@pytest.mark.parametrize("per_agent", [[], ["--per-agent"]], ids=["aggregate", "per-agent"])
+@pytest.mark.parametrize("name", ["equal_start", "polarised_start", "reform_candidate"])
+def test_stdout_carries_the_bytes_of_the_csv_file(name, per_agent, tmp_path, capsysbinary):
+    # one writer serves both: stdout, and the file that --csv names
+    scenario, out = str(SCENARIOS / f"{name}.json"), tmp_path / f"{name}.csv"
+    assert main(["simulate", scenario, *per_agent]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main(["simulate", scenario, *per_agent, "--csv", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert stdout == out.read_bytes()
+
+
 # the kernel's counters of each shipped command, summed over the paths it runs (ROADMAP
 # item 9's gate): any change to which shape or certificate a shipped period takes, or to
 # which periods repeat a cycle, shows here.  equal_start ends on an exact 4-cycle from

@@ -1288,6 +1288,19 @@ def test_tilt_pairs_give_the_pair_of_every_period(nus):
         pair = pairs.get(t, pair)
         assert pair == (float(nus[t]), float(nus[t + 1]))
         assert all(type(nu) is float for nu in pair)
+    _assert_a_change_holds_one_period(pairs, horizon)
+
+
+def _assert_a_change_holds_one_period(pairs, horizon):
+    """A key whose two tilts differ is followed by a key, or the horizon, one period later.
+
+    So a parked row, which rejoins at such a key, cannot park there, and
+    its ring restarts one period later (see ``_run_paths``).
+    """
+    keys = [*pairs, horizon]
+    for t, after in zip(keys, keys[1:]):
+        if pairs[t][0] != pairs[t][1]:
+            assert after == t + 1
 
 
 @pytest.mark.parametrize("horizon", [1, 4, 5, 6, 7, 20])
@@ -1300,6 +1313,7 @@ def test_tilt_pairs_of_a_schedule_follow_its_segments(horizon):
     for t in range(horizon):
         pair = pairs.get(t, pair)
         assert pair == (schedule.nu_at(t), schedule.nu_at(t + 1))
+    _assert_a_change_holds_one_period(pairs, horizon)
 
 
 def _block_row(rng, n, horizon):

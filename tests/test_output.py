@@ -1,6 +1,7 @@
 """CSV schema and determinism, SVG structure, plot placement."""
 
 import hashlib
+import io
 import xml.dom.minidom
 
 import numpy as np
@@ -132,6 +133,10 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, path, per_agent=per_agent)
         want = "\n".join(trajectory_csv_lines(traj, per_agent=per_agent)) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
+        # an open text stream gets the file's text, and stays open
+        stream = io.StringIO()
+        write_trajectory_csv(traj, stream, per_agent=per_agent)
+        assert stream.getvalue() == path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("per_agent", [False, True])
     def test_an_empty_trajectory_is_named_and_leaves_no_file(self, tmp_path, per_agent):
